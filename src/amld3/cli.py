@@ -11,8 +11,9 @@ Subcommands::
     check      membership of a rate triple (exact region or float bounds)
 
 Exit codes: 0 ok, 2 invalid ordering, 3 negative entropy, 4 scheme/length
-regime mismatch or odd split, 5 bit-length mismatch, 6 out-of-range
-distortion or noise input, 1 other errors.
+regime mismatch or odd split, 5 bit-length mismatch, 6 out-of-range or
+non-finite float input (distortions, noise, rates, a negative --tol), 1 other
+errors.
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -79,6 +81,10 @@ def _parse_rates_float(spec: str) -> tuple[float, ...]:
     vals = tuple(float(p.strip()) for p in spec.split(","))
     if len(vals) != 3:
         raise ValueError(f"expected 3 rates, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise gaussian_md.InvalidFloatInput(
+            f"rates must be finite, got {vals}"
+        )
     return vals
 
 
@@ -273,18 +279,18 @@ def cmd_gap(args) -> None:
 
 
 def cmd_check(args) -> None:
+    if not 0.0 <= args.tol < math.inf:
+        raise gaussian_md.InvalidFloatInput(
+            f"--tol must be finite and non-negative, got {args.tol}"
+        )
     if args.h is not None:
         o = _parse_ordering(args.ordering)
         e = _parse_profile(args.h)
         region = rate_region.build_mld_region(o, e)
         rates = _parse_rates_exact(args.rates)
-        tight, violated = [], []
-        for c in region.constraints:
-            slack = c.evaluate(rates)
-            if slack == 0:
-                tight.append(c.tag)
-            elif slack < 0:
-                violated.append(c.tag)
+        tight, violated = rate_region.classify_slacks(
+            region.constraints, rates
+        )
         inside = rate_region.contains(region, rates)
         _emit_json(
             {"inside": inside, "tight": tight, "violated": violated}
@@ -302,21 +308,10 @@ def cmd_check(args) -> None:
             raise ValueError("--which parametric requires --d")
         bound = gaussian_md.parametric_outer_bound(D, _parse_noise(args.d))
     rates = _parse_rates_float(args.rates)
-    tol = args.tol
-    tight, violated = [], []
-    for c in bound.constraints:
-        slack = sum(a * x for a, x in zip(c.a, rates)) - c.b
-        if abs(slack) <= tol:
-            tight.append(c.tag)
-        elif slack < 0:
-            violated.append(c.tag)
-    _emit_json(
-        {
-            "inside": not violated,
-            "tight": tight,
-            "violated": violated,
-        }
+    tight, violated = rate_region.classify_slacks(
+        bound.constraints, rates, args.tol
     )
+    _emit_json({"inside": not violated, "tight": tight, "violated": violated})
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +421,7 @@ def main(argv=None) -> int:
         gaussian_md.DistortionRangeError,
         gaussian_md.NotNormalized,
         gaussian_md.NonMonotoneNoise,
+        gaussian_md.InvalidFloatInput,
     ) as e:
         return _fail(e, 6)
     except (ValueError, KeyError, OSError) as e:

@@ -9,10 +9,13 @@ admissible decoder ordering (larger distortion means earlier level).
 
 With ``r(S) = (1/2) log2(1/D~_S)``, the successive-refinement layer rates of
 the induced ordering turn the distortion problem into a multilevel diversity
-problem; the inner bound below is exactly the image of the eleven
-rate-region inequalities under that reduction, and the outer bound subtracts
-a fixed per-inequality slack, so the two polyhedra sit within a constant gap
-of each other independent of the targets.  A sharper parametric outer bound
+problem.  The inner bound below is the image of the eleven rate-region
+inequalities under that reduction: it and the exact region of
+:func:`~.rate_region.build_mld_region` call the one generator
+:func:`~.rate_region.constraint_offsets`, with ``r(S)`` here and
+``H(level(S))`` there.  The outer bound subtracts a fixed per-inequality
+slack, so the two polyhedra sit within a constant gap of each other
+independent of the targets.  A sharper parametric outer bound
 with free noise parameters ``d_1 >= ... >= d_6 >= d_7 = 0`` is exposed as
 well; choosing ``d_i = D~`` of the level-i decoder makes it at least as
 tight as the fixed-slack bound everywhere.
@@ -25,23 +28,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Mapping, Sequence
 
 from .ordering import (
-    L1,
     SUBSET_MASKS,
     SUBSETS,
     Ordering,
     union,
     validate_ordering,
 )
-from .rate_region import LinearInequality
+from .rate_region import (
+    CONSTRAINT_ROWS,
+    LinearInequality,
+    classify_slacks,
+    constraint_offsets,
+)
 
 DEFAULT_TOL = 1e-9
 
 
 class DistortionRangeError(ValueError):
     """A distortion target lies outside (0, 1]."""
+
+
+class InvalidFloatInput(ValueError):
+    """A rate is NaN or infinite, or a tolerance is negative or not finite."""
 
 
 class NotNormalized(ValueError):
@@ -139,18 +151,8 @@ def sr_layer_rates(
 # Inner and outer bounds.
 # ---------------------------------------------------------------------------
 
-_SUFFIXES = (
-    "1.1", "1.2", "1.3",
-    "2.12", "2.13", "2.23",
-    "3.1", "3.2", "3.3",
-    "4", "5",
-)
-_SLACK = {
-    "1.1": 0.0, "1.2": 0.0, "1.3": 0.0,
-    "2.12": 1.0, "2.13": 1.0, "2.23": 1.0,
-    "3.1": 3.0, "3.2": 3.0, "3.3": 3.0,
-    "4": 2.0, "5": 4.5,
-}
+# Outer-bound slack of each row, in CONSTRAINT_ROWS order.
+_SLACK = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 2.0, 4.5)
 
 
 @dataclass(frozen=True)
@@ -163,76 +165,33 @@ class BoundSet:
     distortions: DistortionVector
 
 
-def _unit(*idx: int) -> tuple[float, float, float]:
-    a = [0.0, 0.0, 0.0]
-    for i in idx:
-        a[i - 1] += 1.0
-    return tuple(a)
+def _bound(kind: str, prefix: str, offsets, o, Dn) -> BoundSet:
+    cons = tuple(
+        LinearInequality(a, b, f"{prefix}-{suffix}")
+        for (suffix, a), b in zip(CONSTRAINT_ROWS, offsets)
+    )
+    return BoundSet(kind, cons, o, Dn)
 
 
-def _base_terms(Dn: DistortionVector) -> list[tuple[str, tuple, float]]:
-    """The eleven (suffix, normal, b) rows shared by inner and outer bounds."""
+def _inner_offsets(D: DistortionVector):
+    """Normalized targets, their ordering, and the inner offsets: the
+    region's generator at r(S) = (1/2) log2(1/D~_S)."""
+    Dn = normalize_distortions(D)
+    o = induced_ordering(Dn)
     r = {s: 0.5 * math.log2(1.0 / Dn[s]) for s in SUBSETS}
-    singles = ("G1", "G2", "G3")
-    rows: list[tuple[str, tuple, float]] = []
-    for i in (1, 2, 3):
-        rows.append((f"1.{i}", _unit(i), r[singles[i - 1]]))
-    for suffix, (i, j) in zip(
-        ("2.12", "2.13", "2.23"), ((1, 2), (1, 3), (2, 3))
-    ):
-        gi, gj = singles[i - 1], singles[j - 1]
-        rows.append(
-            (suffix, _unit(i, j), min(r[gi], r[gj]) + r[union(gi, gj)])
-        )
-    for suffix, i in zip(("3.1", "3.2", "3.3"), (1, 2, 3)):
-        j, k = [x for x in (1, 2, 3) if x != i]
-        gi, gj, gk = singles[i - 1], singles[j - 1], singles[k - 1]
-        b = (
-            min(r[gi], r[gj])
-            + min(r[gi], r[gk])
-            + min(r[union(gi, gj)], r[union(gi, gk)])
-            + r["G123"]
-        )
-        rows.append((suffix, _unit(i, i, j, k), b))
-    rows.append(
-        (
-            "4",
-            _unit(1, 2, 3),
-            r["G1"] + min(r["G12"], r["G3"]) + r["G123"],
-        )
-    )
-    rows.append(
-        (
-            "5",
-            _unit(1, 2, 3),
-            r["G1"]
-            + 0.5 * r["G2"]
-            + 0.5 * min(r["G12"], r["G13"], r["G23"])
-            + r["G123"],
-        )
-    )
-    return rows
+    return Dn, o, constraint_offsets(r)
 
 
 def inner_bound(D: DistortionVector) -> BoundSet:
     """Achievable-side bounds (distortions are normalized internally)."""
-    Dn = normalize_distortions(D)
-    o = induced_ordering(Dn)
-    cons = tuple(
-        LinearInequality(a, b, f"I-{s}") for s, a, b in _base_terms(Dn)
-    )
-    return BoundSet("inner", cons, o, Dn)
+    Dn, o, offsets = _inner_offsets(D)
+    return _bound("inner", "I", offsets, o, Dn)
 
 
 def outer_bound(D: DistortionVector) -> BoundSet:
     """Converse-side bounds: the inner b's minus fixed per-row slacks."""
-    Dn = normalize_distortions(D)
-    o = induced_ordering(Dn)
-    cons = tuple(
-        LinearInequality(a, b - _SLACK[s], f"O-{s}")
-        for s, a, b in _base_terms(Dn)
-    )
-    return BoundSet("outer", cons, o, Dn)
+    Dn, o, offsets = _inner_offsets(D)
+    return _bound("outer", "O", map(sub, offsets, _SLACK), o, Dn)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +212,12 @@ class NoiseParams:
             raise ValueError("expected 6 or 7 noise parameters")
         if vals[6] != 0.0:
             raise NonMonotoneNoise("d_7 must be exactly 0")
-        if any(x < 0 for x in vals):
-            raise NonMonotoneNoise("noise parameters must be non-negative")
-        if any(vals[i] < vals[i + 1] for i in range(6)):
+        # Written so that NaN fails every comparison.
+        if not all(0.0 <= x < math.inf for x in vals):
+            raise NonMonotoneNoise(
+                f"noise parameters must be finite and non-negative, got {vals}"
+            )
+        if not all(vals[i] >= vals[i + 1] for i in range(6)):
             raise NonMonotoneNoise(
                 f"noise parameters must be non-increasing, got {vals}"
             )
@@ -305,50 +267,39 @@ def parametric_outer_bound(
             (Dn["G123"] + d(level)) / ((1.0 + d(level)) * Dn["G123"])
         )
 
-    rows: list[tuple[str, tuple, float]] = []
-    for i in (1, 2, 3):
-        rows.append(
-            (f"1.{i}", _unit(i), 0.5 * lg(1.0 / Dn[singles[i - 1]]))
-        )
-    for suffix, (i, j) in zip(
-        ("2.12", "2.13", "2.23"), ((1, 2), (1, 3), (2, 3))
-    ):
-        gi, gj = singles[i - 1], singles[j - 1]
+    offsets = [0.5 * lg(1.0 / Dn[g]) for g in singles]
+    for gi, gj in (("G1", "G2"), ("G1", "G3"), ("G2", "G3")):
         gij = union(gi, gj)
         m = max(lv[gi], lv[gj])
-        b = 0.5 * (
+        offsets.append(0.5 * (
             single_factor(gi, lv[gi])
             + single_factor(gj, lv[gj])
             + lg((Dn[gij] + d(m)) / ((1.0 + d(m)) * Dn[gij]))
-        )
-        rows.append((suffix, _unit(i, j), b))
-    for suffix, i in zip(("3.1", "3.2", "3.3"), (1, 2, 3)):
-        j, k = [x for x in (1, 2, 3) if x != i]
-        gi, gj, gk = singles[i - 1], singles[j - 1], singles[k - 1]
+        ))
+    for gi in singles:
+        gj, gk = [g for g in singles if g != gi]
         gij, gik = union(gi, gj), union(gi, gk)
-        b = 0.5 * (
+        offsets.append(0.5 * (
             2.0 * single_factor(gi, lv[gi])
             + single_factor(gj, lv[gj])
             + single_factor(gk, lv[gk])
             + pair_step(gij, lv[gij], max(lv[gi], lv[gj]))
             + pair_step(gik, lv[gik], max(lv[gi], lv[gk]))
             + tail(max(lv[gij], lv[gik]))
-        )
-        rows.append((suffix, _unit(i, i, j, k), b))
+        ))
     m4 = min(lv["G12"], lv["G3"])
-    b4 = 0.5 * (
+    offsets.append(0.5 * (
         single_factor("G1", lv["G1"])
         + single_factor("G2", lv["G2"])
         + single_factor("G3", m4)
         + pair_step("G12", m4, lv["G2"])
         + tail(m4)
-    )
-    rows.append(("4", _unit(1, 2, 3), b4))
+    ))
     if lv["G3"] > lv["G12"]:
         alpha = lv["G3"]
     else:
         alpha = min(lv["G12"], lv["G13"], lv["G23"])
-    b5 = (
+    offsets.append(
         0.5
         * (
             single_factor("G1", lv["G1"])
@@ -360,11 +311,7 @@ def parametric_outer_bound(
         + 0.25 * pair_step("G23", alpha, lv["G3"])
         + 0.5 * tail(lv["G3"])
     )
-    rows.append(("5", _unit(1, 2, 3), b5))
-    cons = tuple(
-        LinearInequality(a, b, f"PO-{s}") for s, a, b in rows
-    )
-    return BoundSet("parametric", cons, o, Dn)
+    return _bound("parametric", "PO", offsets, o, Dn)
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +372,14 @@ def facet_gap(D: DistortionVector) -> GapReport:
 def md_contains(
     bound: BoundSet, rates: Sequence[float], tol: float = DEFAULT_TOL
 ) -> bool:
-    """Whether a rate triple satisfies every bound, within tolerance."""
+    """Whether a rate triple satisfies every bound, within tolerance.
+
+    NaN rates are never inside (see :func:`~.rate_region.classify_slacks`).
+    """
     r = tuple(float(x) for x in rates)
     if len(r) != 3:
         raise ValueError("expected 3 rates")
-    return all(
-        sum(a * x for a, x in zip(c.a, r)) >= c.b - tol
-        for c in bound.constraints
-    )
+    return not classify_slacks(bound.constraints, r, tol)[1]
 
 
 def bound_json_dict(bound: BoundSet) -> dict:

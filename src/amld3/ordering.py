@@ -21,6 +21,7 @@ L1 = (G1, G2, G3, G12, G13, G23, G123) first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from typing import Mapping
 
@@ -170,37 +171,22 @@ def enumerate_orderings() -> tuple[Ordering, ...]:
     return _all_orderings()
 
 
-_cache: list = []
-
-
+@cache
 def _all_orderings() -> tuple[Ordering, ...]:
-    if not _cache:
-        found = []
-        for seq in permutations(SUBSETS):
-            try:
-                _check_levels({s: i + 1 for i, s in enumerate(seq)})
-            except OrderingError:
-                continue
-            found.append(Ordering(seq))
-        found.sort(
-            key=lambda o: tuple(_CANON_INDEX[s] for s in o.by_level)
-        )
-        _cache.append(tuple(found))
-    return _cache[0]
+    found = []
+    for seq in permutations(SUBSETS):
+        try:
+            _check_levels({s: i + 1 for i, s in enumerate(seq)})
+        except OrderingError:
+            continue
+        found.append(Ordering(seq))
+    found.sort(key=lambda o: tuple(_CANON_INDEX[s] for s in o.by_level))
+    return tuple(found)
 
 
+@cache
 def _ordering_index() -> dict[tuple[str, ...], int]:
     return {o.by_level: i + 1 for i, o in enumerate(_all_orderings())}
-
-
-def level_of(ordering: Ordering, subset: str) -> int:
-    """Functional form of :meth:`Ordering.level_of`."""
-    return ordering.level_of(subset)
-
-
-def inverse_level(ordering: Ordering, level: int) -> str:
-    """Functional form of :meth:`Ordering.inverse_level`."""
-    return ordering.inverse_level(level)
 
 
 def ordering_from_json(obj: Mapping) -> Ordering:

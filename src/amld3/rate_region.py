@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .ordering import L1, Ordering, union
+from .ordering import L1, Ordering
 
 
 class NegativeEntropy(ValueError):
@@ -32,8 +32,6 @@ class NegativeEntropy(ValueError):
 
 def as_fraction(x) -> Fraction:
     """Exact rational from int, str ('3', '27/2', '0.5'), Fraction, or float."""
-    if isinstance(x, float):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -125,13 +123,37 @@ class RateRegion:
         return hash(self.constraints)
 
 
-P_TAGS = (
-    "P1.1", "P1.2", "P1.3",
-    "P2.12", "P2.13", "P2.23",
-    "P3.1", "P3.2", "P3.3",
-    "P4", "P5",
+CONSTRAINT_ROWS: tuple[tuple[str, tuple[int, int, int]], ...] = (
+    ("1.1", (1, 0, 0)), ("1.2", (0, 1, 0)), ("1.3", (0, 0, 1)),
+    ("2.12", (1, 1, 0)), ("2.13", (1, 0, 1)), ("2.23", (0, 1, 1)),
+    ("3.1", (2, 1, 1)), ("3.2", (1, 2, 1)), ("3.3", (1, 1, 2)),
+    ("4", (1, 1, 1)), ("5", (1, 1, 1)),
 )
+"""The eleven inequalities as (tag suffix, normal), in emission order."""
+
+P_TAGS = tuple(f"P{suffix}" for suffix, _ in CONSTRAINT_ROWS)
 Q_TAGS = tuple(f"Q{i}" for i in range(1, 12))
+
+
+def constraint_offsets(r: Mapping[str, object]) -> tuple:
+    """The eleven offsets b, in :data:`CONSTRAINT_ROWS` order.
+
+    ``r[S]`` is the cumulative rate decoder S needs: ``H`` at the level of S
+    for the exact region, ``(1/2) log2(1/D~_S)`` for the Gaussian inner
+    bound.  Only sums, minima and halving are used, so exact rationals and
+    floats go through the same formulas.
+    """
+    r1, r2, r3 = r["G1"], r["G2"], r["G3"]
+    r12, r13, r23, r123 = r["G12"], r["G13"], r["G23"], r["G123"]
+    return (
+        r1, r2, r3,
+        min(r1, r2) + r12, min(r1, r3) + r13, min(r2, r3) + r23,
+        min(r1, r2) + min(r1, r3) + min(r12, r13) + r123,
+        min(r2, r1) + min(r2, r3) + min(r12, r23) + r123,
+        min(r3, r1) + min(r3, r2) + min(r13, r23) + r123,
+        r1 + min(r12, r3) + r123,
+        r1 + r2 / 2 + min(r12, r13, r23) / 2 + r123,
+    )
 
 
 def build_mld_region(ordering: Ordering, profile: EntropyProfile) -> RateRegion:
@@ -141,50 +163,16 @@ def build_mld_region(ordering: Ordering, profile: EntropyProfile) -> RateRegion:
     redundant for the given profile.  Tags are Q1..Q11 when ``ordering`` is
     L1 and P1.1..P5 otherwise, in the same fixed emission order.
     """
-    lv = ordering.levels
-    H = profile.cum
-    singles = ("G1", "G2", "G3")
     tags = Q_TAGS if ordering == L1 else P_TAGS
-    cons: list[LinearInequality] = []
-
-    def unit(*idx: int) -> tuple[Fraction, ...]:
-        a = [Fraction(0)] * 3
-        for i in idx:
-            a[i - 1] += 1
-        return tuple(a)
-
-    # single-description cuts
-    for i in (1, 2, 3):
-        cons.append(
-            LinearInequality(unit(i), H(lv[singles[i - 1]]), tags[i - 1])
-        )
-    # pairwise cuts
-    for t, (i, j) in zip(tags[3:6], ((1, 2), (1, 3), (2, 3))):
-        gi, gj = singles[i - 1], singles[j - 1]
-        b = H(min(lv[gi], lv[gj])) + H(lv[union(gi, gj)])
-        cons.append(LinearInequality(unit(i, j), b, t))
-    # weighted triple cuts (one description counted twice)
-    for t, i in zip(tags[6:9], (1, 2, 3)):
-        j, k = [x for x in (1, 2, 3) if x != i]
-        gi, gj, gk = singles[i - 1], singles[j - 1], singles[k - 1]
-        b = (
-            H(min(lv[gi], lv[gj]))
-            + H(min(lv[gi], lv[gk]))
-            + H(min(lv[union(gi, gj)], lv[union(gi, gk)]))
-            + H(7)
-        )
-        cons.append(LinearInequality(unit(i, i, j, k), b, t))
-    # sum-rate cuts
-    b4 = H(lv["G1"]) + H(min(lv["G12"], lv["G3"])) + H(7)
-    cons.append(LinearInequality(unit(1, 2, 3), b4, tags[9]))
-    b5 = (
-        H(lv["G1"])
-        + Fraction(1, 2) * H(lv["G2"])
-        + Fraction(1, 2) * H(min(lv["G12"], lv["G13"], lv["G23"]))
-        + H(7)
+    offsets = constraint_offsets(dict(zip(ordering.by_level, profile.H)))
+    return RateRegion(
+        tuple(
+            LinearInequality(a, b, t)
+            for (_, a), b, t in zip(CONSTRAINT_ROWS, offsets, tags)
+        ),
+        ordering,
+        profile,
     )
-    cons.append(LinearInequality(unit(1, 2, 3), b5, tags[10]))
-    return RateRegion(tuple(cons), ordering, profile)
 
 
 def classify_regime(profile: EntropyProfile) -> Regime:
@@ -305,12 +293,29 @@ def contains(region: RateRegion, rates: Sequence) -> bool:
     return True
 
 
+def classify_slacks(
+    constraints: Iterable[LinearInequality], rates: Sequence, tol=0
+) -> tuple[list[str], list[str]]:
+    """Tags of the constraints tight at ``rates`` and of those violated.
+
+    A constraint is tight when ``abs(slack) <= tol`` and violated when not
+    ``slack >= -tol``, so a NaN slack counts as violated.  ``tol`` is 0 for
+    exact arithmetic.
+    """
+    tight, violated = [], []
+    for c in constraints:
+        s = c.evaluate(rates)
+        if not s >= -tol:
+            violated.append(c.tag)
+        elif s <= tol:
+            tight.append(c.tag)
+    return tight, violated
+
+
 def tight_constraints(region: RateRegion, rates: Sequence) -> tuple[str, ...]:
     """Tags of the constraints met with equality at the given point."""
     r = tuple(as_fraction(x) for x in rates)
-    return tuple(
-        c.tag for c in region.constraints if c.evaluate(r) == 0
-    )
+    return tuple(classify_slacks(region.constraints, r)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ the library implementation, so that tests compare two routes to the same
 answer:
 
 * a frozen table of the eight admissible level orderings;
-* the coefficient table of the eleven region inequalities for the first
-  ordering, expressed over the layer entropies (h_1, ..., h_7);
+* the coefficient tables of the eleven region inequalities for each of the
+  eight orderings, expressed over the layer entropies (h_1, ..., h_7);
 * closed-form corner coordinates for the three regimes of the first ordering;
 * an exact convex-hull membership oracle (V-representation to
   H-representation over integers) for rate-region containment checks;
@@ -86,6 +86,112 @@ Q_TABLE = {
     "Q11": ((1, 1, 1), (3, 2, F(3, 2), F(3, 2), 1, 1, 1)),
 }
 Q_ORDER = tuple(f"Q{i}" for i in range(1, 12))
+
+# The same eleven inequalities for orderings 2-8 (keyed by ordering index),
+# tags P1.1..P5 in emission order.  Each row expands, by hand, the paper's
+# level form of the offsets, writing L(S) for the level of decoder S and
+# H_k = h_1 + ... + h_k:
+#   P1.i  = H_L(Gi)
+#   P2.ij = H_min(L(Gi),L(Gj)) + H_L(Gij)
+#   P3.i  = H_min(L(Gi),L(Gj)) + H_min(L(Gi),L(Gk)) + H_min(L(Gij),L(Gik)) + H_7
+#   P4    = H_L(G1) + H_min(L(G12),L(G3)) + H_7
+#   P5    = H_L(G1) + H_L(G2)/2 + H_min(L(G12),L(G13),L(G23))/2 + H_7
+# With the first ordering's levels these give Q_TABLE above.
+P_TABLE = {
+    2: {  # G1, G2, G3, G12, G23, G13, G123
+        "P1.1": ((1, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+        "P1.2": ((0, 1, 0), (1, 1, 0, 0, 0, 0, 0)),
+        "P1.3": ((0, 0, 1), (1, 1, 1, 0, 0, 0, 0)),
+        "P2.12": ((1, 1, 0), (2, 1, 1, 1, 0, 0, 0)),
+        "P2.13": ((1, 0, 1), (2, 1, 1, 1, 1, 1, 0)),
+        "P2.23": ((0, 1, 1), (2, 2, 1, 1, 1, 0, 0)),
+        "P3.1": ((2, 1, 1), (4, 2, 2, 2, 1, 1, 1)),
+        "P3.2": ((1, 2, 1), (4, 3, 2, 2, 1, 1, 1)),
+        "P3.3": ((1, 1, 2), (4, 3, 2, 2, 2, 1, 1)),
+        "P4": ((1, 1, 1), (3, 2, 2, 1, 1, 1, 1)),
+        "P5": ((1, 1, 1), (3, 2, F(3, 2), F(3, 2), 1, 1, 1)),
+    },
+    3: {  # G1, G2, G3, G13, G12, G23, G123
+        "P1.1": ((1, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+        "P1.2": ((0, 1, 0), (1, 1, 0, 0, 0, 0, 0)),
+        "P1.3": ((0, 0, 1), (1, 1, 1, 0, 0, 0, 0)),
+        "P2.12": ((1, 1, 0), (2, 1, 1, 1, 1, 0, 0)),
+        "P2.13": ((1, 0, 1), (2, 1, 1, 1, 0, 0, 0)),
+        "P2.23": ((0, 1, 1), (2, 2, 1, 1, 1, 1, 0)),
+        "P3.1": ((2, 1, 1), (4, 2, 2, 2, 1, 1, 1)),
+        "P3.2": ((1, 2, 1), (4, 3, 2, 2, 2, 1, 1)),
+        "P3.3": ((1, 1, 2), (4, 3, 2, 2, 1, 1, 1)),
+        "P4": ((1, 1, 1), (3, 2, 2, 1, 1, 1, 1)),
+        "P5": ((1, 1, 1), (3, 2, F(3, 2), F(3, 2), 1, 1, 1)),
+    },
+    4: {  # G1, G2, G3, G13, G23, G12, G123
+        "P1.1": ((1, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+        "P1.2": ((0, 1, 0), (1, 1, 0, 0, 0, 0, 0)),
+        "P1.3": ((0, 0, 1), (1, 1, 1, 0, 0, 0, 0)),
+        "P2.12": ((1, 1, 0), (2, 1, 1, 1, 1, 1, 0)),
+        "P2.13": ((1, 0, 1), (2, 1, 1, 1, 0, 0, 0)),
+        "P2.23": ((0, 1, 1), (2, 2, 1, 1, 1, 0, 0)),
+        "P3.1": ((2, 1, 1), (4, 2, 2, 2, 1, 1, 1)),
+        "P3.2": ((1, 2, 1), (4, 3, 2, 2, 2, 1, 1)),
+        "P3.3": ((1, 1, 2), (4, 3, 2, 2, 1, 1, 1)),
+        "P4": ((1, 1, 1), (3, 2, 2, 1, 1, 1, 1)),
+        "P5": ((1, 1, 1), (3, 2, F(3, 2), F(3, 2), 1, 1, 1)),
+    },
+    5: {  # G1, G2, G3, G23, G12, G13, G123
+        "P1.1": ((1, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+        "P1.2": ((0, 1, 0), (1, 1, 0, 0, 0, 0, 0)),
+        "P1.3": ((0, 0, 1), (1, 1, 1, 0, 0, 0, 0)),
+        "P2.12": ((1, 1, 0), (2, 1, 1, 1, 1, 0, 0)),
+        "P2.13": ((1, 0, 1), (2, 1, 1, 1, 1, 1, 0)),
+        "P2.23": ((0, 1, 1), (2, 2, 1, 1, 0, 0, 0)),
+        "P3.1": ((2, 1, 1), (4, 2, 2, 2, 2, 1, 1)),
+        "P3.2": ((1, 2, 1), (4, 3, 2, 2, 1, 1, 1)),
+        "P3.3": ((1, 1, 2), (4, 3, 2, 2, 1, 1, 1)),
+        "P4": ((1, 1, 1), (3, 2, 2, 1, 1, 1, 1)),
+        "P5": ((1, 1, 1), (3, 2, F(3, 2), F(3, 2), 1, 1, 1)),
+    },
+    6: {  # G1, G2, G3, G23, G13, G12, G123
+        "P1.1": ((1, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+        "P1.2": ((0, 1, 0), (1, 1, 0, 0, 0, 0, 0)),
+        "P1.3": ((0, 0, 1), (1, 1, 1, 0, 0, 0, 0)),
+        "P2.12": ((1, 1, 0), (2, 1, 1, 1, 1, 1, 0)),
+        "P2.13": ((1, 0, 1), (2, 1, 1, 1, 1, 0, 0)),
+        "P2.23": ((0, 1, 1), (2, 2, 1, 1, 0, 0, 0)),
+        "P3.1": ((2, 1, 1), (4, 2, 2, 2, 2, 1, 1)),
+        "P3.2": ((1, 2, 1), (4, 3, 2, 2, 1, 1, 1)),
+        "P3.3": ((1, 1, 2), (4, 3, 2, 2, 1, 1, 1)),
+        "P4": ((1, 1, 1), (3, 2, 2, 1, 1, 1, 1)),
+        "P5": ((1, 1, 1), (3, 2, F(3, 2), F(3, 2), 1, 1, 1)),
+    },
+    7: {  # G1, G2, G12, G3, G13, G23, G123
+        "P1.1": ((1, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+        "P1.2": ((0, 1, 0), (1, 1, 0, 0, 0, 0, 0)),
+        "P1.3": ((0, 0, 1), (1, 1, 1, 1, 0, 0, 0)),
+        "P2.12": ((1, 1, 0), (2, 1, 1, 0, 0, 0, 0)),
+        "P2.13": ((1, 0, 1), (2, 1, 1, 1, 1, 0, 0)),
+        "P2.23": ((0, 1, 1), (2, 2, 1, 1, 1, 1, 0)),
+        "P3.1": ((2, 1, 1), (4, 2, 2, 1, 1, 1, 1)),
+        "P3.2": ((1, 2, 1), (4, 3, 2, 1, 1, 1, 1)),
+        "P3.3": ((1, 1, 2), (4, 3, 2, 2, 2, 1, 1)),
+        "P4": ((1, 1, 1), (3, 2, 2, 1, 1, 1, 1)),
+        "P5": ((1, 1, 1), (3, 2, F(3, 2), 1, 1, 1, 1)),
+    },
+    8: {  # G1, G2, G12, G3, G23, G13, G123
+        "P1.1": ((1, 0, 0), (1, 0, 0, 0, 0, 0, 0)),
+        "P1.2": ((0, 1, 0), (1, 1, 0, 0, 0, 0, 0)),
+        "P1.3": ((0, 0, 1), (1, 1, 1, 1, 0, 0, 0)),
+        "P2.12": ((1, 1, 0), (2, 1, 1, 0, 0, 0, 0)),
+        "P2.13": ((1, 0, 1), (2, 1, 1, 1, 1, 1, 0)),
+        "P2.23": ((0, 1, 1), (2, 2, 1, 1, 1, 0, 0)),
+        "P3.1": ((2, 1, 1), (4, 2, 2, 1, 1, 1, 1)),
+        "P3.2": ((1, 2, 1), (4, 3, 2, 1, 1, 1, 1)),
+        "P3.3": ((1, 1, 2), (4, 3, 2, 2, 2, 1, 1)),
+        "P4": ((1, 1, 1), (3, 2, 2, 1, 1, 1, 1)),
+        "P5": ((1, 1, 1), (3, 2, F(3, 2), 1, 1, 1, 1)),
+    },
+}
+# Coefficient table of every ordering, keyed by index 1..8 (ORDERING_ROWS).
+TABLES = {1: Q_TABLE, **P_TABLE}
 
 
 def _cum(h):

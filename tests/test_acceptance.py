@@ -20,6 +20,7 @@ import _oracles
 from amld3 import (
     EntropyProfile,
     NoiseParams,
+    Ordering,
     DistortionVector,
     build_mld_region,
     classify_regime,
@@ -66,28 +67,33 @@ def criterion(n: int, desc: str, budget: float):
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_symbolic_region_equivalence():
-    with criterion(1, "the 11 region inequalities match the frozen "
-                      "coefficient table symbolically", 1.0):
+    with criterion(1, "the 11 region inequalities of all 8 orderings match "
+                      "the frozen coefficient tables symbolically", 1.0):
         # Unit profiles extract every h_k coefficient of every offset; the
         # offsets are then confirmed linear on random rational profiles, so
         # the two checks together pin the symbolic form exactly.
-        for k in range(7):
-            e_k = [0] * 7
-            e_k[k] = 1
-            region = build_mld_region(L1, EntropyProfile(e_k))
-            assert [c.tag for c in region.constraints] == list(_oracles.Q_ORDER)
-            for c in region.constraints:
-                a_exp, coeffs = _oracles.Q_TABLE[c.tag]
-                assert tuple(c.a) == tuple(F(x) for x in a_exp), c.tag
-                assert F(c.b) == F(coeffs[k]), (c.tag, k)
         rng = random.Random(101)
-        for _ in range(5):
-            h = [F(rng.randrange(0, 30), rng.choice((1, 2, 3, 4)))
-                 for _ in range(7)]
-            region = build_mld_region(L1, EntropyProfile(h))
-            for c in region.constraints:
-                _, coeffs = _oracles.Q_TABLE[c.tag]
-                assert F(c.b) == sum(F(ck) * hk for ck, hk in zip(coeffs, h))
+        for index, row in enumerate(_oracles.ORDERING_ROWS, start=1):
+            o = Ordering(row)
+            table = _oracles.TABLES[index]
+            for k in range(7):
+                e_k = [0] * 7
+                e_k[k] = 1
+                region = build_mld_region(o, EntropyProfile(e_k))
+                assert [c.tag for c in region.constraints] == list(table)
+                for c in region.constraints:
+                    a_exp, coeffs = table[c.tag]
+                    assert tuple(c.a) == tuple(F(x) for x in a_exp), c.tag
+                    assert F(c.b) == F(coeffs[k]), (index, c.tag, k)
+            for _ in range(5):
+                h = [F(rng.randrange(0, 30), rng.choice((1, 2, 3, 4)))
+                     for _ in range(7)]
+                region = build_mld_region(o, EntropyProfile(h))
+                for c in region.constraints:
+                    _, coeffs = table[c.tag]
+                    assert F(c.b) == sum(
+                        F(ck) * hk for ck, hk in zip(coeffs, h)
+                    )
 
 
 # ---------------------------------------------------------------------------

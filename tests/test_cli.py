@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,15 @@ from amld3 import pack_bits, unpack_bits
 DYADIC = "0.5,0.25,0.125,0.0625,0.03125,0.015625,0.0078125"
 MATCHED = "0.5,0.25,0.125,0.0625,0.03125,0.015625"
 
+ROOT = Path(__file__).resolve().parents[1]
+# Child interpreters import the package from this checkout's src/.
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    ),
+}
+
 
 def run_cli(*args, stdin: str | None = None):
     proc = subprocess.run(
@@ -21,6 +32,7 @@ def run_cli(*args, stdin: str | None = None):
         input=stdin,
         capture_output=True,
         text=True,
+        env=ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -352,6 +364,16 @@ def test_exit_code_6_bad_distortions_and_noise():
     assert code == 6
     code, _, _ = run_cli("md-bounds", "--D", DYADIC, "--d", "0.1,0.5,0.4,0.3,0.2,0.1")
     assert code == 6
+    # Non-finite floats and a negative tolerance.
+    for args in (
+        ("md-bounds", "--D", DYADIC, "--d", "nan,0,0,0,0,0"),
+        ("check", "--rates", "nan,nan,nan", "--D", DYADIC),
+        ("check", "--rates", "inf,inf,inf", "--D", DYADIC),
+        ("check", "--rates", "1,2,3", "--D", DYADIC, "--tol", "nan"),
+        ("check", "--rates", "0.8,100,100", "--D", DYADIC, "--tol", "-1"),
+    ):
+        code, out, _ = run_cli(*args)
+        assert (code, out) == (6, ""), args
 
 
 def test_exit_code_1_other_errors(tmp_path):
@@ -378,3 +400,12 @@ def test_output_is_byte_deterministic():
         _, out1, _ = run_cli(*args)
         _, out2, _ = run_cli(*args)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=ENV
+    )
+    assert proc.returncode == 0, proc.stderr

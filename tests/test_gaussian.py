@@ -17,6 +17,7 @@ from amld3 import (
     SinglesOutOfOrder,
     SUM_RATE_GAP_BOUND,
     bound_json_dict,
+    classify_slacks,
     distortions_from_json,
     enumerate_orderings,
     facet_gap,
@@ -272,6 +273,9 @@ def test_noise_params_validation():
         NoiseParams([0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.01])
     with pytest.raises(ValueError):
         NoiseParams([0.5, 0.4])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NonMonotoneNoise):
+            NoiseParams([bad, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_matched_noise_reads_levels_off_the_ordering():
@@ -411,6 +415,15 @@ def test_md_contains_tolerance_edges():
     assert md_contains(inner, (b1 - 1e-6, 100.0, 100.0), tol=1e-5)
     with pytest.raises(ValueError):
         md_contains(inner, (1.0, 2.0))
+
+
+def test_nan_slack_counts_as_violated():
+    outer = outer_bound(DYADIC)
+    point = (math.nan, 100.0, 100.0)
+    tight, violated = classify_slacks(outer.constraints, point, TOL)
+    assert tight == []
+    assert violated == [c.tag for c in outer.constraints]
+    assert not md_contains(outer, point)
 
 
 def test_outer_contains_inner_corner_like_points():

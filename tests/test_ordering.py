@@ -12,8 +12,6 @@ from amld3 import (
     Ordering,
     SinglesOutOfOrder,
     enumerate_orderings,
-    inverse_level,
-    level_of,
     ordering_from_json,
     validate_ordering,
 )
@@ -51,9 +49,9 @@ def test_validate_roundtrip_for_every_row():
 def test_level_lookup_inverses():
     for o in enumerate_orderings():
         for k in range(1, 8):
-            assert level_of(o, inverse_level(o, k)) == k
+            assert o.level_of(o.inverse_level(k)) == k
         for s in SUBSETS:
-            assert inverse_level(o, level_of(o, s)) == s
+            assert o.inverse_level(o.level_of(s)) == s
 
 
 def test_level_lookup_errors():
