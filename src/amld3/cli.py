@@ -65,13 +65,19 @@ def _parse_ordering(spec: str) -> ordering.Ordering:
     return ordering.ordering_from_json(json.loads(_read_text(spec)))
 
 
+def _fractions(spec: str) -> list[Fraction]:
+    try:
+        return [Fraction(p.strip()) for p in spec.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {spec!r}") from None
+
+
 def _parse_profile(spec: str) -> rate_region.EntropyProfile:
-    parts = [p.strip() for p in spec.split(",")]
-    return rate_region.EntropyProfile([Fraction(p) for p in parts])
+    return rate_region.EntropyProfile(_fractions(spec))
 
 
 def _parse_rates_exact(spec: str) -> tuple[Fraction, ...]:
-    vals = tuple(Fraction(p.strip()) for p in spec.split(","))
+    vals = tuple(_fractions(spec))
     if len(vals) != 3:
         raise ValueError(f"expected 3 rates, got {len(vals)}")
     return vals
@@ -159,12 +165,34 @@ def _template_for(label: str) -> codec.SchemeTemplate:
 DESCRIPTION_FILES = ("G1.bits", "G2.bits", "G3.bits")
 
 
+def _read_object(spec: str, what: str) -> dict:
+    doc = json.loads(_read_text(spec))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return doc
+
+
+def _field(doc: dict, key: str, what: str, kind: type, count: int = 0):
+    """``doc[key]`` as one ``kind``, or as a list of ``count`` of them."""
+    val = doc.get(key)
+    if count:
+        ok = (type(val) is list and len(val) == count
+              and all(type(v) is kind for v in val))
+        shape = f"a list of {count} {kind.__name__}s"
+    else:
+        ok = type(val) is kind
+        shape = f"a {kind.__name__}"
+    if not ok:
+        raise ValueError(f"{what} {key!r} must be {shape}, got {val!r}")
+    return val
+
+
 def cmd_encode(args) -> None:
     template = _template_for(args.scheme)
-    manifest = json.loads(_read_text(args.manifest))
-    lengths = [int(x) for x in manifest["lengths"]]
+    manifest = _read_object(args.manifest, "manifest")
+    lengths = _field(manifest, "lengths", "manifest", int, 7)
     base = Path(".") if args.manifest == "-" else Path(args.manifest).parent
-    stream_path = Path(manifest["streams"])
+    stream_path = Path(_field(manifest, "streams", "manifest", str))
     if not stream_path.is_absolute():
         stream_path = base / stream_path
     bundle = codec.SourceBundle.from_packed(
@@ -188,11 +216,12 @@ def cmd_encode(args) -> None:
 
 
 def cmd_decode(args) -> None:
-    sidecar = json.loads(_read_text(args.sidecar))
+    sidecar = _read_object(args.sidecar, "sidecar")
     base = Path(".") if args.sidecar == "-" else Path(args.sidecar).parent
-    label = sidecar["scheme"]
-    lengths = [int(x) for x in sidecar["lengths"]]
-    bits = [int(x) for x in sidecar["bits"]]
+    label = _field(sidecar, "scheme", "sidecar", str)
+    lengths = _field(sidecar, "lengths", "sidecar", int, 7)
+    bits = _field(sidecar, "bits", "sidecar", int, 3)
+    files = _field(sidecar, "files", "sidecar", str, 3)
     scheme = codec.instantiate_scheme(_template_for(label), lengths)
     if list(scheme.description_lengths) != bits:
         raise codec.LengthMismatch(
@@ -207,7 +236,7 @@ def cmd_decode(args) -> None:
         )
     available = {}
     for i in ordering.subset_members(subset):
-        path = Path(sidecar["files"][i - 1])
+        path = Path(files[i - 1])
         if not path.is_absolute():
             path = base / path
         available[i] = codec.unpack_bits(path.read_bytes(), bits[i - 1])

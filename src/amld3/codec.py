@@ -13,16 +13,26 @@ into consecutive pieces whose lengths are fixed linear expressions in
 non-negative integers; :class:`RegimeMismatch` and :class:`OddSplit` report
 the two ways that can fail.
 
-Decoding is schema-driven: the decoder fills in known bit positions from
-copy segments, then repeatedly cancels XOR segments bit-by-bit until no new
-bit can be determined.  For every catalog scheme each of the seven decoder
-subsets recovers exactly the streams its level promises.
+Decoding is compiled, then replayed.  :func:`decode_plan` cuts the streams
+into *atoms* — at every piece boundary, carried across each XOR segment's
+alignment until no new cut appears — so that every bit of an atom is known
+or none is.  It marks the atoms the copy segments reveal (the last copy of
+an atom wins), then passes over the XOR segments in order, each filling its
+second operand from its first and then its first from its second, until a
+pass fills nothing.  :func:`decode` replays that plan on the description
+bits: one slice copy per copied atom and one XOR per recovered atom, into a
+fresh buffer.  The plan reads no description bits, so its result equals a
+bit-by-bit fixed point for any scheme and any description content, and a
+complete plan proves decodability for every bundle of the scheme's lengths.
+For every catalog scheme each of the seven decoder subsets recovers exactly
+the streams its level promises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -290,7 +300,7 @@ def template_name_for_label(label: str) -> str:
     if label in TEMPLATES:
         return label
     alias = "X" + label[1:]
-    if label[0] in "YZ" and alias in TEMPLATES:
+    if label[:1] in ("Y", "Z") and alias in TEMPLATES:
         return alias
     raise KeyError(f"unknown scheme label {label!r}")
 
@@ -475,18 +485,136 @@ def encode(scheme: DescriptionScheme, bundle: SourceBundle) -> EncodedDescriptio
     return EncodedDescriptions(out)
 
 
-def _positions(offsets: Sequence[int], group: Sequence[Piece]) -> np.ndarray:
-    idx = [
-        np.arange(
-            offsets[p.stream - 1] + p.start,
-            offsets[p.stream - 1] + p.stop,
-            dtype=np.int64,
-        )
-        for p in group
+def _start(offsets: Sequence[int], lengths: Sequence[int], p: Piece) -> int:
+    """Position of a piece's first bit in the concatenation V1..V7."""
+    if not (1 <= p.stream <= 7
+            and 0 <= p.start <= p.stop <= lengths[p.stream - 1]):
+        raise ValueError(f"{p} does not lie within stream lengths {lengths}")
+    return offsets[p.stream - 1] + p.start
+
+
+def _runs(offsets: Sequence[int], lengths: Sequence[int], seg: Xor) -> list:
+    """Aligned runs ``(a, b, n, o)`` of an XOR segment: bit ``a + i`` of the
+    concatenated streams meets bit ``b + i`` at segment offset ``o + i``."""
+    a_spans, b_spans = (
+        [(_start(offsets, lengths, p), p.size) for p in reversed(group)
+         if p.size]
+        for group in (seg.group_a, seg.group_b)
+    )
+    if sum(n for _, n in a_spans) != sum(n for _, n in b_spans):
+        raise ValueError(f"XOR operands of different lengths in {seg}")
+    runs, o = [], 0
+    while a_spans:
+        (a, na), (b, nb) = a_spans.pop(), b_spans.pop()
+        n = min(na, nb)
+        runs.append((a, b, n, o))
+        o += n
+        if na > n:
+            a_spans.append((a + n, na - n))
+        if nb > n:
+            b_spans.append((b + n, nb - n))
+    return runs
+
+
+@dataclass(frozen=True)
+class DecodePlan:
+    """What one decoder subset does under one scheme, for any description bits.
+
+    The concatenation V1..V7 is cut into *atoms*, atom ``i`` being the bit
+    range ``[bounds[i], bounds[i + 1])``; every bit of an atom is recovered
+    or none is.  ``copies`` maps each atom a copy segment carries to the
+    ``(description, offset)`` of its last copy.  ``steps`` are the XOR fills
+    ``(target atom, source atom, description, offset)`` in the order they
+    happen: the target is the source XOR the description bits at the offset.
+    """
+
+    level: int
+    offsets: tuple[int, ...]
+    bounds: tuple[int, ...]
+    copies: Mapping[int, tuple[int, int]]
+    steps: tuple[tuple[int, int, int, int], ...]
+
+
+def decode_plan(scheme: DescriptionScheme, subset: str) -> DecodePlan:
+    """Compile the decode of ``subset`` under ``scheme`` (L1 levels).
+
+    Raises :class:`Unresolvable` if the subset's descriptions cannot
+    determine some stream it must recover.  The plan does not look at
+    description bits, so a plan proves decodability for every bundle of
+    the scheme's stream lengths.
+    """
+    level = L1.level_of(subset)
+    lengths = scheme.lengths
+    offsets = (0, *accumulate(lengths))
+    copied, rules = [], []
+    for d in subset_members(subset):
+        o = 0
+        for seg in scheme.segments[d - 1]:
+            if isinstance(seg, Copy):
+                if seg.size:
+                    start = _start(offsets, lengths, seg.piece)
+                    copied.append((start, seg.size, d, o))
+            else:
+                runs = _runs(offsets, lengths, seg)
+                rules.append([(a, b, n, d, o + r) for a, b, n, r in runs])
+            o += seg.size
+
+    # Cut at every stream and piece boundary, then carry each cut across
+    # every XOR alignment until no new cut appears.
+    cuts = set(offsets)
+    for start, n, _, _ in copied:
+        cuts.update((start, start + n))
+    links = [(a, b, n) for rule in rules for a, b, n, _, _ in rule]
+    for a, b, n in links:
+        cuts.update((a, a + n, b, b + n))
+    todo = list(cuts)
+    while todo:
+        c = todo.pop()
+        for a, b, n in links:
+            for x, y in ((a, b), (b, a)):
+                if x < c < x + n and y + c - x not in cuts:
+                    cuts.add(y + c - x)
+                    todo.append(y + c - x)
+    bounds = tuple(sorted(cuts))
+    atom = {c: i for i, c in enumerate(bounds)}
+
+    copies = {}
+    for start, n, d, o in copied:
+        for i in range(atom[start], atom[start + n]):
+            copies[i] = (d, o + bounds[i] - start)
+    pairs = [
+        [
+            (i, atom[b + bounds[i] - a], d, o + bounds[i] - a)
+            for a, b, n, d, o in rule
+            for i in range(atom[a], atom[a + n])
+        ]
+        for rule in rules
     ]
-    if not idx:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(idx) if len(idx) > 1 else idx[0]
+
+    # Each pass runs the rules in order; a rule fills b-side atoms from
+    # known a-side ones and then a-side from b-side, both judged on what
+    # was known before the rule.
+    known = set(copies)
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for rule in pairs:
+            fills = [(b, a, d, o) for a, b, d, o in rule
+                     if a in known and b not in known]
+            fills += [(a, b, d, o) for a, b, d, o in rule
+                      if b in known and a not in known]
+            known.update(t for t, _, _, _ in fills)
+            steps += fills
+            changed = changed or bool(fills)
+
+    for k in range(level):
+        if not known.issuperset(range(atom[offsets[k]], atom[offsets[k + 1]])):
+            raise Unresolvable(
+                f"decoder {subset} cannot determine stream V{k + 1} "
+                f"under scheme {scheme.label}"
+            )
+    return DecodePlan(level, offsets, bounds, copies, tuple(steps))
 
 
 def decode(
@@ -500,7 +628,8 @@ def decode(
     (an :class:`EncodedDescriptions` with None elsewhere, or a mapping from
     description index to bit array).  Raises :class:`Unresolvable` if some
     required stream cannot be determined — which never happens for catalog
-    schemes fed their own encoder output.
+    schemes.  The streams returned are views of one new buffer; the
+    descriptions are only read.
     """
     if subset not in SUBSET_MASKS:
         raise KeyError(f"unknown decoder subset {subset!r}")
@@ -525,58 +654,19 @@ def decode(
                 f"description {i} has {arr.size} bits, scheme produces "
                 f"{dlen[i - 1]}"
             )
-    level = L1.level_of(subset)
 
-    offsets = [0] * 7
-    pos = 0
-    for k in range(7):
-        offsets[k] = pos
-        pos += scheme.lengths[k]
-    state = np.full(pos, -1, dtype=np.int8)
-
-    xor_rules = []
-    for d in members:
-        cursor = 0
-        arr = given[d]
-        for seg in scheme.segments[d - 1]:
-            chunk = arr[cursor:cursor + seg.size]
-            cursor += seg.size
-            if isinstance(seg, Copy):
-                state[_positions(offsets, (seg.piece,))] = chunk
-            else:
-                xor_rules.append(
-                    (
-                        _positions(offsets, seg.group_a),
-                        _positions(offsets, seg.group_b),
-                        chunk.astype(np.int8),
-                    )
-                )
-
-    changed = True
-    while changed:
-        changed = False
-        for pa, pb, val in xor_rules:
-            sa, sb = state[pa], state[pb]
-            fill_b = (sa >= 0) & (sb < 0)
-            if fill_b.any():
-                state[pb[fill_b]] = sa[fill_b] ^ val[fill_b]
-                changed = True
-            fill_a = (sb >= 0) & (sa < 0)
-            if fill_a.any():
-                state[pa[fill_a]] = state[pb[fill_a]] ^ val[fill_a]
-                changed = True
-
-    out = []
-    for k in range(1, level + 1):
-        lo = offsets[k - 1]
-        chunk = state[lo:lo + scheme.lengths[k - 1]]
-        if (chunk < 0).any():
-            raise Unresolvable(
-                f"decoder {subset} cannot determine stream V{k} "
-                f"under scheme {scheme.label}"
-            )
-        out.append(chunk.astype(np.uint8))
-    return tuple(out)
+    plan = decode_plan(scheme, subset)
+    bounds, offsets = plan.bounds, plan.offsets
+    buf = np.empty(offsets[-1], dtype=np.uint8)
+    for i, (d, o) in plan.copies.items():
+        lo, hi = bounds[i], bounds[i + 1]
+        buf[lo:hi] = given[d][o:o + hi - lo]
+    for t, i, d, o in plan.steps:
+        lo, hi, src = bounds[t], bounds[t + 1], bounds[i]
+        np.bitwise_xor(
+            buf[src:src + hi - lo], given[d][o:o + hi - lo], out=buf[lo:hi]
+        )
+    return tuple(buf[offsets[k]:offsets[k + 1]] for k in range(plan.level))
 
 
 # ---------------------------------------------------------------------------

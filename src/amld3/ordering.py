@@ -189,19 +189,31 @@ def _ordering_index() -> dict[tuple[str, ...], int]:
     return {o.by_level: i + 1 for i, o in enumerate(_all_orderings())}
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise NotBijective(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def ordering_from_json(obj: Mapping) -> Ordering:
     """Parse an ordering from its JSON forms.
 
     Accepts ``{"levels": {"G1": 1, ...}}`` or the shorthand
-    ``{"ordering": n}`` with n in 1..8.
+    ``{"ordering": n}`` with n in 1..8.  Levels and the index must be JSON
+    integers; anything else (floats, strings, booleans, null) raises
+    :class:`NotBijective`.
     """
+    if not isinstance(obj, Mapping):
+        raise NotBijective("an ordering must be a JSON object")
     if "levels" in obj:
         levels = obj["levels"]
         if not isinstance(levels, Mapping):
             raise NotBijective("'levels' must be an object of subset: level")
-        return validate_ordering({str(k): int(v) for k, v in levels.items()})
+        return validate_ordering(
+            {str(k): _json_int(v, f"level of {k}") for k, v in levels.items()}
+        )
     if "ordering" in obj:
-        n = int(obj["ordering"])
+        n = _json_int(obj["ordering"], "ordering index")
         rows = enumerate_orderings()
         if not 1 <= n <= len(rows):
             raise NotBijective(f"ordering index must be 1..{len(rows)}, got {n}")

@@ -11,7 +11,12 @@ answer:
 * an exact convex-hull membership oracle (V-representation to
   H-representation over integers) for rate-region containment checks;
 * an exhaustive feasibility search over concatenation-only (source
-  separation) coding schemes, used as the counterpart of the XOR witness.
+  separation) coding schemes, used as the counterpart of the XOR witness;
+* a bit-level decoder that tracks every source bit and cancels XOR segments
+  bit by bit until nothing changes, the reference for the plan-based
+  ``amld3.decode``.  It takes only the scheme's data classes and error types
+  from the library, imported inside it: this module itself imports nothing
+  of ``amld3``, so the benchmark's output checks can use it.
 """
 
 from __future__ import annotations
@@ -457,3 +462,112 @@ def concat_min_total(level_seq, lengths):
     for k in range(7):
         total += lengths[k] * min(bin(p).count("1") for p in pats[k])
     return total
+
+
+# ---------------------------------------------------------------------------
+# Bit-level decoder.
+# ---------------------------------------------------------------------------
+
+def _positions(offsets, group) -> np.ndarray:
+    idx = [
+        np.arange(
+            offsets[p.stream - 1] + p.start,
+            offsets[p.stream - 1] + p.stop,
+            dtype=np.int64,
+        )
+        for p in group
+    ]
+    if not idx:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(idx) if len(idx) > 1 else idx[0]
+
+
+def bit_decode(scheme, subset: str, available):
+    """Recover streams V1..V_k for a decoder subset (k = its L1 level).
+
+    ``available`` must contain exactly the descriptions named by ``subset``
+    (an :class:`EncodedDescriptions` with None elsewhere, or a mapping from
+    description index to bit array).  Raises :class:`Unresolvable` if some
+    required stream cannot be determined — which never happens for catalog
+    schemes fed their own encoder output.
+    """
+    from amld3.codec import (
+        Copy, EncodedDescriptions, LengthMismatch, Unresolvable, as_bit_array,
+    )
+    from amld3.ordering import L1, SUBSET_MASKS, subset_members
+
+    if subset not in SUBSET_MASKS:
+        raise KeyError(f"unknown decoder subset {subset!r}")
+    members = subset_members(subset)
+    if isinstance(available, EncodedDescriptions):
+        given = {
+            i: available.bits[i - 1]
+            for i in (1, 2, 3)
+            if available.bits[i - 1] is not None
+        }
+    else:
+        given = {int(i): as_bit_array(b) for i, b in available.items()}
+    if set(given) != set(members):
+        raise ValueError(
+            f"decoder {subset} expects exactly descriptions {set(members)}, "
+            f"got {set(given)}"
+        )
+    dlen = scheme.description_lengths
+    for i, arr in given.items():
+        if arr.size != dlen[i - 1]:
+            raise LengthMismatch(
+                f"description {i} has {arr.size} bits, scheme produces "
+                f"{dlen[i - 1]}"
+            )
+    level = L1.level_of(subset)
+
+    offsets = [0] * 7
+    pos = 0
+    for k in range(7):
+        offsets[k] = pos
+        pos += scheme.lengths[k]
+    state = np.full(pos, -1, dtype=np.int8)
+
+    xor_rules = []
+    for d in members:
+        cursor = 0
+        arr = given[d]
+        for seg in scheme.segments[d - 1]:
+            chunk = arr[cursor:cursor + seg.size]
+            cursor += seg.size
+            if isinstance(seg, Copy):
+                state[_positions(offsets, (seg.piece,))] = chunk
+            else:
+                xor_rules.append(
+                    (
+                        _positions(offsets, seg.group_a),
+                        _positions(offsets, seg.group_b),
+                        chunk.astype(np.int8),
+                    )
+                )
+
+    changed = True
+    while changed:
+        changed = False
+        for pa, pb, val in xor_rules:
+            sa, sb = state[pa], state[pb]
+            fill_b = (sa >= 0) & (sb < 0)
+            if fill_b.any():
+                state[pb[fill_b]] = sa[fill_b] ^ val[fill_b]
+                changed = True
+            fill_a = (sb >= 0) & (sa < 0)
+            if fill_a.any():
+                state[pa[fill_a]] = state[pb[fill_a]] ^ val[fill_a]
+                changed = True
+
+    out = []
+    for k in range(1, level + 1):
+        lo = offsets[k - 1]
+        chunk = state[lo:lo + scheme.lengths[k - 1]]
+        if (chunk < 0).any():
+            raise Unresolvable(
+                f"decoder {subset} cannot determine stream V{k} "
+                f"under scheme {scheme.label}"
+            )
+        out.append(chunk.astype(np.uint8))
+    return tuple(out)

@@ -314,6 +314,18 @@ def test_exit_code_2_invalid_ordering():
     )
     assert code == 2
     assert "error:" in err
+    # Non-integer indices and levels were truncated or crashed.
+    good = {s: i + 1 for i, s in enumerate(
+        ("G1", "G2", "G3", "G12", "G13", "G23", "G123")
+    )}
+    for bad in ({"ordering": 1.5}, {"ordering": True}, {"ordering": "3"},
+                {"ordering": None}, {"levels": {**good, "G1": None}},
+                {"levels": {**good, "G1": 1.7}}):
+        code, out, err = run_cli(
+            "region", "--ordering", json.dumps(bad), "--h", "1,1,1,1,1,1,1"
+        )
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("error:"), bad
 
 
 def test_exit_code_3_negative_entropy():
@@ -379,16 +391,74 @@ def test_exit_code_6_bad_distortions_and_noise():
 def test_exit_code_1_other_errors(tmp_path):
     code, _, _ = run_cli("check", "--rates", "1,2,3")
     assert code == 1
+    # Zero denominators raised ZeroDivisionError past the exit-code mapping.
+    for args in (
+        ("region", "--h", "1/0,1,1,1,1,1,1"),
+        ("check", "--h", "1,1,1,1,1,1,1", "--rates", "1/0,1,1"),
+    ):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (1, ""), args
+        assert err.startswith("error:"), args
     (tmp_path / "streams.bin").write_bytes(b"\x00\x00")
     manifest = {"lengths": [1, 1, 3, 1, 1, 1, 1], "streams": "streams.bin"}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    code, _, _ = run_cli(
+    for label in ("XX", ""):  # an empty label raised IndexError
+        code, _, err = run_cli(
+            "encode",
+            "--scheme", label,
+            "--manifest", str(tmp_path / "manifest.json"),
+            "--out", str(tmp_path / "enc"),
+        )
+        assert code == 1
+        assert err.startswith("error:"), label
+
+
+def test_malformed_manifests_and_sidecars_exit_1(bundle_dir):
+    encdir = bundle_dir / "enc"
+    run_json(
         "encode",
-        "--scheme", "XX",
-        "--manifest", str(tmp_path / "manifest.json"),
-        "--out", str(tmp_path / "enc"),
+        "--scheme", "X5",
+        "--manifest", str(bundle_dir / "manifest.json"),
+        "--out", str(encdir),
     )
-    assert code == 1
+    manifest = json.loads((bundle_dir / "manifest.json").read_text())
+    sidecar = json.loads((encdir / "sidecar.json").read_text())
+    bad_manifests = [
+        [manifest], None,
+        {**manifest, "lengths": None},
+        {**manifest, "lengths": [1, 1, 3, 1, 1, 1]},
+        {**manifest, "lengths": [1, 1, 3.0, 1, 1, 1, 1]},
+        {**manifest, "lengths": [1, 1, 3, 1, 1, 1, True]},
+        {**manifest, "lengths": ["1", 1, 3, 1, 1, 1, 1]},
+        {**manifest, "streams": None},
+    ]
+    for doc in bad_manifests:
+        (bundle_dir / "bad.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            "encode", "--scheme", "X5",
+            "--manifest", str(bundle_dir / "bad.json"),
+            "--out", str(bundle_dir / "bad"),
+        )
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("error:"), doc
+    bad_sidecars = [
+        [sidecar], "X5",
+        {**sidecar, "scheme": None},
+        {**sidecar, "lengths": None},
+        {**sidecar, "bits": [3, 7, 5.5]},
+        {**sidecar, "bits": [3, 7, True]},
+        {**sidecar, "bits": [3, 7]},
+        {**sidecar, "files": None},
+        {**sidecar, "files": ["G1.bits", "G2.bits", 3]},
+    ]
+    for doc in bad_sidecars:
+        (encdir / "bad.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            "decode", "--sidecar", str(encdir / "bad.json"),
+            "--subset", "G123", "--out", str(bundle_dir / "bad"),
+        )
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("error:"), doc
 
 
 def test_output_is_byte_deterministic():

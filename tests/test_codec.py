@@ -32,7 +32,8 @@ from amld3 import (
     template_name_for_label,
     unpack_bits,
 )
-from amld3.ordering import SUBSETS, L1
+from amld3.codec import decode_plan
+from amld3.ordering import SUBSETS, L1, subset_members
 
 # Stream-length pools, one list per regime; every entry is strictly (or
 # boundary-)compatible with all templates of its regime, and the Z pools keep
@@ -205,6 +206,116 @@ def test_catalog_schemes_roundtrip_all_decoders(regime):
             scheme = _scheme(label, lengths)
             for _ in range(3):
                 _roundtrip_all_subsets(scheme, random_bundle(lengths, rng))
+
+
+# Lengths strictly inside each regime, on both regime boundaries
+# (l3 = l4 + l5 and l3 = l4), with zero-length streams, and all zero.
+BOUNDARY_I_II = [(1, 2, 5, 2, 3, 1, 2), (0, 3, 6, 0, 6, 0, 1)]
+BOUNDARY_II_III = [(2, 1, 4, 4, 3, 2, 1), (1, 0, 2, 2, 0, 3, 0)]
+PLAN_LENGTHS = {
+    "I": [(3, 2, 9, 2, 3, 4, 5), (0, 1, 7, 3, 0, 2, 0), *BOUNDARY_I_II],
+    "II": [(2, 1, 5, 3, 4, 1, 2), (1, 0, 3, 1, 5, 0, 2),
+           *BOUNDARY_I_II, *BOUNDARY_II_III],
+    "III": [(2, 1, 3, 7, 2, 1, 2), (0, 2, 0, 4, 1, 0, 3), *BOUNDARY_II_III],
+}
+
+
+@pytest.mark.parametrize("regime", ["I", "II", "III"])
+def test_every_catalog_plan_recovers_every_required_atom(regime):
+    # A plan never reads description bits, so a complete plan proves that
+    # every bundle of these lengths decodes at that subset.
+    for lengths in [*PLAN_LENGTHS[regime], (0,) * 7]:
+        for label in LABELS_BY_REGIME[regime]:
+            scheme = _scheme(label, lengths)
+            for subset in SUBSETS:
+                plan = decode_plan(scheme, subset)
+                known = set(plan.copies) | {t for t, _, _, _ in plan.steps}
+                need = sum(lengths[:L1.level_of(subset)])
+                required = [
+                    i for i in range(len(plan.bounds) - 1)
+                    if plan.bounds[i] < need
+                ]
+                assert known.issuperset(required), (label, lengths, subset)
+
+
+@pytest.mark.parametrize("label", ALL_SCHEME_LABELS)
+def test_decode_neither_writes_nor_aliases_its_inputs(label):
+    regime = {"X": "I", "Y": "II", "Z": "III"}[label[0]]
+    lengths = PLAN_LENGTHS[regime][0]
+    scheme = _scheme(label, lengths)
+    enc = encode(scheme, random_bundle(lengths, np.random.default_rng(5)))
+    before = [b.copy() for b in enc.bits]
+    for subset in SUBSETS:
+        for given in (restrict(enc, subset),
+                      {d: enc.bits[d - 1] for d in subset_members(subset)}):
+            out = decode(scheme, subset, given)
+            for arr in out:
+                assert not any(np.shares_memory(arr, b) for b in enc.bits)
+    for b, b0 in zip(enc.bits, before):
+        np.testing.assert_array_equal(b, b0)
+
+
+@pytest.mark.parametrize("label,lengths", [
+    ("X5", (1, 2, 9, 2, 3, 1, 2)),   # V3.2 ^ (V4 || V5): misaligned groups
+    ("X5", (1, 2, 5, 2, 3, 1, 2)),   # ... with V3.1 empty
+    ("X5", (1, 2, 4, 0, 3, 1, 2)),   # ... with V4 empty
+    ("Y5", (2, 1, 5, 3, 4, 1, 2)),   # two XOR segments
+    ("Z7", (2, 1, 3, 7, 2, 1, 2)),   # V4.2 ^ V4.3: same-stream XOR
+    ("Z7", (2, 1, 4, 4, 3, 2, 1)),   # ... with both halves empty
+])
+def test_decode_matches_bit_level_oracle_on_any_bits(label, lengths):
+    scheme = _scheme(label, lengths)
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        bits = [rng.integers(0, 2, n, dtype=np.uint8)
+                for n in scheme.description_lengths]
+        for subset in SUBSETS:
+            given = {d: bits[d - 1] for d in subset_members(subset)}
+            got = decode(scheme, subset, given)
+            want = _oracles.bit_decode(scheme, subset, given)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def _bit(stream):
+    return Piece(stream, 0, 1)
+
+
+# One-bit streams; description bits that disagree with any source, so each
+# case pins which write the decoder keeps.  Only V1 is required (G1).
+WRITE_ORDER_CASES = {
+    # V1 copied twice: the last copy wins.
+    "last copy": ((Copy(_bit(1)), Copy(_bit(1))), [0, 1], 1),
+    # V1 is filled from b (V1 = V2 ^ 0) and then from a (V1 = V3 ^ 1) by
+    # the same XOR segment: the fill from a comes second and wins.
+    "b then a": (
+        (Copy(_bit(2)), Copy(_bit(3)),
+         Xor((_bit(1), _bit(2)), (_bit(3), _bit(1)))),
+        [0, 0, 1, 0], 1,
+    ),
+    # The first segment recovers V2 from V3; V1 = V2 ^ 1 only counts from
+    # the next pass, so the second segment, V1 = V3 ^ 0, fills V1 first.
+    "snapshot per segment": (
+        (Copy(_bit(3)),
+         Xor((_bit(3), _bit(1)), (_bit(2), _bit(2))),
+         Xor((_bit(1),), (_bit(3),))),
+        [0, 0, 1, 0], 0,
+    ),
+    # V1 needs V2, which a later segment recovers: a second pass.
+    "second pass": (
+        (Copy(_bit(3)), Xor((_bit(1),), (_bit(2),)),
+         Xor((_bit(2),), (_bit(3),))),
+        [1, 1, 1], 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRITE_ORDER_CASES)
+def test_decode_keeps_the_bit_level_write_order(case):
+    segs, bits, v1 = WRITE_ORDER_CASES[case]
+    scheme = DescriptionScheme("HAND", (1, 1, 1, 0, 0, 0, 0), (segs, (), ()))
+    given = {1: np.array(bits, np.uint8)}
+    assert _oracles.bit_decode(scheme, "G1", given)[0].tolist() == [v1]
+    assert decode(scheme, "G1", given)[0].tolist() == [v1]
 
 
 def test_zero_length_streams_everywhere():

@@ -144,6 +144,17 @@ def test_json_bad_inputs():
         ordering_from_json({"ordering": 9})
     with pytest.raises(NotBijective):
         ordering_from_json({})
+    # Only JSON integers (not bools) are indices or levels.
+    for bad in (1.5, 1.0, True, "3", None):
+        with pytest.raises(NotBijective):
+            ordering_from_json({"ordering": bad})
+        levels = {s: i + 1 for i, s in enumerate(L1.by_level)}
+        levels["G1"] = bad
+        with pytest.raises(NotBijective):
+            ordering_from_json({"levels": levels})
+    for bad in ([1], 1, "levels", None):
+        with pytest.raises(NotBijective):
+            ordering_from_json(bad)
 
 
 def test_subset_helpers():

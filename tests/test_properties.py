@@ -1,17 +1,34 @@
-"""Property tests of the exact region against the frozen coefficient tables.
+"""Property tests against the oracles of ``_oracles``.
 
-Expected values come from direct ``Fraction`` arithmetic on the tables in
-``_oracles``; no library call enters them.
+The exact region is checked against the frozen coefficient tables, with
+expected values from direct ``Fraction`` arithmetic on them; no library call
+enters them.  Plan-based decode is checked against the bit-level decoder on
+random hand-built schemes and random description bits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from amld3 import EntropyProfile, Ordering, build_mld_region, classify_slacks
+from amld3 import (
+    Copy,
+    DescriptionScheme,
+    EntropyProfile,
+    Ordering,
+    Piece,
+    Unresolvable,
+    Xor,
+    build_mld_region,
+    classify_slacks,
+    decode,
+    encode,
+    random_bundle,
+)
+from amld3.ordering import SUBSETS, subset_members
 
 F = Fraction
 # Numerators above 2**62 leave the int64 range of the hull oracle's fast path.
@@ -64,3 +81,83 @@ def test_offsets_and_slack_tags_match_oracle_tables(index, h, data):
         [t for t, s in zip(tags, slacks) if s == 0],
         [t for t, s in zip(tags, slacks) if s < 0],
     )
+
+
+# ---------------------------------------------------------------------------
+# Plan-based decode against the bit-level oracle.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def pieces(draw, lengths):
+    """A whole stream or a random range of one, often of the first few."""
+    k = draw(st.one_of(st.integers(1, 3), st.integers(1, 7)))
+    if draw(st.booleans()):
+        return Piece(k, 0, lengths[k - 1])
+    start = draw(st.integers(0, lengths[k - 1]))
+    return Piece(k, start, draw(st.integers(start, lengths[k - 1])))
+
+
+def _trim(group, excess):
+    """Shorten a piece group from its end by ``excess`` bits."""
+    out = list(group)
+    while excess:
+        p = out.pop()
+        cut = min(excess, p.size)
+        out.append(Piece(p.stream, p.start, p.stop - cut))
+        excess -= cut
+        if excess:
+            out.pop()
+    return tuple(out)
+
+
+@st.composite
+def segments(draw, lengths):
+    kind = draw(st.sampled_from(("copy", "copy", "xor", "rotated xor")))
+    if kind == "copy":
+        return Copy(draw(pieces(lengths)))
+    ga, gb = (
+        draw(st.lists(pieces(lengths), min_size=1, max_size=3))
+        for _ in range(2)
+    )
+    if kind == "rotated xor":  # the same pieces on both sides
+        gb = ga[1:] + ga[:1]
+    na, nb = (sum(p.size for p in g) for g in (ga, gb))
+    return Xor(_trim(ga, max(0, na - nb)), _trim(gb, max(0, nb - na)))
+
+
+@st.composite
+def hand_built_schemes(draw):
+    """Overlapping copies, same-stream and multi-piece XOR groups, and
+    zero-length pieces and streams, in random layouts."""
+    lengths = tuple(
+        draw(st.sampled_from((0, 0, 0, 1, 2, 3, 4, 5, 6))) for _ in range(7)
+    )
+    segs = tuple(
+        tuple(draw(st.lists(segments(lengths), max_size=8))) for _ in range(3)
+    )
+    return DescriptionScheme("HAND", lengths, segs)
+
+
+def _decode_or_unresolvable(fn, scheme, subset, given):
+    try:
+        return [a.tolist() for a in fn(scheme, subset, given)]
+    except Unresolvable:
+        return "Unresolvable"
+
+
+@settings(max_examples=400, deadline=None)
+@given(scheme=hand_built_schemes(), data=st.data())
+def test_decode_equals_bit_level_oracle(scheme, data):
+    if data.draw(st.booleans(), label="encoder output"):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        enc = encode(scheme, random_bundle(scheme.lengths, rng)).bits
+    else:
+        enc = []
+        for n in scheme.description_lengths:
+            word = data.draw(st.integers(0, 2**n - 1))
+            enc.append(np.array([(word >> i) & 1 for i in range(n)], np.uint8))
+    for subset in SUBSETS:
+        given = {d: enc[d - 1] for d in subset_members(subset)}
+        assert _decode_or_unresolvable(decode, scheme, subset, given) == (
+            _decode_or_unresolvable(_oracles.bit_decode, scheme, subset, given)
+        ), subset
