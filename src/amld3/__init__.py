@@ -12,7 +12,15 @@ The package has three layers:
   Gaussian multiple-description problem with constant-gap reporting.
 
 The ``amld3`` console script exposes all of it on the command line.
+
+Only the codec layer needs numpy.  Its names (``amld3.encode``,
+``amld3.TEMPLATES``, ``amld3.codec`` itself, ...) are loaded on first use,
+so ``import amld3``, the three analysis layers and the analysis commands of
+the CLI (``region``, ``corners``, ``check``, ``md-bounds``, ``gap``) do not
+load numpy; ``encode`` and ``decode`` do.
 """
+
+import importlib
 
 from .ordering import (
     L1,
@@ -48,31 +56,6 @@ from .rate_region import (
     region_json_dict,
     tight_constraints,
 )
-from .codec import (
-    ALL_SCHEME_LABELS,
-    TEMPLATES,
-    Copy,
-    DescriptionScheme,
-    EncodedDescriptions,
-    LengthMismatch,
-    NonIntegralSplit,
-    OddSplit,
-    Piece,
-    RegimeMismatch,
-    SchemeTemplate,
-    SourceBundle,
-    Unresolvable,
-    Xor,
-    compose_time_share,
-    decode,
-    encode,
-    instantiate_scheme,
-    pack_bits,
-    random_bundle,
-    restrict,
-    template_name_for_label,
-    unpack_bits,
-)
 from .gaussian_md import (
     SUM_RATE_GAP_BOUND,
     BoundSet,
@@ -97,77 +80,94 @@ from .gaussian_md import (
 
 __version__ = "0.1.0"
 
-__all__ = [
+# Served by ``__getattr__`` below, so that numpy loads with the codec only.
+_CODEC_NAMES = (
     "ALL_SCHEME_LABELS",
+    "TEMPLATES",
+    "Copy",
+    "DescriptionScheme",
+    "EncodedDescriptions",
+    "LengthMismatch",
+    "NonIntegralSplit",
+    "OddSplit",
+    "Piece",
+    "RegimeMismatch",
+    "SchemeTemplate",
+    "SourceBundle",
+    "Unresolvable",
+    "Xor",
+    "compose_time_share",
+    "decode",
+    "encode",
+    "instantiate_scheme",
+    "pack_bits",
+    "random_bundle",
+    "restrict",
+    "template_name_for_label",
+    "unpack_bits",
+)
+
+__all__ = [
     "BoundSet",
     "CATALOG_LABELS",
-    "Copy",
     "CornerPoint",
-    "DescriptionScheme",
     "DistortionRangeError",
     "DistortionVector",
-    "EncodedDescriptions",
     "EntropyProfile",
     "GapReport",
     "InvalidFloatInput",
     "L1",
-    "LengthMismatch",
     "LinearInequality",
     "MonotonicityViolated",
     "NegativeEntropy",
     "NoiseParams",
-    "NonIntegralSplit",
     "NonMonotoneNoise",
     "NotBijective",
     "NotNormalized",
-    "OddSplit",
     "Ordering",
     "OrderingError",
     "P_TAGS",
-    "Piece",
     "Q_TAGS",
     "RateRegion",
     "Regime",
-    "RegimeMismatch",
-    "SchemeTemplate",
     "SinglesOutOfOrder",
-    "SourceBundle",
     "SUBSETS",
     "SUBSET_MASKS",
     "SUM_RATE_GAP_BOUND",
-    "TEMPLATES",
-    "Unresolvable",
-    "Xor",
     "bound_json_dict",
     "build_mld_region",
     "classify_regime",
     "classify_slacks",
-    "compose_time_share",
     "contains",
     "corner_json_dict",
     "corner_scheme_catalog_L1",
-    "decode",
     "distortions_from_json",
-    "encode",
     "enumerate_corners",
     "enumerate_orderings",
     "facet_gap",
     "induced_ordering",
     "inner_bound",
-    "instantiate_scheme",
     "label_corners",
     "md_contains",
     "normalize_distortions",
     "ordering_from_json",
     "outer_bound",
-    "pack_bits",
     "parametric_outer_bound",
-    "random_bundle",
     "region_json_dict",
-    "restrict",
     "sr_layer_rates",
-    "template_name_for_label",
     "tight_constraints",
-    "unpack_bits",
     "validate_ordering",
+    *_CODEC_NAMES,
 ]
+
+
+def __getattr__(name: str):
+    if name != "codec" and name not in _CODEC_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    codec = importlib.import_module(".codec", __name__)
+    globals().update((n, getattr(codec, n)) for n in _CODEC_NAMES)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_CODEC_NAMES, "codec"})

@@ -13,10 +13,19 @@ Subcommands::
 Exit codes: 0 ok, 2 invalid ordering, 3 negative entropy, 4 scheme/length
 regime mismatch or odd split, 5 bit-length mismatch, 6 out-of-range or
 non-finite float input (distortions, noise, rates, a negative --tol), 1 other
-errors.
+errors (JSON nested too deeply to parse among them).
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.
+
+Input files are trusted like the command line that names them.  A sidecar's
+``files`` entries are read relative to the sidecar's directory unless they
+are absolute, and ``..`` is followed, not refused.  A ``.bits`` file must
+have exactly ceil(n/8) bytes for its n bits; the padding bits of its last
+byte are ignored, whatever their values.
+
+Only ``encode`` and ``decode`` import the codec, and with it numpy; the
+other subcommands run without it.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import codec, gaussian_md, ordering, rate_region
+from . import gaussian_md, ordering, rate_region
 
 
 def _quantize(obj):
@@ -50,6 +59,14 @@ def _emit_csv(rows) -> None:
         print(",".join(str(x) for x in row))
 
 
+def _loads(text: str):
+    """``json.loads``, with JSON nested too deeply to parse as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _read_text(spec: str) -> str:
     if spec == "-":
         return sys.stdin.read()
@@ -61,8 +78,8 @@ def _parse_ordering(spec: str) -> ordering.Ordering:
     if spec.isdigit():
         return ordering.ordering_from_json({"ordering": int(spec)})
     if spec.startswith("{"):
-        return ordering.ordering_from_json(json.loads(spec))
-    return ordering.ordering_from_json(json.loads(_read_text(spec)))
+        return ordering.ordering_from_json(_loads(spec))
+    return ordering.ordering_from_json(_loads(_read_text(spec)))
 
 
 def _fractions(spec: str) -> list[Fraction]:
@@ -98,11 +115,11 @@ def _parse_distortions(spec: str) -> gaussian_md.DistortionVector:
     spec = spec.strip()
     if spec == "-" or spec.startswith("{"):
         text = spec if spec.startswith("{") else _read_text(spec)
-        return gaussian_md.distortions_from_json(json.loads(text))
+        return gaussian_md.distortions_from_json(_loads(text))
     if "," in spec:
         vals = [float(p.strip()) for p in spec.split(",")]
         return gaussian_md.DistortionVector(vals)
-    return gaussian_md.distortions_from_json(json.loads(_read_text(spec)))
+    return gaussian_md.distortions_from_json(_loads(_read_text(spec)))
 
 
 def _parse_noise(spec: str) -> gaussian_md.NoiseParams:
@@ -152,7 +169,9 @@ def cmd_corners(args) -> None:
     )
 
 
-def _template_for(label: str) -> codec.SchemeTemplate:
+def _template_for(label: str):
+    from . import codec
+
     try:
         return codec.TEMPLATES[codec.template_name_for_label(label)]
     except KeyError:
@@ -166,7 +185,7 @@ DESCRIPTION_FILES = ("G1.bits", "G2.bits", "G3.bits")
 
 
 def _read_object(spec: str, what: str) -> dict:
-    doc = json.loads(_read_text(spec))
+    doc = _loads(_read_text(spec))
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
     return doc
@@ -188,6 +207,8 @@ def _field(doc: dict, key: str, what: str, kind: type, count: int = 0):
 
 
 def cmd_encode(args) -> None:
+    from . import codec
+
     template = _template_for(args.scheme)
     manifest = _read_object(args.manifest, "manifest")
     lengths = _field(manifest, "lengths", "manifest", int, 7)
@@ -216,6 +237,8 @@ def cmd_encode(args) -> None:
 
 
 def cmd_decode(args) -> None:
+    from . import codec
+
     sidecar = _read_object(args.sidecar, "sidecar")
     base = Path(".") if args.sidecar == "-" else Path(args.sidecar).parent
     label = _field(sidecar, "scheme", "sidecar", str)
@@ -442,10 +465,6 @@ def main(argv=None) -> int:
         return _fail(e, 2)
     except rate_region.NegativeEntropy as e:
         return _fail(e, 3)
-    except (codec.RegimeMismatch, codec.OddSplit) as e:
-        return _fail(e, 4)
-    except codec.LengthMismatch as e:
-        return _fail(e, 5)
     except (
         gaussian_md.DistortionRangeError,
         gaussian_md.NotNormalized,
@@ -454,6 +473,12 @@ def main(argv=None) -> int:
     ) as e:
         return _fail(e, 6)
     except (ValueError, KeyError, OSError) as e:
+        # The codec's errors are ValueErrors; only encode and decode load it.
+        codec = sys.modules.get(f"{__package__}.codec")
+        if codec and isinstance(e, (codec.RegimeMismatch, codec.OddSplit)):
+            return _fail(e, 4)
+        if codec and isinstance(e, codec.LengthMismatch):
+            return _fail(e, 5)
         return _fail(e, 1)
 
 

@@ -80,7 +80,10 @@ def pack_bits(bits: np.ndarray) -> bytes:
 
 
 def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; data must be exactly ceil(n/8) bytes."""
+    """Inverse of :func:`pack_bits`; data must be exactly ceil(n/8) bytes.
+
+    The padding bits after the n-th are ignored, not checked to be zero.
+    """
     expected = (nbits + 7) // 8
     if len(data) != expected:
         raise LengthMismatch(

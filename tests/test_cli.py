@@ -461,6 +461,53 @@ def test_malformed_manifests_and_sidecars_exit_1(bundle_dir):
         assert err.startswith("error:"), doc
 
 
+def test_sidecar_files_may_be_absolute_or_climb(bundle_dir):
+    encdir = bundle_dir / "enc"
+    run_json(
+        "encode", "--scheme", "X5",
+        "--manifest", str(bundle_dir / "manifest.json"),
+        "--out", str(encdir),
+    )
+    sidecar = json.loads((encdir / "sidecar.json").read_text())
+    sidecar["files"] = [
+        str((encdir / "G1.bits").resolve()), "../enc/G2.bits", "G3.bits",
+    ]
+    (bundle_dir / "elsewhere").mkdir()
+    (bundle_dir / "elsewhere" / "G3.bits").write_bytes(
+        (encdir / "G3.bits").read_bytes()
+    )
+    (bundle_dir / "elsewhere" / "sidecar.json").write_text(json.dumps(sidecar))
+    run_json(
+        "decode", "--sidecar", str(bundle_dir / "elsewhere" / "sidecar.json"),
+        "--subset", "G123", "--out", str(bundle_dir / "dec"),
+    )
+    recovered = []
+    for k, n in enumerate([1, 1, 3, 1, 1, 1, 1], start=1):
+        data = (bundle_dir / "dec" / f"V{k}.bits").read_bytes()
+        recovered.extend(unpack_bits(data, n).tolist())
+    assert recovered == [1, 0, 1, 1, 0, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("region", "--ordering", "{deep}", "--h", "1,1,1,1,1,1,1"),
+                 id="ordering"),
+    pytest.param(("gap", "--D", "{deep}"), id="D-file"),
+    pytest.param(("encode", "--scheme", "X5", "--manifest", "{deep}",
+                  "--out", "{out}"), id="manifest"),
+    pytest.param(("decode", "--sidecar", "{deep}", "--subset", "G123",
+                  "--out", "{out}"), id="sidecar"),
+])
+def test_deeply_nested_json_exits_1(tmp_path, argv):
+    # json.loads raised RecursionError, which ended in a traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = run_cli(
+        *(a.format(deep=deep, out=tmp_path / "out") for a in argv)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_output_is_byte_deterministic():
     for args in (
         ("region", "--h", "1,1,3,2,2,1,1"),

@@ -97,6 +97,14 @@ def test_unpack_rejects_wrong_byte_count():
         unpack_bits(b"", 1)
 
 
+def test_unpack_ignores_padding_bits():
+    # Only the byte count is checked; bits past the n-th are not read.
+    np.testing.assert_array_equal(unpack_bits(b"\xff", 3), [1, 1, 1])
+    np.testing.assert_array_equal(
+        unpack_bits(b"\xa0\x7f", 9), [1, 0, 1, 0, 0, 0, 0, 0, 0]
+    )
+
+
 def test_bit_arrays_must_be_binary():
     with pytest.raises(ValueError):
         pack_bits([0, 2, 1])

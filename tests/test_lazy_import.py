@@ -1,0 +1,108 @@
+"""numpy loads with the codec only: ``import amld3``, the analysis layers and
+the CLI's analysis commands leave it unloaded; encode loads it.
+
+Each case runs in a fresh interpreter, since this test process has long
+since imported numpy.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import amld3
+from test_cli import DYADIC, ENV, MATCHED
+
+# Runs ``amld3.cli.main`` on argv (if any), then reports on its last line the
+# exit code and whether numpy and the codec module were imported.
+PROBE = """
+import json, sys
+import amld3, amld3.cli
+code = amld3.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, "numpy" in sys.modules, "amld3.codec" in sys.modules]))
+"""
+
+
+def run_python(source: str, *argv: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *argv],
+        capture_output=True, text=True, env=ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def run_probe(*argv):
+    return tuple(json.loads(run_python(PROBE, *argv).splitlines()[-1]))
+
+
+H = ("--h", "1,1,1,1,1,1,1")
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param((), 0, id="import"),
+    pytest.param(("region", *H), 0, id="region"),
+    pytest.param(("corners", *H, "--emit", "csv"), 0, id="corners"),
+    pytest.param(("check", *H, "--rates", "1,4,7"), 0, id="check-h"),
+    pytest.param(("check", "--rates", "1.0,1.6,2.0", "--D", DYADIC), 0,
+                 id="check-D"),
+    pytest.param(("md-bounds", "--D", DYADIC, "--d", MATCHED), 0,
+                 id="md-bounds"),
+    pytest.param(("gap", "--D", DYADIC), 0, id="gap"),
+    pytest.param(("check", "--rates", "1,2,3"), 1, id="exit-1"),
+    pytest.param(("region", "--ordering", "9", *H), 2, id="exit-2"),
+    pytest.param(("region", "--h", "1,1,-1,1,1,1,1"), 3, id="exit-3"),
+    pytest.param(("md-bounds", "--D", DYADIC.replace("0.5", "1.5", 1)), 6,
+                 id="exit-6"),
+])
+def test_analysis_calls_leave_numpy_unloaded(argv, code):
+    assert run_probe(*argv) == (code, False, False)
+
+
+def test_encode_loads_numpy(tmp_path):
+    (tmp_path / "streams.bin").write_bytes(b"\xb4\x80")
+    manifest = {"lengths": [1, 1, 3, 1, 1, 1, 1], "streams": "streams.bin"}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert run_probe(
+        "encode", "--scheme", "X5",
+        "--manifest", str(tmp_path / "manifest.json"),
+        "--out", str(tmp_path / "enc"),
+    ) == (0, True, True)
+
+
+def test_codec_module_resolves_after_bare_import():
+    run_python(
+        "import sys, amld3\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert amld3.codec is sys.modules['amld3.codec']\n"
+        "assert amld3.encode is amld3.codec.encode\n"
+    )
+
+
+def test_dir_lists_the_codec_names_before_they_load():
+    run_python(
+        "import sys, amld3\n"
+        "listed = set(dir(amld3))\n"
+        "assert 'numpy' not in sys.modules\n"
+        "missing = {*amld3.__all__, 'codec', 'encode', 'TEMPLATES'} - listed\n"
+        "assert not missing, missing\n"
+    )
+
+
+def test_every_public_name_resolves():
+    for name in amld3.__all__:
+        assert getattr(amld3, name) is not None, name
+    assert len(set(amld3.__all__)) == len(amld3.__all__)
+    namespace: dict = {}
+    exec("from amld3 import *", namespace)
+    assert set(amld3.__all__) <= set(namespace)
+    assert namespace["encode"] is amld3.codec.encode
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        amld3.no_such_name
+    assert not hasattr(amld3, "no_such_name")

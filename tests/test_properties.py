@@ -3,7 +3,9 @@
 The exact region is checked against the frozen coefficient tables, with
 expected values from direct ``Fraction`` arithmetic on them; no library call
 enters them.  Plan-based decode is checked against the bit-level decoder on
-random hand-built schemes and random description bits.
+random hand-built schemes and random description bits, and every catalog
+template either round-trips a random bundle or refuses its lengths with a
+documented error.
 """
 
 from __future__ import annotations
@@ -15,18 +17,24 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles
 from amld3 import (
+    L1,
+    TEMPLATES,
     Copy,
     DescriptionScheme,
     EntropyProfile,
+    OddSplit,
     Ordering,
     Piece,
+    RegimeMismatch,
     Unresolvable,
     Xor,
     build_mld_region,
     classify_slacks,
     decode,
     encode,
+    instantiate_scheme,
     random_bundle,
+    restrict,
 )
 from amld3.ordering import SUBSETS, subset_members
 
@@ -161,3 +169,27 @@ def test_decode_equals_bit_level_oracle(scheme, data):
         assert _decode_or_unresolvable(decode, scheme, subset, given) == (
             _decode_or_unresolvable(_oracles.bit_decode, scheme, subset, given)
         ), subset
+
+
+# ---------------------------------------------------------------------------
+# Catalog schemes on random lengths.
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 24), min_size=7, max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_catalog_roundtrips_or_refuses_the_lengths(lengths, seed):
+    bundle = random_bundle(lengths, np.random.default_rng(seed))
+    for name, template in TEMPLATES.items():
+        try:
+            scheme = instantiate_scheme(template, lengths)
+        except (RegimeMismatch, OddSplit):
+            continue
+        enc = encode(scheme, bundle)
+        for subset in SUBSETS:
+            got = decode(scheme, subset, restrict(enc, subset))
+            assert len(got) == L1.level_of(subset), (name, subset)
+            for want, arr in zip(bundle.streams, got):
+                np.testing.assert_array_equal(arr, want, err_msg=name)
