@@ -21,6 +21,7 @@ load numpy; ``encode`` and ``decode`` do.
 """
 
 import importlib
+import types
 
 from .ordering import (
     L1,
@@ -107,56 +108,10 @@ _CODEC_NAMES = (
     "unpack_bits",
 )
 
+# The public names imported above, then the codec's.
 __all__ = [
-    "BoundSet",
-    "CATALOG_LABELS",
-    "CornerPoint",
-    "DistortionRangeError",
-    "DistortionVector",
-    "EntropyProfile",
-    "GapReport",
-    "InvalidFloatInput",
-    "L1",
-    "LinearInequality",
-    "MonotonicityViolated",
-    "NegativeEntropy",
-    "NoiseParams",
-    "NonMonotoneNoise",
-    "NotBijective",
-    "NotNormalized",
-    "Ordering",
-    "OrderingError",
-    "P_TAGS",
-    "Q_TAGS",
-    "RateRegion",
-    "Regime",
-    "SinglesOutOfOrder",
-    "SUBSETS",
-    "SUBSET_MASKS",
-    "SUM_RATE_GAP_BOUND",
-    "bound_json_dict",
-    "build_mld_region",
-    "classify_regime",
-    "classify_slacks",
-    "contains",
-    "corner_json_dict",
-    "corner_scheme_catalog_L1",
-    "distortions_from_json",
-    "enumerate_corners",
-    "enumerate_orderings",
-    "facet_gap",
-    "induced_ordering",
-    "inner_bound",
-    "label_corners",
-    "md_contains",
-    "normalize_distortions",
-    "ordering_from_json",
-    "outer_bound",
-    "parametric_outer_bound",
-    "region_json_dict",
-    "sr_layer_rates",
-    "tight_constraints",
-    "validate_ordering",
+    *(n for n, v in globals().items()
+      if not n.startswith("_") and not isinstance(v, types.ModuleType)),
     *_CODEC_NAMES,
 ]
 

@@ -13,7 +13,9 @@ Subcommands::
 Exit codes: 0 ok, 2 invalid ordering, 3 negative entropy, 4 scheme/length
 regime mismatch or odd split, 5 bit-length mismatch, 6 out-of-range or
 non-finite float input (distortions, noise, rates, a negative --tol), 1 other
-errors (JSON nested too deeply to parse among them).
+errors (JSON nested too deeply to parse among them, and an exact number whose
+numerator or denominator, as written, has more digits than
+``sys.get_int_max_str_digits()``).
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -82,9 +85,30 @@ def _parse_ordering(spec: str) -> ordering.Ordering:
     return ordering.ordering_from_json(_loads(_read_text(spec)))
 
 
+_DECIMAL = re.compile(
+    r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*"
+)
+
+
+def _fraction(literal: str) -> Fraction:
+    """``Fraction(literal)``, refusing first a decimal literal whose
+    numerator or denominator, as written, has more digits than Python's
+    int/str conversion limit (0, or no such limit in the interpreter, lifts
+    the check)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m = _DECIMAL.fullmatch(literal)
+    if limit and m:
+        whole, decimals, exp = (g.replace("_", "") for g in m.groups(""))
+        e = int(exp or 0)
+        num = len((whole + decimals).lstrip("0") or "0") + max(e, 0)
+        if max(num, 1 + len(decimals) - min(e, 0)) > limit:
+            raise ValueError(f"{literal!r} needs more than {limit} digits")
+    return Fraction(literal)
+
+
 def _fractions(spec: str) -> list[Fraction]:
     try:
-        return [Fraction(p.strip()) for p in spec.split(",")]
+        return [_fraction(p.strip()) for p in spec.split(",")]
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {spec!r}") from None
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
-from math import gcd
+from functools import lru_cache
+from itertools import accumulate, combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .ordering import L1, Ordering
@@ -49,21 +49,18 @@ class EntropyProfile:
             if v < 0:
                 raise NegativeEntropy(f"h_{i + 1} = {v} is negative")
         object.__setattr__(self, "h", vals)
+        object.__setattr__(self, "_H", tuple(accumulate(vals)))
 
     @property
     def H(self) -> tuple[Fraction, ...]:
-        """Cumulative sums H_1..H_7."""
-        out, acc = [], Fraction(0)
-        for x in self.h:
-            acc += x
-            out.append(acc)
-        return tuple(out)
+        """Cumulative sums H_1..H_7, computed once with the profile."""
+        return self._H
 
     def cum(self, k: int) -> Fraction:
         """H_k with the convention H_0 = 0."""
         if k == 0:
             return Fraction(0)
-        return self.H[k - 1]
+        return self._H[k - 1]
 
 
 @dataclass(frozen=True)
@@ -105,19 +102,45 @@ class CornerPoint:
     label: str | None = None
 
 
+AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+"""Normals of the coordinate planes R_i >= 0."""
+
+
 @dataclass(frozen=True)
 class RateRegion:
-    """A polyhedral rate region {R >= 0 : a_t . R >= b_t for all t}."""
+    """A polyhedral rate region {R >= 0 : a_t . R >= b_t for all t}.
+
+    The normals must be integers (``ValueError`` otherwise).  Its integer
+    rows are derived once: ``q`` is the least common denominator of the
+    b_t, ``planes`` the constraint normals then :data:`AXES`, and
+    ``scaled_b`` the q * b_t then 0 for each axis.
+    """
 
     constraints: tuple[LinearInequality, ...]
     ordering: Ordering | None = None
     profile: EntropyProfile | None = None
-    _cache: dict = field(
-        default_factory=dict, compare=False, repr=False, hash=False
+    planes: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
     )
+    scaled_b: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        constraints = tuple(self.constraints)
+        try:
+            normals = tuple(tuple(map(int, c.a)) for c in constraints)
+        except (TypeError, OverflowError):
+            normals = None
+        if normals != tuple(c.a for c in constraints):
+            raise ValueError("the normals of a RateRegion must be integers")
+        b = [as_fraction(c.b) for c in constraints]
+        q = lcm(*(x.denominator for x in b))
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "planes", (*normals, *AXES))
+        object.__setattr__(self, "scaled_b", (
+            *(x.numerator * (q // x.denominator) for x in b), 0, 0, 0
+        ))
+        object.__setattr__(self, "q", q)
 
     def __hash__(self) -> int:
         return hash(self.constraints)
@@ -193,102 +216,90 @@ def classify_regime(profile: EntropyProfile) -> Regime:
 # Exact vertex enumeration and membership.
 # ---------------------------------------------------------------------------
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _int_rows(region: RateRegion):
-    """Constraints plus axis planes as integer rows (a1,a2,a3,b,tag).
-
-    Each row is scaled independently by the lcm of its denominators, which
-    preserves the inequality (the scale is positive).
+def _adjugate(*m) -> tuple[int, ...] | None:
+    """``(det, *adj)`` of the integer matrix with rows ``m``, both negated
+    if need be so that ``det > 0``, ``adj`` flattened row by row; None when
+    the rows are linearly dependent.  ``m . x = b`` has ``x = adj . b / det``.
     """
-    rows = region._cache.get("int_rows")
-    if rows is None:
-        rows = []
-        for c in region.constraints:
-            a = tuple(Fraction(x) for x in c.a)
-            b = Fraction(c.b)
-            k = reduce(
-                _lcm, (x.denominator for x in a), b.denominator
-            )
-            rows.append(
-                (
-                    int(a[0] * k), int(a[1] * k), int(a[2] * k),
-                    int(b * k), c.tag,
-                )
-            )
-        for i in range(3):
-            a = [0, 0, 0]
-            a[i] = 1
-            rows.append((a[0], a[1], a[2], 0, None))
-        rows = tuple(rows)
-        region._cache["int_rows"] = rows
-    return rows
+    adj = [
+        m[(c + 1) % 3][(r + 1) % 3] * m[(c + 2) % 3][(r + 2) % 3]
+        - m[(c + 1) % 3][(r + 2) % 3] * m[(c + 2) % 3][(r + 1) % 3]
+        for r in range(3) for c in range(3)
+    ]
+    det = m[0][0] * adj[0] + m[0][1] * adj[3] + m[0][2] * adj[6]
+    if det == 0:
+        return None
+    sign = 1 if det > 0 else -1
+    return (sign * det, *(sign * x for x in adj))
 
 
-def _det3(r1, r2, r3) -> int:
-    return (
-        r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
-        - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
-        + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
+@lru_cache(maxsize=32)
+def _vertex_solvers(planes) -> tuple[tuple[int, ...], ...]:
+    """``(i, j, k, det, *adj)`` for each nonsingular triple of planes.
+
+    Kept per set of planes: every region of :func:`build_mld_region` has
+    the same one, so their adjugates are computed once per process.
+    """
+    return tuple(
+        (i, j, k, *adj)
+        for i, j, k in combinations(range(len(planes)), 3)
+        if (adj := _adjugate(planes[i], planes[j], planes[k])) is not None
     )
 
 
 def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
     """All vertices of the region, exactly.
 
-    Solves every 3-subset of the 14 planes (11 constraints plus the three
-    coordinate planes) by integer Cramer elimination, keeps the feasible
-    intersection points, and deduplicates by exact rate equality.  Corners
-    are returned sorted lexicographically by rates; labels are not attached
-    here (see :func:`label_corners`).
+    Each nonsingular triple of the region's planes (constraints, then the
+    coordinate planes) meets in ``n / (q det)`` with ``n = adj . (q b)``:
+    the triple's adjugate, computed once per process, times the region's
+    integer rows.  The point is a vertex when every integer slack
+    ``a . n - (q b) det`` is non-negative; the planes where it is zero are
+    the tight tags and tell coinciding vertices apart, and only distinct
+    vertices become ``Fraction``s.  Corners come sorted by rates, without
+    labels (see :func:`label_corners`).
     """
-    rows = _int_rows(region)
-    seen: set[tuple[Fraction, Fraction, Fraction]] = set()
-    for i, j, k in combinations(range(len(rows)), 3):
-        ri, rj, rk = rows[i], rows[j], rows[k]
-        det = _det3(ri[:3], rj[:3], rk[:3])
-        if det == 0:
-            continue
-        bs = (ri[3], rj[3], rk[3])
-        cols = (ri[:3], rj[:3], rk[:3])
-        n = [
-            _det3(
-                *(cols[r][:c] + (bs[r],) + cols[r][c + 1:] for r in range(3))
-            )
-            for c in range(3)
-        ]
-        feasible = True
-        for a1, a2, a3, b, _ in rows:
-            lhs = a1 * n[0] + a2 * n[1] + a3 * n[2]
-            if det > 0:
-                if lhs < b * det:
-                    feasible = False
-                    break
-            elif lhs > b * det:
-                feasible = False
+    planes, bs, q = region.planes, region.scaled_b, region.q
+    rows = tuple(zip(planes, bs))
+    tags = [c.tag for c in region.constraints]
+    found = {}
+    solvers = _vertex_solvers(planes)
+    for i, j, k, det, m00, m01, m02, m10, m11, m12, m20, m21, m22 in solvers:
+        bi, bj, bk = bs[i], bs[j], bs[k]
+        n0 = m00 * bi + m01 * bj + m02 * bk
+        n1 = m10 * bi + m11 * bj + m12 * bk
+        n2 = m20 * bi + m21 * bj + m22 * bk
+        for (a1, a2, a3), b in rows:
+            if a1 * n0 + a2 * n1 + a3 * n2 < b * det:
                 break
-        if feasible:
-            seen.add(
-                (Fraction(n[0], det), Fraction(n[1], det), Fraction(n[2], det))
+        else:
+            tight = tuple(
+                t for t, ((a1, a2, a3), b) in enumerate(rows)
+                if a1 * n0 + a2 * n1 + a3 * n2 == b * det
             )
-    corners = [
-        CornerPoint(rates, tight_constraints(region, rates))
-        for rates in sorted(seen)
-    ]
-    return tuple(corners)
+            if tight not in found:
+                d = q * det
+                found[tight] = CornerPoint(
+                    (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d)),
+                    tuple(tags[t] for t in tight if t < len(tags)),
+                )
+    return tuple(sorted(found.values(), key=lambda c: c.rates))
 
 
 def contains(region: RateRegion, rates: Sequence) -> bool:
-    """Exact membership test (rates are parsed to rationals)."""
+    """Exact membership test (rates are parsed to rationals).
+
+    With ``R = n / p`` over the rates' common denominator ``p``, every
+    integer row, coordinate planes included, must have q a . n >= p q b.
+    """
     r = tuple(as_fraction(x) for x in rates)
     if len(r) != 3:
         raise ValueError("expected 3 rates")
-    q = reduce(_lcm, (x.denominator for x in r), 1)
-    n = tuple(int(x * q) for x in r)
-    for a1, a2, a3, b, _ in _int_rows(region):
-        if a1 * n[0] + a2 * n[1] + a3 * n[2] < b * q:
+    p = lcm(*(x.denominator for x in r))
+    q = region.q
+    n0, n1, n2 = (q * x.numerator * (p // x.denominator) for x in r)
+    for (a1, a2, a3), b in zip(region.planes, region.scaled_b):
+        if a1 * n0 + a2 * n1 + a3 * n2 < p * b:
             return False
     return True
 
@@ -332,8 +343,7 @@ CATALOG_LABELS: Mapping[str, tuple[str, ...]] = {
 def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple]:
     """Closed-form corner coordinates of the active regime (label -> rates)."""
     h1, h2, h3, h4, h5, h6, h7 = profile.h
-    H = profile.cum
-    H1, H2, H3, H4, H5, H6, H7 = (H(k) for k in range(1, 8))
+    H1, H2, H3, H4, H5, H6, H7 = profile.H
     common = {
         "1": (H1, H4, H7),
         "2": (H1, H7 - h5, H5),
@@ -438,15 +448,8 @@ def region_json_dict(
             else None
         )
     out["constraints"] = [
-        {
-            "a": [
-                int(x) if Fraction(x).denominator == 1 else _rat_str(x)
-                for x in c.a
-            ],
-            "b": _rat_str(c.b),
-            "tag": c.tag,
-        }
-        for c in region.constraints
+        {"a": list(a), "b": _rat_str(c.b), "tag": c.tag}
+        for c, a in zip(region.constraints, region.planes)
     ]
     if corners is not None:
         out["corners"] = [corner_json_dict(c) for c in corners]

@@ -12,6 +12,8 @@ answer:
   H-representation over integers) for rate-region containment checks;
 * an exhaustive feasibility search over concatenation-only (source
   separation) coding schemes, used as the counterpart of the XOR witness;
+* the per-row-scaled Cramer vertex enumerator the library used before its
+  adjugate table, the reference for ``amld3.enumerate_corners``;
 * a bit-level decoder that tracks every source bit and cancels XOR segments
   bit by bit until nothing changes, the reference for the plan-based
   ``amld3.decode``.  It takes only the scheme's data classes and error types
@@ -384,6 +386,59 @@ def hull_contains_batch(facets, queries):
         )
         out.append(ok)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference vertex enumerator.
+# ---------------------------------------------------------------------------
+
+def _det3(r1, r2, r3):
+    return (
+        r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
+        - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
+        + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0])
+    )
+
+
+def reference_corners(rows):
+    """Every vertex of {R >= 0 : a . R >= b for each (a, b, tag) in rows}.
+
+    Each row is scaled to integers by the lcm of its own denominators; every
+    3-subset of the rows and the three coordinate planes is solved by
+    Cramer's rule, and the points that satisfy all planes are kept,
+    deduplicated and sorted.  Returns a list of (rates, tight) pairs, where
+    ``tight`` holds, in row order, the tags of the rows whose slack
+    a . rates - b is zero in direct ``Fraction`` arithmetic.
+    """
+    rows = [(tuple(Fraction(x) for x in a), Fraction(b), tag)
+            for a, b, tag in rows]
+    planes = []
+    for a, b, _ in rows:
+        k = reduce(_lcm, (x.denominator for x in a), b.denominator)
+        planes.append((*(int(x * k) for x in a), int(b * k)))
+    planes += [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    seen = set()
+    for p1, p2, p3 in combinations(planes, 3):
+        det = _det3(p1, p2, p3)
+        if det == 0:
+            continue
+        cols = (p1, p2, p3)
+        n = [
+            _det3(*(p[:c] + (p[3],) + p[c + 1:3] for p in cols))
+            for c in range(3)
+        ]
+        if all(
+            (a1 * n[0] + a2 * n[1] + a3 * n[2] - b * det) * det >= 0
+            for a1, a2, a3, b in planes
+        ):
+            seen.add(tuple(Fraction(x, det) for x in n))
+    return [
+        (rates, tuple(
+            tag for a, b, tag in rows
+            if sum(x * r for x, r in zip(a, rates)) == b
+        ))
+        for rates in sorted(seen)
+    ]
 
 
 # ---------------------------------------------------------------------------

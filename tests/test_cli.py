@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -391,14 +392,21 @@ def test_exit_code_6_bad_distortions_and_noise():
 def test_exit_code_1_other_errors(tmp_path):
     code, _, _ = run_cli("check", "--rates", "1,2,3")
     assert code == 1
-    # Zero denominators raised ZeroDivisionError past the exit-code mapping.
+    # Zero denominators raised ZeroDivisionError past the exit-code mapping;
+    # huge exponents took seconds or minutes before failing at output.
     for args in (
         ("region", "--h", "1/0,1,1,1,1,1,1"),
         ("check", "--h", "1,1,1,1,1,1,1", "--rates", "1/0,1,1"),
+        ("corners", "--h", "1e10000000,1,1,1,1,1,1"),
+        ("region", "--h", "1,1,1,1,1,1,0.5e-100000000"),
+        ("check", "--h", "1,1,1,1,1,1,1", "--rates", "1,0e1000000000,1"),
+        ("check", "--h", "1,1,1,1,1,1,1", "--rates", "1,1,1E+99999"),
     ):
+        start = time.perf_counter()
         code, out, err = run_cli(*args)
         assert (code, out) == (1, ""), args
         assert err.startswith("error:"), args
+        assert time.perf_counter() - start < 2, args
     (tmp_path / "streams.bin").write_bytes(b"\x00\x00")
     manifest = {"lengths": [1, 1, 3, 1, 1, 1, 1], "streams": "streams.bin"}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -411,6 +419,22 @@ def test_exit_code_1_other_errors(tmp_path):
         )
         assert code == 1
         assert err.startswith("error:"), label
+
+
+def test_literal_digit_limit_follows_python(capsys):
+    from amld3 import cli
+
+    h = "1e4299,1,1,1,1,1,1"  # 4300 digits, Python's default limit
+    assert cli.main(["region", "--h", h]) == 0
+    assert cli.main(["region", "--h", "1" + h]) == 1
+    assert "needs more than" in capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit: the literal is parsed
+    try:
+        assert cli.main(["corners", "--h", "1e5000,1,1,1,1,1,1"]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "1" + "0" * 5000 in capsys.readouterr().out
 
 
 def test_malformed_manifests_and_sidecars_exit_1(bundle_dir):

@@ -2,10 +2,12 @@
 
 The exact region is checked against the frozen coefficient tables, with
 expected values from direct ``Fraction`` arithmetic on them; no library call
-enters them.  Plan-based decode is checked against the bit-level decoder on
-random hand-built schemes and random description bits, and every catalog
-template either round-trips a random bundle or refuses its lengths with a
-documented error.
+enters them.  Its corners are checked against the closed-form L1 catalog and
+against the reference Cramer enumerator, on full and pruned regions.
+Plan-based decode is checked against the bit-level decoder on random
+hand-built schemes and random description bits, and every catalog template
+either round-trips a random bundle or refuses its lengths with a documented
+error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from amld3 import (
     OddSplit,
     Ordering,
     Piece,
+    RateRegion,
     RegimeMismatch,
     Unresolvable,
     Xor,
@@ -32,7 +35,9 @@ from amld3 import (
     classify_slacks,
     decode,
     encode,
+    enumerate_corners,
     instantiate_scheme,
+    label_corners,
     random_bundle,
     restrict,
 )
@@ -89,6 +94,55 @@ def test_offsets_and_slack_tags_match_oracle_tables(index, h, data):
         [t for t, s in zip(tags, slacks) if s == 0],
         [t for t, s in zip(tags, slacks) if s < 0],
     )
+
+
+def _catalog_order(label):
+    return int(label[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=profiles())
+def test_l1_corners_are_the_closed_form_catalog(h):
+    profile = EntropyProfile(h)
+    region = build_mld_region(L1, profile)
+    got = label_corners(enumerate_corners(region), profile)
+    labels_at = {}
+    for label, rates in _oracles.expected_corners(h).items():
+        labels_at.setdefault(rates, []).append(label)
+    table = _oracles.TABLES[1]
+    b = _expected_offsets(table, h)
+
+    def tight(rates):
+        return tuple(
+            tag for tag, (normal, _), bt in zip(table, table.values(), b)
+            if sum(F(a) * r for a, r in zip(normal, rates)) == bt
+        )
+
+    assert [(c.rates, c.tight, c.label) for c in got] == [
+        (rates, tight(rates), "+".join(sorted(labels, key=_catalog_order)))
+        for rates, labels in sorted(labels_at.items())
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(1, 8),
+    h=profiles(),
+    drop=st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, 10))),
+)
+def test_enumerate_corners_equals_reference_enumerator(index, h, drop):
+    full = build_mld_region(
+        Ordering(_oracles.ORDERING_ROWS[index - 1]), EntropyProfile(h)
+    )
+    region = RateRegion(
+        tuple(c for t, c in enumerate(full.constraints) if t not in drop),
+        full.ordering,
+        full.profile,
+    )
+    want = _oracles.reference_corners(
+        (c.a, c.b, c.tag) for c in region.constraints
+    )
+    assert [(c.rates, c.tight) for c in enumerate_corners(region)] == want
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,15 @@ def test_inactive_constraints_are_redundant(regime, drop):
     }
 
 
+@pytest.mark.parametrize("normal", [(1, F(1, 2), 0), (0.5, 1, 1), ("1", 0, 0)])
+def test_region_refuses_non_integer_normals(normal):
+    constraints = (LinearInequality(normal, 1, "A"),)
+    with pytest.raises(ValueError, match="must be integers"):
+        RateRegion(constraints)
+    region = RateRegion((LinearInequality((F(2), 1.0, 0), 1, "A"),))
+    assert region.planes[0] == (2, 1, 0)
+
+
 def test_corner_oracle_formulas_match_library_on_random_profiles():
     rng = random.Random(11)
     hits = {"I": 0, "II": 0, "III": 0}
