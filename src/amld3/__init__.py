@@ -13,11 +13,13 @@ The package has three layers:
 
 The ``amld3`` console script exposes all of it on the command line.
 
-Only the codec layer needs numpy.  Its names (``amld3.encode``,
+Only the codec's array API (``encode``, ``decode``, ``SourceBundle``,
+``pack_bits``, ...) loads numpy.  The codec's names (``amld3.encode``,
 ``amld3.TEMPLATES``, ``amld3.codec`` itself, ...) are loaded on first use,
 so ``import amld3``, the three analysis layers and the analysis commands of
 the CLI (``region``, ``corners``, ``check``, ``md-bounds``, ``gap``) do not
-load numpy; ``encode`` and ``decode`` do.
+load the codec module; ``encode`` and ``decode`` load it, but replay its
+plans on packed bytes, so no CLI command loads numpy.
 """
 
 import importlib
@@ -81,7 +83,7 @@ from .gaussian_md import (
 
 __version__ = "0.1.0"
 
-# Served by ``__getattr__`` below, so that numpy loads with the codec only.
+# Served by ``__getattr__`` below, so that the codec module loads on first use.
 _CODEC_NAMES = (
     "ALL_SCHEME_LABELS",
     "TEMPLATES",
@@ -99,7 +101,9 @@ _CODEC_NAMES = (
     "Xor",
     "compose_time_share",
     "decode",
+    "decode_packed",
     "encode",
+    "encode_packed",
     "instantiate_scheme",
     "pack_bits",
     "random_bundle",

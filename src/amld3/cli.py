@@ -26,8 +26,9 @@ are absolute, and ``..`` is followed, not refused.  A ``.bits`` file must
 have exactly ceil(n/8) bytes for its n bits; the padding bits of its last
 byte are ignored, whatever their values.
 
-Only ``encode`` and ``decode`` import the codec, and with it numpy; the
-other subcommands run without it.
+Only ``encode`` and ``decode`` import the codec, and they replay its plans
+on Python ints read straight from the packed files; no subcommand imports
+numpy, which only the codec's array API loads.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def _emit_json(obj) -> None:
 
 
 def _emit_csv(rows) -> None:
-    for row in rows:
-        print(",".join(str(x) for x in row))
+    # Built whole first, so that a value that cannot be printed leaves
+    # stdout empty.
+    print("\n".join(",".join(str(x) for x in row) for row in rows))
 
 
 def _loads(text: str):
@@ -240,19 +242,18 @@ def cmd_encode(args) -> None:
     stream_path = Path(_field(manifest, "streams", "manifest", str))
     if not stream_path.is_absolute():
         stream_path = base / stream_path
-    bundle = codec.SourceBundle.from_packed(
-        stream_path.read_bytes(), lengths
-    )
+    data = stream_path.read_bytes()
+    codec.check_packed(data, sum(lengths))  # exit 5 before a regime's 4
     scheme = codec.instantiate_scheme(template, lengths)
-    enc = codec.encode(scheme, bundle)
+    descriptions = codec.encode_packed(scheme, data)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, bits in zip(DESCRIPTION_FILES, enc.bits):
-        (outdir / name).write_bytes(codec.pack_bits(bits))
+    for name, blob in zip(DESCRIPTION_FILES, descriptions):
+        (outdir / name).write_bytes(blob)
     sidecar = {
         "scheme": args.scheme,
         "lengths": lengths,
-        "bits": [int(b.size) for b in enc.bits],
+        "bits": list(scheme.description_lengths),
         "files": list(DESCRIPTION_FILES),
     }
     text = json.dumps(_quantize(sidecar), indent=2)
@@ -286,20 +287,21 @@ def cmd_decode(args) -> None:
         path = Path(files[i - 1])
         if not path.is_absolute():
             path = base / path
-        available[i] = codec.unpack_bits(path.read_bytes(), bits[i - 1])
-    streams = codec.decode(scheme, subset, available)
+        available[i] = path.read_bytes()
+        codec.check_packed(available[i], bits[i - 1])  # before the next read
+    streams = codec.decode_packed(scheme, subset, available)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
-    for k, arr in enumerate(streams, start=1):
+    for k, blob in enumerate(streams, start=1):
         name = f"V{k}.bits"
-        (outdir / name).write_bytes(codec.pack_bits(arr))
+        (outdir / name).write_bytes(blob)
         files.append(name)
     _emit_json(
         {
             "subset": subset,
             "level": ordering.L1.level_of(subset),
-            "lengths": [int(a.size) for a in streams],
+            "lengths": list(lengths[:len(streams)]),
             "files": files,
         }
     )

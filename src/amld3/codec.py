@@ -1,7 +1,7 @@
 """Bit-exact corner-point coding schemes for the L1 ordering.
 
 A scheme template describes how the seven compressed source streams
-``V1..V7`` (bit arrays of lengths ``l1..l7``) are carved into *pieces* and
+``V1..V7`` (bit strings of lengths ``l1..l7``) are carved into *pieces* and
 laid out into three descriptions.  A description is a concatenation of
 segments, each either a verbatim copy of a piece or the bitwise XOR of two
 equal-length operand concatenations — the network-coding segments that let a
@@ -13,29 +13,36 @@ into consecutive pieces whose lengths are fixed linear expressions in
 non-negative integers; :class:`RegimeMismatch` and :class:`OddSplit` report
 the two ways that can fail.
 
-Decoding is compiled, then replayed.  :func:`decode_plan` cuts the streams
-into *atoms* — at every piece boundary, carried across each XOR segment's
-alignment until no new cut appears — so that every bit of an atom is known
-or none is.  It marks the atoms the copy segments reveal (the last copy of
+Encoding and decoding are each compiled once into a plan, and each plan has
+two replays, picked by the form of the input.  :func:`encode_plan` walks the
+segments: each description is a list of aligned *runs*, a slice of one
+stream copied or XORed with a slice of another.  :func:`decode_plan` cuts
+the streams into *atoms* — at every piece boundary, carried across each XOR
+run's alignment until no new cut appears — so that every bit of an atom is
+known or none is.  It marks the atoms the copy runs reveal (the last copy of
 an atom wins), then passes over the XOR segments in order, each filling its
 second operand from its first and then its first from its second, until a
-pass fills nothing.  :func:`decode` replays that plan on the description
-bits: one slice copy per copied atom and one XOR per recovered atom, into a
-fresh buffer.  The plan reads no description bits, so its result equals a
-bit-by-bit fixed point for any scheme and any description content, and a
-complete plan proves decodability for every bundle of the scheme's lengths.
-For every catalog scheme each of the seven decoder subsets recovers exactly
-the streams its level promises.
+pass fills nothing.  Last, one reverse pass from the atoms of ``V1..Vk``
+drops every copy and step that feeds none of them, so a decoder does only
+what its level needs.  The plan reads no description bits, so its result
+equals a bit-by-bit fixed point for any scheme and any description content,
+and a complete plan proves decodability for every bundle of the scheme's
+lengths.  For every catalog scheme each of the seven decoder subsets
+recovers exactly the streams its level promises.
+
+The array replays (:func:`encode`, :func:`decode`, on 0/1 uint8 arrays) are
+the only code here that imports numpy.  The packed replays
+(:func:`encode_packed`, :func:`decode_packed`) read packed ``.bits`` blobs
+into Python ints, replay the same plans with shifts, masks and ``^``, and
+return packed bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Mapping, Sequence, Union
-
-import numpy as np
 
 from .ordering import L1, SUBSET_MASKS, subset_members
 
@@ -66,6 +73,8 @@ class NonIntegralSplit(ValueError):
 
 def as_bit_array(bits) -> np.ndarray:
     """Validate and convert to a uint8 array of 0/1 values."""
+    import numpy as np
+
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
@@ -76,7 +85,24 @@ def as_bit_array(bits) -> np.ndarray:
 
 def pack_bits(bits: np.ndarray) -> bytes:
     """Pack a 0/1 array into bytes, MSB first (zero-padded at the end)."""
+    import numpy as np
+
     return np.packbits(as_bit_array(bits)).tobytes()
+
+
+def check_packed(data: bytes, nbits: int) -> None:
+    """Raise :class:`LengthMismatch` unless ``data`` has ceil(n/8) bytes."""
+    expected = (nbits + 7) // 8
+    if len(data) != expected:
+        raise LengthMismatch(
+            f"expected {expected} bytes for {nbits} bits, got {len(data)}"
+        )
+
+
+def _int_to_packed(value: int, nbits: int) -> bytes:
+    """The ``nbits``-bit string ``value`` (first bit highest) packed as
+    :func:`pack_bits` packs it, with zero padding bits."""
+    return (value << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
 
 
 def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
@@ -84,13 +110,9 @@ def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
 
     The padding bits after the n-th are ignored, not checked to be zero.
     """
-    expected = (nbits + 7) // 8
-    if len(data) != expected:
-        raise LengthMismatch(
-            f"expected {expected} bytes for {nbits} bits, got {len(data)}"
-        )
-    if nbits == 0:
-        return np.zeros(0, dtype=np.uint8)
+    import numpy as np
+
+    check_packed(data, nbits)
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
 
 
@@ -123,16 +145,17 @@ class SourceBundle:
         return cls(streams)
 
     def to_packed(self) -> bytes:
-        return pack_bits(
-            np.concatenate(self.streams) if any(self.lengths)
-            else np.zeros(0, dtype=np.uint8)
-        )
+        import numpy as np
+
+        return pack_bits(np.concatenate(self.streams))
 
 
 def random_bundle(
     lengths: Sequence[int], rng: np.random.Generator
 ) -> SourceBundle:
     """Uniformly random bundle with the given stream lengths."""
+    import numpy as np
+
     return SourceBundle(
         [rng.integers(0, 2, size=int(n), dtype=np.uint8) for n in lengths]
     )
@@ -458,65 +481,67 @@ def restrict(enc: EncodedDescriptions, subset: str) -> EncodedDescriptions:
     )
 
 
-def _gather(streams: Sequence[np.ndarray], group: Sequence[Piece]):
-    parts = [streams[p.stream - 1][p.start:p.stop] for p in group]
-    if not parts:
-        return np.zeros(0, dtype=np.uint8)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+# ---------------------------------------------------------------------------
+# Plans.
+# ---------------------------------------------------------------------------
+
+Run = tuple[int, tuple[int, int], tuple[int, int] | None, int]
+"""``(offset, (stream, start), (stream, start) | None, n)``: the ``n``
+description bits from ``offset`` on are the ``n`` stream bits from the first
+position, XORed with those from the second if there is one."""
 
 
-def encode(scheme: DescriptionScheme, bundle: SourceBundle) -> EncodedDescriptions:
-    """Produce the three description bitstreams for a source bundle."""
-    if bundle.lengths != scheme.lengths:
-        raise LengthMismatch(
-            f"bundle lengths {bundle.lengths} do not match scheme "
-            f"lengths {scheme.lengths}"
-        )
-    out = []
-    for segs in scheme.segments:
-        parts = []
-        for seg in segs:
-            if isinstance(seg, Copy):
-                parts.append(_gather(bundle.streams, (seg.piece,)))
-            else:
-                a = _gather(bundle.streams, seg.group_a)
-                b = _gather(bundle.streams, seg.group_b)
-                parts.append(np.bitwise_xor(a, b))
-        out.append(
-            np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
-        )
-    return EncodedDescriptions(out)
-
-
-def _start(offsets: Sequence[int], lengths: Sequence[int], p: Piece) -> int:
-    """Position of a piece's first bit in the concatenation V1..V7."""
+def _source(lengths: Sequence[int], p: Piece) -> tuple[int, int]:
+    """``(stream, start)`` of a piece, checked to lie within its stream."""
     if not (1 <= p.stream <= 7
             and 0 <= p.start <= p.stop <= lengths[p.stream - 1]):
         raise ValueError(f"{p} does not lie within stream lengths {lengths}")
-    return offsets[p.stream - 1] + p.start
+    return p.stream, p.start
 
 
-def _runs(offsets: Sequence[int], lengths: Sequence[int], seg: Xor) -> list:
-    """Aligned runs ``(a, b, n, o)`` of an XOR segment: bit ``a + i`` of the
-    concatenated streams meets bit ``b + i`` at segment offset ``o + i``."""
+def _runs(lengths: Sequence[int], seg: Segment, o: int) -> tuple[Run, ...]:
+    """Aligned runs of a segment that starts at description offset ``o``."""
+    if isinstance(seg, Copy):
+        if not seg.size:
+            return ()
+        return ((o, _source(lengths, seg.piece), None, seg.size),)
     a_spans, b_spans = (
-        [(_start(offsets, lengths, p), p.size) for p in reversed(group)
-         if p.size]
+        [(_source(lengths, p), p.size) for p in reversed(group) if p.size]
         for group in (seg.group_a, seg.group_b)
     )
     if sum(n for _, n in a_spans) != sum(n for _, n in b_spans):
         raise ValueError(f"XOR operands of different lengths in {seg}")
-    runs, o = [], 0
+    runs = []
     while a_spans:
-        (a, na), (b, nb) = a_spans.pop(), b_spans.pop()
+        ((sa, a), na), ((sb, b), nb) = a_spans.pop(), b_spans.pop()
         n = min(na, nb)
-        runs.append((a, b, n, o))
+        runs.append((o, (sa, a), (sb, b), n))
         o += n
         if na > n:
-            a_spans.append((a + n, na - n))
+            a_spans.append(((sa, a + n), na - n))
         if nb > n:
-            b_spans.append((b + n, nb - n))
-    return runs
+            b_spans.append(((sb, b + n), nb - n))
+    return tuple(runs)
+
+
+def encode_plan(
+    scheme: DescriptionScheme,
+) -> tuple[tuple[int, tuple[tuple[Run, ...], ...]], ...]:
+    """Compile the layout of ``scheme``: for each description, its bit
+    length and the runs (see :data:`Run`) of each of its segments, in
+    order.  The runs of a description tile it.
+
+    Raises ValueError for a piece outside its stream or an XOR of operands
+    of different lengths.
+    """
+    plan = []
+    for segs in scheme.segments:
+        o, runs = 0, []
+        for seg in segs:
+            runs.append(_runs(scheme.lengths, seg, o))
+            o += seg.size
+        plan.append((o, tuple(runs)))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -525,10 +550,11 @@ class DecodePlan:
 
     The concatenation V1..V7 is cut into *atoms*, atom ``i`` being the bit
     range ``[bounds[i], bounds[i + 1])``; every bit of an atom is recovered
-    or none is.  ``copies`` maps each atom a copy segment carries to the
+    or none is.  ``copies`` maps each atom taken from a copy run to the
     ``(description, offset)`` of its last copy.  ``steps`` are the XOR fills
     ``(target atom, source atom, description, offset)`` in the order they
     happen: the target is the source XOR the description bits at the offset.
+    Only the copies and steps that feed an atom of V1..V_level are kept.
     """
 
     level: int
@@ -549,18 +575,19 @@ def decode_plan(scheme: DescriptionScheme, subset: str) -> DecodePlan:
     level = L1.level_of(subset)
     lengths = scheme.lengths
     offsets = (0, *accumulate(lengths))
+    layout = encode_plan(scheme)
     copied, rules = [], []
     for d in subset_members(subset):
-        o = 0
-        for seg in scheme.segments[d - 1]:
-            if isinstance(seg, Copy):
-                if seg.size:
-                    start = _start(offsets, lengths, seg.piece)
-                    copied.append((start, seg.size, d, o))
-            else:
-                runs = _runs(offsets, lengths, seg)
-                rules.append([(a, b, n, d, o + r) for a, b, n, r in runs])
-            o += seg.size
+        for runs in layout[d - 1][1]:
+            rule = []
+            for o, (s, a), partner, n in runs:
+                if partner is None:
+                    copied.append((offsets[s - 1] + a, n, d, o))
+                else:
+                    b = offsets[partner[0] - 1] + partner[1]
+                    rule.append((offsets[s - 1] + a, b, n, d, o))
+            if rule:
+                rules.append(rule)
 
     # Cut at every stream and piece boundary, then carry each cut across
     # every XOR alignment until no new cut appears.
@@ -617,7 +644,59 @@ def decode_plan(scheme: DescriptionScheme, subset: str) -> DecodePlan:
                 f"decoder {subset} cannot determine stream V{k + 1} "
                 f"under scheme {scheme.label}"
             )
-    return DecodePlan(level, offsets, bounds, copies, tuple(steps))
+
+    # Keep, from the last step back, each step whose target is still
+    # needed: it is the last write of that atom before anything reads it.
+    need = set(range(atom[offsets[level]]))
+    kept = []
+    for t, i, d, o in reversed(steps):
+        if t in need:
+            need.remove(t)
+            need.add(i)
+            kept.append((t, i, d, o))
+    return DecodePlan(
+        level, offsets, bounds,
+        {i: c for i, c in copies.items() if i in need}, tuple(kept[::-1]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Array replays.
+# ---------------------------------------------------------------------------
+
+def encode(scheme: DescriptionScheme, bundle: SourceBundle) -> EncodedDescriptions:
+    """Produce the three description bitstreams for a source bundle."""
+    import numpy as np
+
+    if bundle.lengths != scheme.lengths:
+        raise LengthMismatch(
+            f"bundle lengths {bundle.lengths} do not match scheme "
+            f"lengths {scheme.lengths}"
+        )
+    streams = bundle.streams
+    out = []
+    for nbits, segments in encode_plan(scheme):
+        buf = np.empty(nbits, dtype=np.uint8)
+        for o, (s, a), partner, n in chain.from_iterable(segments):
+            if partner is None:
+                buf[o:o + n] = streams[s - 1][a:a + n]
+            else:
+                sb, b = partner
+                np.bitwise_xor(streams[s - 1][a:a + n],
+                               streams[sb - 1][b:b + n], out=buf[o:o + n])
+        out.append(buf)
+    return EncodedDescriptions(out)
+
+
+def _check_members(subset: str, given: Mapping) -> None:
+    if subset not in SUBSET_MASKS:
+        raise KeyError(f"unknown decoder subset {subset!r}")
+    members = set(subset_members(subset))
+    if set(given) != members:
+        raise ValueError(
+            f"decoder {subset} expects exactly descriptions {members}, "
+            f"got {set(given)}"
+        )
 
 
 def decode(
@@ -634,9 +713,8 @@ def decode(
     schemes.  The streams returned are views of one new buffer; the
     descriptions are only read.
     """
-    if subset not in SUBSET_MASKS:
-        raise KeyError(f"unknown decoder subset {subset!r}")
-    members = subset_members(subset)
+    import numpy as np
+
     if isinstance(available, EncodedDescriptions):
         given = {
             i: available.bits[i - 1]
@@ -645,11 +723,7 @@ def decode(
         }
     else:
         given = {int(i): as_bit_array(b) for i, b in available.items()}
-    if set(given) != set(members):
-        raise ValueError(
-            f"decoder {subset} expects exactly descriptions {set(members)}, "
-            f"got {set(given)}"
-        )
+    _check_members(subset, given)
     dlen = scheme.description_lengths
     for i, arr in given.items():
         if arr.size != dlen[i - 1]:
@@ -670,6 +744,80 @@ def decode(
             buf[src:src + hi - lo], given[d][o:o + hi - lo], out=buf[lo:hi]
         )
     return tuple(buf[offsets[k]:offsets[k + 1]] for k in range(plan.level))
+
+
+# ---------------------------------------------------------------------------
+# Packed replays.
+# ---------------------------------------------------------------------------
+
+def _slicer(data: bytes, nbits: int):
+    """``take(start, n)``: bits ``[start, start + n)`` of the ``nbits``-bit
+    packed blob ``data`` as an int, first bit highest.  Raises
+    :class:`LengthMismatch` unless ``data`` has ceil(nbits/8) bytes."""
+    check_packed(data, nbits)
+
+    def take(start: int, n: int) -> int:
+        lo, hi = start >> 3, (start + n + 7) >> 3
+        value = int.from_bytes(data[lo:hi], "big")
+        return (value >> (8 * hi - start - n)) & ((1 << n) - 1)
+    return take
+
+
+def encode_packed(
+    scheme: DescriptionScheme, data: bytes
+) -> tuple[bytes, bytes, bytes]:
+    """Encode a packed bundle into the three packed descriptions.
+
+    ``data`` holds the streams V1..V7 back to back, as
+    :meth:`SourceBundle.to_packed` writes them; it must have ceil(n/8)
+    bytes for the n bits of the scheme's streams (:class:`LengthMismatch`
+    otherwise), and its padding bits are ignored.  The result equals
+    :func:`pack_bits` of each description :func:`encode` produces.
+    """
+    take = _slicer(data, sum(scheme.lengths))
+    offsets = (0, *accumulate(scheme.lengths))
+    out = []
+    for nbits, segments in encode_plan(scheme):
+        value = 0
+        for _, (s, a), partner, n in chain.from_iterable(segments):
+            x = take(offsets[s - 1] + a, n)
+            if partner is not None:
+                x ^= take(offsets[partner[0] - 1] + partner[1], n)
+            value = (value << n) | x
+        out.append(_int_to_packed(value, nbits))
+    return tuple(out)
+
+
+def decode_packed(
+    scheme: DescriptionScheme, subset: str, available: Mapping[int, bytes]
+) -> tuple[bytes, ...]:
+    """Recover packed streams V1..V_k for a decoder subset (k = its level).
+
+    ``available`` maps exactly the descriptions of ``subset`` to their
+    packed bits, each of ceil(n/8) bytes for its n bits
+    (:class:`LengthMismatch` otherwise); padding bits are ignored.  The
+    result equals :func:`pack_bits` of each stream :func:`decode` returns.
+    """
+    given = {int(i): data for i, data in available.items()}
+    _check_members(subset, given)
+    dlen = scheme.description_lengths
+    take = {i: _slicer(data, dlen[i - 1]) for i, data in given.items()}
+    plan = decode_plan(scheme, subset)
+    bounds = plan.bounds
+    atoms = {
+        i: take[d](o, bounds[i + 1] - bounds[i])
+        for i, (d, o) in plan.copies.items()
+    }
+    for t, i, d, o in plan.steps:
+        atoms[t] = atoms[i] ^ take[d](o, bounds[t + 1] - bounds[t])
+    out, i = [], 0
+    for end, n in zip(plan.offsets[1:plan.level + 1], scheme.lengths):
+        value = 0
+        while bounds[i] < end:
+            value = (value << (bounds[i + 1] - bounds[i])) | atoms[i]
+            i += 1
+        out.append(_int_to_packed(value, n))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

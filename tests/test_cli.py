@@ -437,6 +437,15 @@ def test_literal_digit_limit_follows_python(capsys):
     assert "1" + "0" * 5000 in capsys.readouterr().out
 
 
+def test_csv_that_cannot_be_printed_leaves_stdout_empty():
+    # Each literal fits Python's 4300-digit limit but H_2 does not; the
+    # header and the first rows used to be printed before the failure.
+    h = ",".join(["9e4299"] * 7)
+    code, out, err = run_cli("region", "--h", h, "--emit", "csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_malformed_manifests_and_sidecars_exit_1(bundle_dir):
     encdir = bundle_dir / "enc"
     run_json(

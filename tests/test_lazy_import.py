@@ -1,5 +1,6 @@
-"""numpy loads with the codec only: ``import amld3``, the analysis layers and
-the CLI's analysis commands leave it unloaded; encode loads it.
+"""numpy loads with the codec's array API only: ``import amld3``, the
+analysis layers and every CLI call leave it unloaded, and the analysis
+commands leave the codec module unloaded too.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported numpy.
@@ -62,15 +63,42 @@ def test_analysis_calls_leave_numpy_unloaded(argv, code):
     assert run_probe(*argv) == (code, False, False)
 
 
-def test_encode_loads_numpy(tmp_path):
-    (tmp_path / "streams.bin").write_bytes(b"\xb4\x80")
+@pytest.fixture(scope="module")
+def encoded(tmp_path_factory):
+    """An X5 bundle, its manifest, and its encoding (made in this process)."""
+    from amld3 import cli
+
+    root = tmp_path_factory.mktemp("codec")
+    (root / "streams.bin").write_bytes(b"\xb4\x80")
     manifest = {"lengths": [1, 1, 3, 1, 1, 1, 1], "streams": "streams.bin"}
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    assert run_probe(
-        "encode", "--scheme", "X5",
-        "--manifest", str(tmp_path / "manifest.json"),
-        "--out", str(tmp_path / "enc"),
-    ) == (0, True, True)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    (root / "short.bin").write_bytes(b"\xb4")
+    manifest["streams"] = "short.bin"
+    (root / "short.json").write_text(json.dumps(manifest))
+    manifest["lengths"] = [1, 1, 0, 2, 1, 1, 1]
+    (root / "regime.json").write_text(json.dumps(manifest))
+    assert cli.main(["encode", "--scheme", "X5", "--manifest",
+                     str(root / "manifest.json"), "--out", str(root / "enc")]
+                    ) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(("encode", "--scheme", "X5", "--manifest", "manifest.json"),
+                 0, id="encode"),
+    *(pytest.param(("decode", "--sidecar", "enc/sidecar.json",
+                    "--subset", subset), 0, id=f"decode-{subset}")
+      for subset in ("G1", "G2", "G3", "G12", "G13", "G23", "G123")),
+    pytest.param(("encode", "--scheme", "X5", "--manifest", "regime.json"),
+                 4, id="exit-4"),
+    pytest.param(("encode", "--scheme", "X5", "--manifest", "short.json"),
+                 5, id="exit-5"),
+])
+def test_codec_calls_leave_numpy_unloaded(encoded, tmp_path, argv, code):
+    argv = [str(encoded / a) if a.endswith(".json") else a for a in argv]
+    assert run_probe(*argv, "--out", str(tmp_path / "out")) == (
+        code, False, True
+    )
 
 
 def test_codec_module_resolves_after_bare_import():

@@ -4,10 +4,12 @@ The exact region is checked against the frozen coefficient tables, with
 expected values from direct ``Fraction`` arithmetic on them; no library call
 enters them.  Its corners are checked against the closed-form L1 catalog and
 against the reference Cramer enumerator, on full and pruned regions.
-Plan-based decode is checked against the bit-level decoder on random
-hand-built schemes and random description bits, and every catalog template
-either round-trips a random bundle or refuses its lengths with a documented
-error.
+Plan-based decode, on arrays and on packed bytes, is checked against the
+bit-level decoder on random hand-built schemes and random description bits,
+and every catalog template either round-trips a random bundle or refuses its
+lengths with a documented error.  The packed replays are checked against the
+array replays and the bit-level decoder on every catalog label, with the
+padding bits of their inputs set.
 """
 
 from __future__ import annotations
@@ -19,28 +21,37 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles
 from amld3 import (
+    ALL_SCHEME_LABELS,
     L1,
     TEMPLATES,
     Copy,
     DescriptionScheme,
     EntropyProfile,
+    LengthMismatch,
     OddSplit,
     Ordering,
     Piece,
     RateRegion,
     RegimeMismatch,
+    SourceBundle,
     Unresolvable,
     Xor,
     build_mld_region,
     classify_slacks,
     decode,
+    decode_packed,
     encode,
+    encode_packed,
     enumerate_corners,
     instantiate_scheme,
     label_corners,
+    pack_bits,
     random_bundle,
     restrict,
+    template_name_for_label,
+    unpack_bits,
 )
+from amld3.codec import decode_plan
 from amld3.ordering import SUBSETS, subset_members
 
 F = Fraction
@@ -207,6 +218,15 @@ def _decode_or_unresolvable(fn, scheme, subset, given):
         return "Unresolvable"
 
 
+def _packed_or_unresolvable(scheme, subset, given):
+    packed = {d: pack_bits(bits) for d, bits in given.items()}
+    try:
+        out = decode_packed(scheme, subset, packed)
+    except Unresolvable:
+        return "Unresolvable"
+    return [unpack_bits(b, n).tolist() for b, n in zip(out, scheme.lengths)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(scheme=hand_built_schemes(), data=st.data())
 def test_decode_equals_bit_level_oracle(scheme, data):
@@ -220,9 +240,38 @@ def test_decode_equals_bit_level_oracle(scheme, data):
             enc.append(np.array([(word >> i) & 1 for i in range(n)], np.uint8))
     for subset in SUBSETS:
         given = {d: enc[d - 1] for d in subset_members(subset)}
+        want = _decode_or_unresolvable(_oracles.bit_decode, scheme, subset,
+                                       given)
         assert _decode_or_unresolvable(decode, scheme, subset, given) == (
-            _decode_or_unresolvable(_oracles.bit_decode, scheme, subset, given)
-        ), subset
+            want), subset
+        assert _packed_or_unresolvable(scheme, subset, given) == want, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheme=hand_built_schemes())
+def test_pruned_plan_touches_only_the_reverse_closure(scheme):
+    for subset in SUBSETS:
+        try:
+            plan = decode_plan(scheme, subset)
+        except Unresolvable:
+            continue
+        bounds = plan.bounds
+        required = {i for i in range(len(bounds) - 1)
+                    if bounds[i] < plan.offsets[plan.level]}
+        # Atoms the required ones are computed from, through any step.
+        closure, grew = set(required), True
+        while grew:
+            sources = {i for t, i, _, _ in plan.steps if t in closure}
+            grew = not sources <= closure
+            closure |= sources
+        targets = [t for t, _, _, _ in plan.steps]
+        touched = {*plan.copies, *targets, *(i for _, i, _, _ in plan.steps)}
+        assert touched <= closure, subset
+        # Every atom the plan writes is written once, and every required
+        # atom is written.
+        assert len(set(targets)) == len(targets), subset
+        assert not set(targets) & set(plan.copies), subset
+        assert required <= {*plan.copies, *targets}, subset
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +296,81 @@ def test_catalog_roundtrips_or_refuses_the_lengths(lengths, seed):
             assert len(got) == L1.level_of(subset), (name, subset)
             for want, arr in zip(bundle.streams, got):
                 np.testing.assert_array_equal(arr, want, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# Packed replays against the array replays and the bit-level oracle.
+# ---------------------------------------------------------------------------
+
+def _bits(word: int, n: int) -> np.ndarray:
+    return np.array([(word >> i) & 1 for i in range(n)], np.uint8)
+
+
+def _blob(bits, pad: int, resize: int) -> bytes:
+    """``pack_bits(bits)`` with nonzero padding bits taken from ``pad``,
+    then one byte longer (resize > 0) or shorter (resize < 0)."""
+    data = bytearray(pack_bits(bits))
+    if bits.size % 8:
+        data[-1] |= pad & ((1 << (-bits.size % 8)) - 1) or 1
+    if resize > 0:
+        data.append(pad)
+    elif resize < 0:
+        data = data[:-1] if data else data + b"\0\0"
+    return bytes(data)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (RegimeMismatch, OddSplit, LengthMismatch) as e:
+        return type(e)
+
+
+def _array_encode(template, lengths, blob):
+    scheme = instantiate_scheme(template, lengths)
+    bundle = SourceBundle.from_packed(blob, lengths)
+    return tuple(pack_bits(b) for b in encode(scheme, bundle).bits)
+
+
+def _packed_encode(template, lengths, blob):
+    return encode_packed(instantiate_scheme(template, lengths), blob)
+
+
+def _oracle_decode(scheme, subset, blobs):
+    dlen = scheme.description_lengths
+    given = {d: unpack_bits(b, dlen[d - 1]) for d, b in blobs.items()}
+    return tuple(pack_bits(s) for s in _oracles.bit_decode(scheme, subset,
+                                                           given))
+
+
+RESIZE = st.sampled_from((0, 0, 0, 0, 1, -1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    label=st.sampled_from(ALL_SCHEME_LABELS),
+    lengths=st.lists(st.integers(0, 24), min_size=7, max_size=7),
+    data=st.data(),
+)
+def test_packed_replays_equal_array_replays_and_oracle(label, lengths, data):
+    template = TEMPLATES[template_name_for_label(label)]
+    total = sum(lengths)
+    bits = _bits(data.draw(st.integers(0, 2**total - 1)), total)
+    blob = _blob(bits, data.draw(st.integers(1, 255)), data.draw(RESIZE))
+    got = _outcome(_packed_encode, template, lengths, blob)
+    assert got == _outcome(_array_encode, template, lengths, blob)
+    if not isinstance(got, tuple):
+        return
+    scheme = instantiate_scheme(template, lengths)
+    dlen = scheme.description_lengths
+    if data.draw(st.booleans(), label="random description bits"):
+        got = tuple(pack_bits(_bits(data.draw(st.integers(0, 2**n - 1)), n))
+                    for n in dlen)
+    for subset in SUBSETS:
+        blobs = {
+            d: _blob(unpack_bits(got[d - 1], dlen[d - 1]),
+                     data.draw(st.integers(1, 255)), data.draw(RESIZE))
+            for d in subset_members(subset)
+        }
+        assert _outcome(decode_packed, scheme, subset, blobs) == (
+            _outcome(_oracle_decode, scheme, subset, blobs)), subset
