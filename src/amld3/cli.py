@@ -243,7 +243,9 @@ def cmd_encode(args) -> None:
     if not stream_path.is_absolute():
         stream_path = base / stream_path
     data = stream_path.read_bytes()
-    codec.check_packed(data, sum(lengths))  # exit 5 before a regime's 4
+    # A wrong byte count exits 5 even where the lengths also miss the
+    # template's regime (4).
+    codec.check_packed(data, sum(lengths))
     scheme = codec.instantiate_scheme(template, lengths)
     descriptions = codec.encode_packed(scheme, data)
     outdir = Path(args.out)
@@ -288,7 +290,8 @@ def cmd_decode(args) -> None:
         if not path.is_absolute():
             path = base / path
         available[i] = path.read_bytes()
-        codec.check_packed(available[i], bits[i - 1])  # before the next read
+        # Checked before the next file is read, which may not exist.
+        codec.check_packed(available[i], bits[i - 1])
     streams = codec.decode_packed(scheme, subset, available)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -689,6 +689,7 @@ def encode(scheme: DescriptionScheme, bundle: SourceBundle) -> EncodedDescriptio
 
 
 def _check_members(subset: str, given: Mapping) -> None:
+    """Raise unless ``given`` holds exactly the descriptions of ``subset``."""
     if subset not in SUBSET_MASKS:
         raise KeyError(f"unknown decoder subset {subset!r}")
     members = set(subset_members(subset))
