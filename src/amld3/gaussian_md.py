@@ -354,13 +354,13 @@ class GapReport:
 
 def facet_gap(D: DistortionVector) -> GapReport:
     """Distances between matching inner and outer planes (see GapReport)."""
-    inner = inner_bound(D)
-    outer = outer_bound(D)
-    gap = {}
-    for ci, co in zip(inner.constraints, outer.constraints):
-        suffix = ci.tag.split("-", 1)[1]
-        norm = math.sqrt(sum(x * x for x in ci.a))
-        gap[suffix] = (ci.b - co.b) / norm
+    _, _, offsets = _inner_offsets(D)
+    gap = {
+        suffix: (b - bo) / math.sqrt(sum(x * x for x in a))
+        for (suffix, a), b, bo in zip(
+            CONSTRAINT_ROWS, offsets, map(sub, offsets, _SLACK)
+        )
+    }
     return GapReport(
         singles=max(gap["1.1"], gap["1.2"], gap["1.3"]),
         pairs=max(gap["2.12"], gap["2.13"], gap["2.23"]),

@@ -13,17 +13,17 @@ streams it must reproduce — subject to two axioms:
   (ii) S strictly contained in T implies level(S) < level(T): receiving more
        descriptions can only help.
 
-Exactly eight assignments satisfy both axioms; :func:`enumerate_orderings`
-lists them in a fixed documented order, with the fully alternating ordering
+Both axioms are written once, as the (earlier, later) subset pairs of
+``_AXIOM_PAIRS``.  The eight assignments that satisfy them are built once
+from those pairs; :func:`enumerate_orderings` lists them in a fixed
+documented order, with the fully alternating ordering
 L1 = (G1, G2, G3, G12, G13, G23, G123) first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import permutations
-from typing import Mapping
+from typing import Iterator, Mapping
 
 SUBSETS: tuple[str, ...] = ("G1", "G2", "G3", "G12", "G13", "G23", "G123")
 """All decoder subsets in canonical order (by size, then description index)."""
@@ -34,7 +34,6 @@ SUBSET_MASKS: Mapping[str, int] = {
 """Bitmask of each subset: description i contributes bit i-1."""
 
 _MASK_TO_SUBSET = {m: s for s, m in SUBSET_MASKS.items()}
-_CANON_INDEX = {s: i for i, s in enumerate(SUBSETS)}
 
 
 class OrderingError(ValueError):
@@ -59,11 +58,6 @@ class MonotonicityViolated(OrderingError):
         )
 
 
-def subset_mask(subset: str) -> int:
-    """Bitmask of a subset name (raises KeyError on unknown names)."""
-    return SUBSET_MASKS[subset]
-
-
 def subset_members(subset: str) -> tuple[int, ...]:
     """Description indices (1-based) contained in the subset."""
     mask = SUBSET_MASKS[subset]
@@ -75,28 +69,51 @@ def union(a: str, b: str) -> str:
     return _MASK_TO_SUBSET[SUBSET_MASKS[a] | SUBSET_MASKS[b]]
 
 
+_CHAIN = (("G1", "G2"), ("G2", "G3"))
+_AXIOM_PAIRS = _CHAIN + tuple(
+    (s, t) for s in SUBSETS for t in SUBSETS if s != t and union(s, t) == t
+)
+"""The axioms as (earlier, later) pairs: the chain (i), then every proper
+containment (ii), in canonical order."""
+
+
+def _is_bijective(levels: Mapping[str, int]) -> bool:
+    """Whether ``levels`` maps the 7 subsets one-to-one onto 1..7."""
+    return (
+        set(levels.keys()) == set(SUBSETS)
+        and sorted(levels.values()) == list(range(1, 8))
+    )
+
+
 def _check_levels(levels: Mapping[str, int]) -> None:
-    if set(levels.keys()) != set(SUBSETS) or sorted(levels.values()) != list(
-        range(1, 8)
-    ):
+    """Raise for the first failed axiom: bijectivity, then each pair."""
+    if not _is_bijective(levels):
         raise NotBijective(
             "an ordering must assign each of the 7 decoder subsets a "
             f"distinct level in 1..7, got {dict(levels)!r}"
         )
-    if not (levels["G1"] < levels["G2"] < levels["G3"]):
-        raise SinglesOutOfOrder(
-            "single-description levels must satisfy "
-            f"L(G1) < L(G2) < L(G3), got {levels['G1']}, {levels['G2']}, "
-            f"{levels['G3']}"
-        )
-    for small in SUBSETS:
-        for large in SUBSETS:
-            ms, ml = SUBSET_MASKS[small], SUBSET_MASKS[large]
-            if small != large and ms & ml == ms:
-                if levels[small] >= levels[large]:
-                    raise MonotonicityViolated(
-                        small, large, levels[small], levels[large]
-                    )
+    for small, large in _AXIOM_PAIRS:
+        if levels[small] < levels[large]:
+            continue
+        if (small, large) in _CHAIN:
+            raise SinglesOutOfOrder(
+                "single-description levels must satisfy "
+                f"L(G1) < L(G2) < L(G3), got {levels['G1']}, "
+                f"{levels['G2']}, {levels['G3']}"
+            )
+        raise MonotonicityViolated(small, large, levels[small], levels[large])
+
+
+def _linear_extensions(placed: tuple = ()) -> Iterator[tuple[str, ...]]:
+    """Every level sequence that puts each axiom pair in order, extending
+    ``placed``.  Each level tries the subsets in canonical order, so the
+    sequences come out lexicographic in canonical subset index."""
+    if len(placed) == len(SUBSETS):
+        yield placed
+    for s in SUBSETS:
+        ready = all(a in placed for a, b in _AXIOM_PAIRS if b == s)
+        if ready and s not in placed:
+            yield from _linear_extensions(placed + (s,))
 
 
 @dataclass(frozen=True)
@@ -110,12 +127,9 @@ class Ordering:
     by_level: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        levels = {s: i + 1 for i, s in enumerate(self.by_level)}
         if len(self.by_level) != 7:
-            raise NotBijective(
-                f"expected 7 subsets, got {len(self.by_level)}"
-            )
-        _check_levels(levels)
+            raise NotBijective(f"expected 7 subsets, got {len(self.by_level)}")
+        _check_levels(self.levels)
 
     @property
     def levels(self) -> dict[str, int]:
@@ -125,7 +139,7 @@ class Ordering:
     @property
     def index(self) -> int:
         """Stable identifier 1..8 (position in :func:`enumerate_orderings`)."""
-        return _ordering_index()[self.by_level]
+        return _INDEX[self.by_level]
 
     def level_of(self, subset: str) -> int:
         """Level assigned to a decoder subset."""
@@ -148,45 +162,35 @@ class Ordering:
         return "<" + ", ".join(self.by_level) + ">"
 
 
+# The eight admissible orderings, by level sequence and in documented order.
+_BY_LEVEL = {seq: Ordering(seq) for seq in _linear_extensions()}
+_ORDERINGS = tuple(_BY_LEVEL.values())
+_INDEX = {seq: i for i, seq in enumerate(_BY_LEVEL, start=1)}
+
+
 def validate_ordering(assignment: Mapping[str, int]) -> Ordering:
-    """Build an :class:`Ordering` from a subset -> level mapping.
+    """The :class:`Ordering` of a subset -> level mapping.
 
     Raises :class:`NotBijective`, :class:`SinglesOutOfOrder`, or
     :class:`MonotonicityViolated` on the first failed axiom.
     """
-    _check_levels(assignment)
-    by_level = tuple(
-        s for s, _ in sorted(assignment.items(), key=lambda kv: kv[1])
-    )
-    return Ordering(by_level)
+    found = None
+    if _is_bijective(assignment):
+        found = _BY_LEVEL.get(tuple(sorted(assignment, key=assignment.get)))
+    if found is None:
+        _check_levels(assignment)  # a miss fails an axiom: name it
+    return found
 
 
 def enumerate_orderings() -> tuple[Ordering, ...]:
     """All admissible orderings in the documented order (L1 first).
 
     The order is lexicographic in the canonical subset indices of the level
-    sequence, which is exactly what filtering ``itertools.permutations`` of
-    the canonically sorted subsets produces.
+    sequence.  The eight rows are built once per process, as the linear
+    extensions of the axiom pairs; :func:`validate_ordering` and
+    :func:`ordering_from_json` return these same instances.
     """
-    return _all_orderings()
-
-
-@cache
-def _all_orderings() -> tuple[Ordering, ...]:
-    found = []
-    for seq in permutations(SUBSETS):
-        try:
-            _check_levels({s: i + 1 for i, s in enumerate(seq)})
-        except OrderingError:
-            continue
-        found.append(Ordering(seq))
-    found.sort(key=lambda o: tuple(_CANON_INDEX[s] for s in o.by_level))
-    return tuple(found)
-
-
-@cache
-def _ordering_index() -> dict[tuple[str, ...], int]:
-    return {o.by_level: i + 1 for i, o in enumerate(_all_orderings())}
+    return _ORDERINGS
 
 
 def _json_int(value, what: str) -> int:
@@ -221,5 +225,5 @@ def ordering_from_json(obj: Mapping) -> Ordering:
     raise NotBijective("expected a 'levels' mapping or an 'ordering' index")
 
 
-L1: Ordering = Ordering(("G1", "G2", "G3", "G12", "G13", "G23", "G123"))
+L1: Ordering = _BY_LEVEL[("G1", "G2", "G3", "G12", "G13", "G23", "G123")]
 """The fully alternating ordering (first row of :func:`enumerate_orderings`)."""

@@ -30,11 +30,6 @@ class NegativeEntropy(ValueError):
     """A layer entropy was negative."""
 
 
-def as_fraction(x) -> Fraction:
-    """Exact rational from int, str ('3', '27/2', '0.5'), Fraction, or float."""
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class EntropyProfile:
     """Layer entropies h_1..h_7 as exact non-negative rationals."""
@@ -42,7 +37,7 @@ class EntropyProfile:
     h: tuple[Fraction, ...]
 
     def __init__(self, h: Iterable) -> None:
-        vals = tuple(as_fraction(x) for x in h)
+        vals = tuple(map(Fraction, h))
         if len(vals) != 7:
             raise ValueError(f"expected 7 layer entropies, got {len(vals)}")
         for i, v in enumerate(vals):
@@ -133,7 +128,7 @@ class RateRegion:
             normals = None
         if normals != tuple(c.a for c in constraints):
             raise ValueError("the normals of a RateRegion must be integers")
-        b = [as_fraction(c.b) for c in constraints]
+        b = [Fraction(c.b) for c in constraints]
         q = lcm(*(x.denominator for x in b))
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "planes", (*normals, *AXES))
@@ -292,7 +287,7 @@ def contains(region: RateRegion, rates: Sequence) -> bool:
     With ``R = n / p`` over the rates' common denominator ``p``, every
     integer row, coordinate planes included, must have q a . n >= p q b.
     """
-    r = tuple(as_fraction(x) for x in rates)
+    r = tuple(map(Fraction, rates))
     if len(r) != 3:
         raise ValueError("expected 3 rates")
     p = lcm(*(x.denominator for x in r))
@@ -325,7 +320,7 @@ def classify_slacks(
 
 def tight_constraints(region: RateRegion, rates: Sequence) -> tuple[str, ...]:
     """Tags of the constraints met with equality at the given point."""
-    r = tuple(as_fraction(x) for x in rates)
+    r = tuple(map(Fraction, rates))
     return tuple(classify_slacks(region.constraints, r)[0])
 
 
@@ -413,8 +408,8 @@ def label_corners(
     for lbl, rates in _catalog_rates(profile).items():
         table.setdefault(tuple(rates), []).append(lbl)
     return tuple(
-        replace(c, label="+".join(table[c.rates]))
-        if c.rates in table else c
+        replace(c, label="+".join(labels))
+        if (labels := table.get(c.rates)) else c
         for c in corners
     )
 
@@ -424,7 +419,7 @@ def label_corners(
 # ---------------------------------------------------------------------------
 
 def _rat_str(x) -> str:
-    return str(as_fraction(x))
+    return str(Fraction(x))
 
 
 def corner_json_dict(corner: CornerPoint) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _oracles
 from amld3 import pack_bits, unpack_bits
 
 DYADIC = "0.5,0.25,0.125,0.0625,0.03125,0.015625,0.0078125"
@@ -550,6 +552,55 @@ def test_output_is_byte_deterministic():
         _, out1, _ = run_cli(*args)
         _, out2, _ = run_cli(*args)
         assert out1 == out2
+
+
+# One profile per L1 regime: I (h3 >= h4 + h5), II (h3 >= h4), III.
+GOLDEN_PROFILES = ("1,1,2,1,1,1,1", "1,1,1,1,1,1,1", "1,1,1,2,1,1,1")
+# Normalizes D_G13 to D_G3 and induces ordering 7 (G12 before G3).
+MESSY = "0.9,0.8,0.7,0.75,0.72,0.5,0.1"
+
+
+def _golden_argvs():
+    orderings = [str(n) for n in range(1, 9)] + [
+        json.dumps({"levels": {s: k + 1 for k, s in enumerate(row)}})
+        for row in _oracles.ORDERING_ROWS
+    ]
+    for h in GOLDEN_PROFILES:
+        for o in orderings:
+            for cmd in ("region", "corners"):
+                for emit in ("json", "csv"):
+                    yield [cmd, "--ordering", o, "--h", h, "--emit", emit]
+            yield ["check", "--ordering", o, "--h", h, "--rates", "3,9/2,6"]
+    for D in (DYADIC, MESSY):
+        for emit in ("json", "csv"):
+            yield ["md-bounds", "--D", D, "--emit", emit]
+            yield ["md-bounds", "--D", D, "--d", MATCHED, "--emit", emit]
+            yield ["gap", "--D", D, "--emit", emit]
+        for which in ("inner", "outer", "parametric"):
+            yield ["check", "--D", D, "--which", which, "--d", MATCHED,
+                   "--rates", "1,2.5,3"]
+    yield ["check", "--rates", "1,2,3"]  # exit 1: neither --h nor --D
+    yield ["region", "--ordering", "9", "--h", GOLDEN_PROFILES[0]]  # exit 2
+    yield ["region", "--h", "1,1,-1,1,1,1,1"]  # exit 3
+    yield ["gap", "--D", DYADIC.replace("0.5", "1.5", 1)]  # exit 6
+
+
+# sha256 over (argv, exit code, stdout) of each call above: it pins the
+# CLI's output byte for byte, so change it only with an intended output change.
+GOLDEN_DIGEST = (
+    "645519c5975de18d8fd6f906da2630e9f93d82c82f4eae89b1fbb456144093bd"
+)
+
+
+def test_cli_output_matches_golden_digest(capsys):
+    from amld3 import cli
+
+    digest = hashlib.sha256()
+    for argv in _golden_argvs():
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        digest.update(json.dumps([argv, code, out]).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),

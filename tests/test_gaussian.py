@@ -11,6 +11,7 @@ from amld3 import (
     BoundSet,
     DistortionRangeError,
     DistortionVector,
+    GapReport,
     NoiseParams,
     NonMonotoneNoise,
     NotNormalized,
@@ -237,12 +238,27 @@ def test_capping_a_pair_reorders_the_levels():
 def test_gap_constants_are_distortion_independent():
     rng = random.Random(123)
     for _ in range(25):
-        g = facet_gap(_random_l1_targets(rng))
+        D = _random_l1_targets(rng)
+        g = facet_gap(D)
         assert g.singles == pytest.approx(0.0, abs=TOL)
         assert g.pairs == pytest.approx(1.0 / math.sqrt(2.0), abs=TOL)
         assert g.weighted_triples == pytest.approx(3.0 / math.sqrt(6.0), abs=TOL)
         assert g.sum_rate[0] == pytest.approx(2.0 / math.sqrt(3.0), abs=TOL)
         assert g.sum_rate[1] == pytest.approx(4.5 / math.sqrt(3.0), abs=TOL)
+        # Bit for bit the distances between the two bound sets' planes.
+        gap = {
+            ci.tag.split("-", 1)[1]:
+                (ci.b - co.b) / math.sqrt(sum(x * x for x in ci.a))
+            for ci, co in zip(
+                inner_bound(D).constraints, outer_bound(D).constraints
+            )
+        }
+        assert g == GapReport(
+            singles=max(gap["1.1"], gap["1.2"], gap["1.3"]),
+            pairs=max(gap["2.12"], gap["2.13"], gap["2.23"]),
+            weighted_triples=max(gap["3.1"], gap["3.2"], gap["3.3"]),
+            sum_rate=(gap["4"], gap["5"]),
+        )
 
 
 def test_gap_report_dict_shape():

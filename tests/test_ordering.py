@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
 import _oracles
@@ -113,6 +115,32 @@ def test_single_above_its_pair_is_rejected():
     }
     with pytest.raises(MonotonicityViolated):
         validate_ordering(levels)
+
+
+def test_every_permutation_is_found_or_names_its_first_failed_axiom():
+    rows = enumerate_orderings()
+    masks = _oracles.MASKS
+    accepted = 0
+    for seq in permutations(SUBSETS):
+        levels = {s: k for k, s in enumerate(seq, start=1)}
+        if _oracles.level_sequence_is_admissible(seq):
+            o = validate_ordering(levels)
+            assert o.by_level == seq == _oracles.ORDERING_ROWS[o.index - 1]
+            assert o is rows[o.index - 1]
+            accepted += 1
+        elif not levels["G1"] < levels["G2"] < levels["G3"]:
+            with pytest.raises(SinglesOutOfOrder):
+                validate_ordering(levels)
+        else:
+            first = next(
+                (a, b) for a in SUBSETS for b in SUBSETS
+                if a != b and masks[a] | masks[b] == masks[b]
+                and levels[a] >= levels[b]
+            )
+            with pytest.raises(MonotonicityViolated) as err:
+                validate_ordering(levels)
+            assert err.value.offending == first
+    assert accepted == 8
 
 
 def test_ordering_value_object_semantics():
