@@ -32,7 +32,6 @@ from operator import sub
 from typing import Mapping, Sequence
 
 from .ordering import (
-    SUBSET_MASKS,
     SUBSETS,
     Ordering,
     union,
@@ -64,6 +63,13 @@ class NonMonotoneNoise(ValueError):
     """Noise parameters must satisfy d_1 >= ... >= d_6 >= d_7 = 0."""
 
 
+# Canonical position of each subset, and of each subset's nonempty subsets.
+_POSITION = {s: i for i, s in enumerate(SUBSETS)}
+_SUB_POSITIONS = tuple(
+    tuple(_POSITION[t] for t in SUBSETS if union(t, s) == s) for s in SUBSETS
+)
+
+
 @dataclass(frozen=True)
 class DistortionVector:
     """Distortion targets for the 7 decoders, in canonical subset order."""
@@ -88,7 +94,10 @@ class DistortionVector:
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, subset: str) -> float:
-        return self.values[SUBSETS.index(subset)]
+        try:
+            return self.values[_POSITION[subset]]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown decoder subset {subset!r}") from None
 
     def as_dict(self) -> dict[str, float]:
         return {s: v for s, v in zip(SUBSETS, self.values)}
@@ -96,18 +105,15 @@ class DistortionVector:
 
 def normalize_distortions(D: DistortionVector) -> DistortionVector:
     """Effective targets: D~_S = min over nonempty T <= S of D_T."""
-    by_mask = {SUBSET_MASKS[s]: D[s] for s in SUBSETS}
-    out = []
-    for s in SUBSETS:
-        m = SUBSET_MASKS[s]
-        out.append(min(v for t, v in by_mask.items() if t & m == t))
-    return DistortionVector(out)
+    v = D.values
+    return DistortionVector([min(v[j] for j in subs) for subs in _SUB_POSITIONS])
 
 
 def induced_ordering(Dn: DistortionVector) -> Ordering:
     """Decoder ordering induced by normalized targets.
 
-    Levels follow decreasing D~ with ties broken by canonical subset order.
+    Levels follow decreasing D~; ``sorted`` is stable, so ties keep
+    canonical subset order.
     Raises :class:`NotNormalized` if the input is not normalized and
     :class:`~.ordering.SinglesOutOfOrder` if the single-description targets
     are not sorted (D_G1 >= D_G2 >= D_G3 is required; relabeling
@@ -118,9 +124,12 @@ def induced_ordering(Dn: DistortionVector) -> Ordering:
             "distortion targets must be normalized first "
             "(see normalize_distortions)"
         )
-    ranked = sorted(
-        SUBSETS, key=lambda s: (-Dn[s], SUBSETS.index(s))
-    )
+    return _ranked_ordering(Dn)
+
+
+def _ranked_ordering(Dn: DistortionVector) -> Ordering:
+    """:func:`induced_ordering` of targets the caller has just normalized."""
+    ranked = sorted(SUBSETS, key=lambda s: -Dn[s])
     return validate_ordering({s: i + 1 for i, s in enumerate(ranked)})
 
 
@@ -177,7 +186,7 @@ def _inner_offsets(D: DistortionVector):
     """Normalized targets, their ordering, and the inner offsets: the
     region's generator at r(S) = (1/2) log2(1/D~_S)."""
     Dn = normalize_distortions(D)
-    o = induced_ordering(Dn)
+    o = _ranked_ordering(Dn)
     r = {s: 0.5 * math.log2(1.0 / Dn[s]) for s in SUBSETS}
     return Dn, o, constraint_offsets(r)
 
@@ -246,7 +255,7 @@ def parametric_outer_bound(
     row-by-row.
     """
     Dn = normalize_distortions(D)
-    o = induced_ordering(Dn)
+    o = _ranked_ordering(Dn)
     lv = o.levels
     d = noise.at_level
     lg = math.log2

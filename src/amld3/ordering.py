@@ -79,10 +79,11 @@ containment (ii), in canonical order."""
 
 def _is_bijective(levels: Mapping[str, int]) -> bool:
     """Whether ``levels`` maps the 7 subsets one-to-one onto 1..7."""
-    return (
-        set(levels.keys()) == set(SUBSETS)
-        and sorted(levels.values()) == list(range(1, 8))
-    )
+    try:
+        values = sorted(levels.values())
+    except TypeError:  # a level not comparable with an int is no level
+        return False
+    return set(levels.keys()) == set(SUBSETS) and values == list(range(1, 8))
 
 
 def _check_levels(levels: Mapping[str, int]) -> None:

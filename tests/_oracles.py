@@ -5,6 +5,8 @@ the library implementation, so that tests compare two routes to the same
 answer:
 
 * a frozen table of the eight admissible level orderings;
+* a normalizer of Gaussian distortion targets over subset bitmasks, and a
+  ranker that counts, for each decoder, the decoders ranked ahead of it;
 * the coefficient tables of the eleven region inequalities for each of the
   eight orderings, expressed over the layer entropies (h_1, ..., h_7);
 * closed-form corner coordinates for the three regimes of the first ordering;
@@ -72,6 +74,29 @@ def brute_force_level_sequences():
     ]
     found.sort(key=lambda seq: tuple(idx[s] for s in seq))
     return tuple(found)
+
+
+def normalize_targets(values):
+    """D~_S = min of D_T over the nonempty masks T with no bit outside S,
+    for seven targets in canonical subset order."""
+    by_mask = {MASKS[s]: v for s, v in zip(SUBSETS, values)}
+    return tuple(
+        min(by_mask[m] for m in range(1, 8) if m & ~MASKS[s] == 0)
+        for s in SUBSETS
+    )
+
+
+def rank_targets(normalized):
+    """Level sequence of normalized targets, by counting: the level of S is
+    one plus the number of subsets whose target is larger, or equal and
+    earlier in canonical order."""
+    seq = [None] * 7
+    for i, (s, v) in enumerate(zip(SUBSETS, normalized)):
+        ahead = sum(
+            1 for j, w in enumerate(normalized) if w > v or (w == v and j < i)
+        )
+        seq[ahead] = s
+    return tuple(seq)
 
 
 # Coefficients of the eleven inequalities of the first ordering, written as

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -63,6 +64,8 @@ def test_distortion_vector_range_checks():
         DistortionVector([0.5] * 6)
     with pytest.raises(KeyError):
         DistortionVector({s: 0.5 for s in SUBSETS[:-1]})
+    with pytest.raises(ValueError, match="G4"):
+        DistortionVector([0.5] * 7)["G4"]
 
 
 def test_normalization_takes_minimum_over_subsubsets():
@@ -270,6 +273,58 @@ def test_gap_report_dict_shape():
     assert d["(1,1,1)"] == [g.sum_rate[0], g.sum_rate[1]]
     assert d["(1,1,1)_reference"] == SUM_RATE_GAP_BOUND
     assert SUM_RATE_GAP_BOUND == pytest.approx(9.0 / (4.0 * math.sqrt(3.0)))
+
+
+# ---------------------------------------------------------------------------
+# Golden floats.
+# ---------------------------------------------------------------------------
+
+def _digest_targets(count: int, seed: int):
+    """Seeded targets over all 8 orderings: per-level ratios that tie, that
+    reach 1e-12, or lie in [0.4, 0.95], a level-1 target of 1 in a quarter
+    of the draws, and un-normalized pair and triple targets in half."""
+    rng = random.Random(seed)
+    rows = enumerate_orderings()
+    for i in range(count):
+        o = rows[i % len(rows)]
+        v = 1.0 if rng.random() < 0.25 else rng.uniform(0.5, 1.0)
+        vals = {}
+        for level in range(1, 8):
+            kind = rng.randrange(3) if level > 1 else 0  # 0 keeps v: a tie
+            if kind == 1:
+                v *= 10.0 ** -rng.uniform(0.0, 12.0)
+            elif kind == 2:
+                v *= rng.uniform(0.4, 0.95)
+            vals[o.inverse_level(level)] = v
+        if rng.random() < 0.5:
+            for s in SUBSETS[3:]:
+                if rng.random() < 0.5:
+                    vals[s] = rng.uniform(vals[s], 1.0)
+        yield DistortionVector(vals)
+
+
+# sha256 of the repr of every inner, outer and matched parametric offset and
+# every facet_gap value over _digest_targets(2000, 1010): pins the floats bit
+# for bit, where the CLI golden digest sees 12 significant digits.
+FLOAT_DIGEST = (
+    "94f97447134bc26d3692a99f8f58da5956d88bae28e8ffd850eb3f7fd793e417"
+)
+
+
+def test_bound_floats_match_golden_digest():
+    digest = hashlib.sha256()
+    for D in _digest_targets(2000, 1010):
+        Dn = normalize_distortions(D)
+        noise = NoiseParams.matched(Dn, induced_ordering(Dn))
+        for bound in (
+            inner_bound(D), outer_bound(D), parametric_outer_bound(D, noise)
+        ):
+            for c in bound.constraints:
+                digest.update(repr(c.b).encode())
+        g = facet_gap(D)
+        for x in (g.singles, g.pairs, g.weighted_triples, *g.sum_rate):
+            digest.update(repr(x).encode())
+    assert digest.hexdigest() == FLOAT_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,10 @@ def test_not_bijective_out_of_range_level():
     levels["G123"] = 9
     with pytest.raises(NotBijective):
         validate_ordering(levels)
+    # A level that cannot be compared with an int is not a level either.
+    for bad in (None, "1", [1]):
+        with pytest.raises(NotBijective, match="distinct level in 1..7"):
+            validate_ordering(dict(L1.levels, G1=bad))
 
 
 def test_singles_out_of_order():

@@ -9,7 +9,9 @@ bit-level decoder on random hand-built schemes and random description bits,
 and every catalog template either round-trips a random bundle or refuses its
 lengths with a documented error.  The packed replays are checked against the
 array replays and the bit-level decoder on every catalog label, with the
-padding bits of their inputs set.
+padding bits of their inputs set.  Gaussian targets are normalized and
+ranked as the oracle's normalizer and ranker do, and the matched-noise
+parametric bound dominates the fixed-slack outer bound on all of them.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from amld3 import (
     TEMPLATES,
     Copy,
     DescriptionScheme,
+    DistortionVector,
     EntropyProfile,
     LengthMismatch,
+    NoiseParams,
     OddSplit,
     Ordering,
     Piece,
@@ -43,9 +47,13 @@ from amld3 import (
     encode,
     encode_packed,
     enumerate_corners,
+    induced_ordering,
     instantiate_scheme,
     label_corners,
+    normalize_distortions,
+    outer_bound,
     pack_bits,
+    parametric_outer_bound,
     random_bundle,
     restrict,
     template_name_for_label,
@@ -374,3 +382,45 @@ def test_packed_replays_equal_array_replays_and_oracle(label, lengths, data):
         }
         assert _outcome(decode_packed, scheme, subset, blobs) == (
             _outcome(_oracle_decode, scheme, subset, blobs)), subset
+
+
+# Per-level distortion ratios: ties, criterion 7's range, and down to 1e-12.
+RATIOS = st.one_of(
+    st.just(1.0),
+    st.floats(0.4, 0.95),
+    st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+)
+
+
+@st.composite
+def distortion_targets(draw):
+    """Targets that follow one of the 8 orderings level by level, starting
+    at D = 1 or below, with some pair and triple targets raised so that
+    normalization has something to cap."""
+    row = draw(st.sampled_from(_oracles.ORDERING_ROWS))
+    v = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+    vals = {}
+    for k, s in enumerate(row):
+        if k:
+            v *= draw(RATIOS)
+        vals[s] = v
+    for s in SUBSETS[3:]:
+        if draw(st.booleans()):
+            vals[s] = draw(st.floats(vals[s], 1.0))
+    return [vals[s] for s in SUBSETS]
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=distortion_targets())
+def test_normalized_targets_ranking_and_parametric_dominance(values):
+    D = DistortionVector(values)
+    Dn = normalize_distortions(D)
+    assert Dn.values == _oracles.normalize_targets(values)
+    o = induced_ordering(Dn)
+    assert o.by_level == _oracles.rank_targets(Dn.values)
+    # Criterion 7 on the whole domain: at matched noise the parametric
+    # converse sits above the fixed-slack outer bound, row by row.
+    po = parametric_outer_bound(D, NoiseParams.matched(Dn, o))
+    for cp, co in zip(po.constraints, outer_bound(D).constraints):
+        assert cp.a == co.a
+        assert cp.b >= co.b - 1e-9, (cp.tag, cp.b, co.b)
