@@ -1,9 +1,9 @@
 """Rate regions, corner-point codecs, and Gaussian distortion bounds for
 3-description multilevel diversity coding.
 
-The package has three layers:
+The package has three layers over a shared vocabulary,
+:mod:`amld3.ordering` (the eight admissible decoder orderings):
 
-* :mod:`amld3.ordering` — the eight admissible decoder orderings;
 * :mod:`amld3.rate_region` — exact polyhedral rate regions, corner
   enumeration, and the corner/scheme catalog of the L1 ordering;
 * :mod:`amld3.codec` — bit-exact encoders/decoders for every catalog
@@ -87,7 +87,6 @@ __version__ = "0.1.0"
 _CODEC_NAMES = (
     "ALL_SCHEME_LABELS",
     "TEMPLATES",
-    "Copy",
     "DescriptionScheme",
     "EncodedDescriptions",
     "LengthMismatch",

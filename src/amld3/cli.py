@@ -152,10 +152,17 @@ def _parse_noise(spec: str) -> gaussian_md.NoiseParams:
     return gaussian_md.NoiseParams([float(p.strip()) for p in spec.split(",")])
 
 
-def _labeled_corners(region, profile):
+def _region(args) -> rate_region.RateRegion:
+    """The region of ``--ordering`` and ``--h``, parsed in that order, so
+    that a bad ordering exits 2 before a bad profile can exit 3."""
+    o = _parse_ordering(args.ordering)
+    return rate_region.build_mld_region(o, _parse_profile(args.h))
+
+
+def _labeled_corners(region):
     corners = rate_region.enumerate_corners(region)
     if region.ordering == ordering.L1:
-        corners = rate_region.label_corners(corners, profile)
+        corners = rate_region.label_corners(corners, region.profile)
     return corners
 
 
@@ -164,24 +171,18 @@ def _labeled_corners(region, profile):
 # ---------------------------------------------------------------------------
 
 def cmd_region(args) -> None:
-    o = _parse_ordering(args.ordering)
-    e = _parse_profile(args.h)
-    region = rate_region.build_mld_region(o, e)
-    corners = _labeled_corners(region, e)
+    region = _region(args)
     if args.emit == "csv":
         rows = [("tag", "a1", "a2", "a3", "b")]
         for c in region.constraints:
             rows.append((c.tag, *(int(x) for x in c.a), c.b))
         _emit_csv(rows)
         return
-    _emit_json(rate_region.region_json_dict(region, corners))
+    _emit_json(rate_region.region_json_dict(region, _labeled_corners(region)))
 
 
 def cmd_corners(args) -> None:
-    o = _parse_ordering(args.ordering)
-    e = _parse_profile(args.h)
-    region = rate_region.build_mld_region(o, e)
-    corners = _labeled_corners(region, e)
+    corners = _labeled_corners(_region(args))
     if args.emit == "csv":
         rows = [("label", "r1", "r2", "r3", "tight")]
         for c in corners:
@@ -365,9 +366,7 @@ def cmd_check(args) -> None:
             f"--tol must be finite and non-negative, got {args.tol}"
         )
     if args.h is not None:
-        o = _parse_ordering(args.ordering)
-        e = _parse_profile(args.h)
-        region = rate_region.build_mld_region(o, e)
+        region = _region(args)
         rates = _parse_rates_exact(args.rates)
         tight, violated = rate_region.classify_slacks(
             region.constraints, rates

@@ -45,6 +45,7 @@ from itertools import accumulate, chain
 from typing import Mapping, Sequence, Union
 
 from .ordering import L1, SUBSET_MASKS, subset_members
+from .rate_region import CATALOG_LABELS
 
 
 class RegimeMismatch(ValueError):
@@ -132,18 +133,6 @@ class SourceBundle:
     def lengths(self) -> tuple[int, ...]:
         return tuple(int(s.size) for s in self.streams)
 
-    @classmethod
-    def from_packed(cls, data: bytes, lengths: Sequence[int]) -> "SourceBundle":
-        """Identity ingestion: slice a packed bit blob into the 7 streams."""
-        lengths = tuple(int(x) for x in lengths)
-        total = sum(lengths)
-        flat = unpack_bits(data, total)
-        streams, pos = [], 0
-        for n in lengths:
-            streams.append(flat[pos:pos + n])
-            pos += n
-        return cls(streams)
-
     def to_packed(self) -> bytes:
         import numpy as np
 
@@ -184,27 +173,20 @@ class SplitRule:
 
 @dataclass(frozen=True)
 class SchemeTemplate:
-    """Symbolic layout of one corner-point coding scheme."""
+    """Symbolic layout of one corner-point coding scheme: per description,
+    piece names, copied verbatim, and pairs of piece-name tuples, XORed."""
 
     name: str
     splits: tuple[SplitRule, ...]
     layout: tuple[tuple, tuple, tuple]
 
 
-def _c(piece: str):
-    return ("copy", piece)
-
-
 def _x(group_a, group_b):
-    return ("xor", tuple(group_a), tuple(group_b))
+    return tuple(group_a), tuple(group_b)
 
 
-def _t(name, splits, g1, g2, g3) -> SchemeTemplate:
-    spec = tuple(
-        tuple(_c(s) if isinstance(s, str) else s for s in g)
-        for g in (g1, g2, g3)
-    )
-    return SchemeTemplate(name, tuple(splits), spec)
+def _t(name, splits, *layout) -> SchemeTemplate:
+    return SchemeTemplate(name, tuple(splits), tuple(map(tuple, layout)))
 
 
 HALF = Fraction(1, 2)
@@ -313,10 +295,8 @@ TEMPLATES: Mapping[str, SchemeTemplate] = {
     )
 }
 
-ALL_SCHEME_LABELS: tuple[str, ...] = (
-    tuple(f"X{i}" for i in range(1, 11))
-    + tuple(f"Y{i}" for i in range(1, 13))
-    + tuple(f"Z{i}" for i in range(1, 11))
+ALL_SCHEME_LABELS: tuple[str, ...] = tuple(
+    chain.from_iterable(CATALOG_LABELS.values())
 )
 """The 32 catalog labels across the three regimes."""
 
@@ -349,15 +329,6 @@ class Piece:
 
 
 @dataclass(frozen=True)
-class Copy:
-    piece: Piece
-
-    @property
-    def size(self) -> int:
-        return self.piece.size
-
-
-@dataclass(frozen=True)
 class Xor:
     """Bitwise XOR of two equal-length operand concatenations."""
 
@@ -369,7 +340,8 @@ class Xor:
         return sum(p.size for p in self.group_a)
 
 
-Segment = Union[Copy, Xor]
+Segment = Union[Piece, Xor]
+"""A piece, copied verbatim, or an XOR of two piece groups."""
 
 
 @dataclass(frozen=True)
@@ -431,11 +403,10 @@ def instantiate_scheme(
     for group in template.layout:
         segs: list[Segment] = []
         for item in group:
-            if item[0] == "copy":
-                segs.append(Copy(pieces[item[1]]))
+            if isinstance(item, str):
+                segs.append(pieces[item])
             else:
-                ga = tuple(pieces[n] for n in item[1])
-                gb = tuple(pieces[n] for n in item[2])
+                ga, gb = (tuple(pieces[n] for n in g) for g in item)
                 seg = Xor(ga, gb)
                 assert seg.size == sum(p.size for p in gb)
                 segs.append(seg)
@@ -501,10 +472,10 @@ def _source(lengths: Sequence[int], p: Piece) -> tuple[int, int]:
 
 def _runs(lengths: Sequence[int], seg: Segment, o: int) -> tuple[Run, ...]:
     """Aligned runs of a segment that starts at description offset ``o``."""
-    if isinstance(seg, Copy):
+    if isinstance(seg, Piece):
         if not seg.size:
             return ()
-        return ((o, _source(lengths, seg.piece), None, seg.size),)
+        return ((o, _source(lengths, seg), None, seg.size),)
     a_spans, b_spans = (
         [(_source(lengths, p), p.size) for p in reversed(group) if p.size]
         for group in (seg.group_a, seg.group_b)
@@ -877,8 +848,8 @@ def compose_time_share(parts: Sequence[tuple]) -> DescriptionScheme:
 
         for d in range(3):
             for seg in inst.segments[d]:
-                if isinstance(seg, Copy):
-                    segments[d].append(Copy(shift(seg.piece)))
+                if isinstance(seg, Piece):
+                    segments[d].append(shift(seg))
                 else:
                     segments[d].append(
                         Xor(

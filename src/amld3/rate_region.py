@@ -51,12 +51,6 @@ class EntropyProfile:
         """Cumulative sums H_1..H_7, computed once with the profile."""
         return self._H
 
-    def cum(self, k: int) -> Fraction:
-        """H_k with the convention H_0 = 0."""
-        if k == 0:
-            return Fraction(0)
-        return self._H[k - 1]
-
 
 @dataclass(frozen=True)
 class LinearInequality:

@@ -572,7 +572,7 @@ def bit_decode(scheme, subset: str, available):
     schemes fed their own encoder output.
     """
     from amld3.codec import (
-        Copy, EncodedDescriptions, LengthMismatch, Unresolvable, as_bit_array,
+        EncodedDescriptions, LengthMismatch, Piece, Unresolvable, as_bit_array,
     )
     from amld3.ordering import L1, SUBSET_MASKS, subset_members
 
@@ -615,8 +615,8 @@ def bit_decode(scheme, subset: str, available):
         for seg in scheme.segments[d - 1]:
             chunk = arr[cursor:cursor + seg.size]
             cursor += seg.size
-            if isinstance(seg, Copy):
-                state[_positions(offsets, (seg.piece,))] = chunk
+            if isinstance(seg, Piece):
+                state[_positions(offsets, (seg,))] = chunk
             else:
                 xor_rules.append(
                     (

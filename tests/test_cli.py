@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from amld3 import pack_bits, unpack_bits
+from amld3 import SUBSETS, pack_bits, unpack_bits
 
 DYADIC = "0.5,0.25,0.125,0.0625,0.03125,0.015625,0.0078125"
 MATCHED = "0.5,0.25,0.125,0.0625,0.03125,0.015625"
@@ -521,6 +522,72 @@ def test_sidecar_files_may_be_absolute_or_climb(bundle_dir):
         data = (bundle_dir / "dec" / f"V{k}.bits").read_bytes()
         recovered.extend(unpack_bits(data, n).tolist())
     assert recovered == [1, 0, 1, 1, 0, 1, 0, 0, 1]
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    """One byte-level edit of ``data``: flip a bit, overwrite a byte with a
+    JSON-significant or extreme one, insert a byte, delete a few bytes,
+    truncate, or duplicate a slice."""
+    data = bytearray(data)
+    pos = rng.randrange(len(data) + 1)
+    op = rng.randrange(6)
+    if op == 0 and pos < len(data):
+        data[pos] ^= 1 << rng.randrange(8)
+    elif op == 1 and pos < len(data):
+        data[pos] = rng.choice(b'0123456789-+.eE"[]{},: \\\x00\xff')
+    elif op == 2:
+        data.insert(pos, rng.randrange(256))
+    elif op == 3:
+        del data[pos:pos + rng.randrange(1, 4)]
+    elif op == 4:
+        del data[pos:]
+    else:
+        data[pos:pos] = data[pos:pos + rng.randrange(1, 8)]
+    return bytes(data)
+
+
+def test_mutated_codec_files_end_in_a_documented_exit_code(bundle_dir,
+                                                            capsys):
+    # Every input, however mangled, ends in one of the documented exit codes
+    # 0-6, with nothing on stdout unless it is 0, and no exception.
+    from amld3 import cli
+
+    encdir, out = bundle_dir / "enc", str(bundle_dir / "out")
+    manifest = str(bundle_dir / "manifest.json")
+    assert cli.main(["encode", "--scheme", "X5", "--manifest", manifest,
+                     "--out", str(encdir)]) == 0
+    encode = ["encode", "--scheme", "X5", "--manifest", manifest, "--out", out]
+    targets = {
+        bundle_dir / "manifest.json": encode,
+        bundle_dir / "streams.bin": encode,
+        encdir / "sidecar.json": None,
+        **{encdir / f"G{d}.bits": None for d in (1, 2, 3)},
+    }
+    clean = {path: path.read_bytes() for path in targets}
+    capsys.readouterr()
+    rng = random.Random(12)
+    codes = set()
+    for i in range(700):
+        path = rng.choice(sorted(targets))
+        argv = targets[path] or [
+            "decode", "--sidecar", str(encdir / "sidecar.json"),
+            "--subset", rng.choice(SUBSETS), "--out", out,
+        ]
+        path.write_bytes(_mutate(rng, clean[path]))
+        try:
+            code = cli.main(argv)
+        except Exception as e:
+            pytest.fail(f"mutation {i} of {path.name}: {e!r} escaped main")
+        stdout = capsys.readouterr().out
+        assert code in range(7), (i, path.name, code)
+        if code:
+            assert stdout == "", (i, path.name, code)
+        else:
+            json.loads(stdout)
+        codes.add(code)
+        path.write_bytes(clean[path])
+    # The mutations reach the ok path, malformed input and wrong lengths.
+    assert {0, 1, 5} <= codes
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import _oracles
+import amld3
 from amld3 import (
     ALL_SCHEME_LABELS,
-    Copy,
     DescriptionScheme,
     EncodedDescriptions,
     LengthMismatch,
@@ -115,8 +115,9 @@ def test_bundle_packed_roundtrip():
     lengths = (3, 0, 5, 2, 7, 1, 4)
     bundle = random_bundle(lengths, rng)
     assert bundle.lengths == lengths
-    again = SourceBundle.from_packed(bundle.to_packed(), lengths)
-    for a, b in zip(again.streams, bundle.streams):
+    flat = unpack_bits(bundle.to_packed(), sum(lengths))
+    again = np.split(flat, np.cumsum(lengths)[:-1])
+    for a, b in zip(again, bundle.streams):
         np.testing.assert_array_equal(a, b)
 
 
@@ -136,10 +137,29 @@ def test_random_bundle_is_seed_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_thirty_two_labels_resolve_to_twenty_templates():
-    assert len(ALL_SCHEME_LABELS) == 32
+    assert ALL_SCHEME_LABELS == tuple(
+        f"{regime}{i}" for regime, n in (("X", 10), ("Y", 12), ("Z", 10))
+        for i in range(1, n + 1)
+    )
     assert len(TEMPLATES) == 20
     for label in ALL_SCHEME_LABELS:
         assert template_name_for_label(label) in TEMPLATES
+
+
+def test_a_copied_segment_is_its_piece():
+    # Layouts name a copied piece by its string and an XOR by a pair of
+    # piece-name tuples; instantiated, a copy is the Piece itself.
+    template = TEMPLATES["X5"]
+    assert template.layout[0] == ("V1", "V4", "V5")
+    assert template.layout[1][3] == (("V3.2",), ("V4", "V5"))
+    scheme = instantiate_scheme(template, (1, 1, 3, 1, 1, 1, 1))
+    assert scheme.segments[0] == (Piece(1, 0, 1), Piece(4, 0, 1),
+                                  Piece(5, 0, 1))
+    assert scheme.segments[1][3] == Xor(
+        (Piece(3, 1, 3),), (Piece(4, 0, 1), Piece(5, 0, 1))
+    )
+    with pytest.raises(AttributeError):
+        amld3.Copy
 
 
 def test_label_aliases():
@@ -292,25 +312,25 @@ def _bit(stream):
 # case pins which write the decoder keeps.  Only V1 is required (G1).
 WRITE_ORDER_CASES = {
     # V1 copied twice: the last copy wins.
-    "last copy": ((Copy(_bit(1)), Copy(_bit(1))), [0, 1], 1),
+    "last copy": ((_bit(1), _bit(1)), [0, 1], 1),
     # V1 is filled from b (V1 = V2 ^ 0) and then from a (V1 = V3 ^ 1) by
     # the same XOR segment: the fill from a comes second and wins.
     "b then a": (
-        (Copy(_bit(2)), Copy(_bit(3)),
+        (_bit(2), _bit(3),
          Xor((_bit(1), _bit(2)), (_bit(3), _bit(1)))),
         [0, 0, 1, 0], 1,
     ),
     # The first segment recovers V2 from V3; V1 = V2 ^ 1 only counts from
     # the next pass, so the second segment, V1 = V3 ^ 0, fills V1 first.
     "snapshot per segment": (
-        (Copy(_bit(3)),
+        (_bit(3),
          Xor((_bit(3), _bit(1)), (_bit(2), _bit(2))),
          Xor((_bit(1),), (_bit(3),))),
         [0, 0, 1, 0], 0,
     ),
     # V1 needs V2, which a later segment recovers: a second pass.
     "second pass": (
-        (Copy(_bit(3)), Xor((_bit(1),), (_bit(2),)),
+        (_bit(3), Xor((_bit(1),), (_bit(2),)),
          Xor((_bit(2),), (_bit(3),))),
         [1, 1, 1], 1,
     ),
@@ -534,9 +554,8 @@ def test_time_share_segments_are_disjoint_shifted_copies():
     # description 3 (which carries V1..V5/V1..V7 in both templates).
     seen = {}
     for seg in mix.segments[2]:
-        assert isinstance(seg, Copy)
-        key = seg.piece.stream
-        seen.setdefault(key, []).append((seg.piece.start, seg.piece.stop))
+        assert isinstance(seg, Piece)
+        seen.setdefault(seg.stream, []).append((seg.start, seg.stop))
     for stream, spans in sorted(seen.items()):
         spans.sort()
         for (s0, e0), (s1, e1) in zip(spans, spans[1:]):

@@ -26,7 +26,6 @@ from amld3 import (
     ALL_SCHEME_LABELS,
     L1,
     TEMPLATES,
-    Copy,
     DescriptionScheme,
     DistortionVector,
     EntropyProfile,
@@ -195,7 +194,7 @@ def _trim(group, excess):
 def segments(draw, lengths):
     kind = draw(st.sampled_from(("copy", "copy", "xor", "rotated xor")))
     if kind == "copy":
-        return Copy(draw(pieces(lengths)))
+        return draw(pieces(lengths))
     ga, gb = (
         draw(st.lists(pieces(lengths), min_size=1, max_size=3))
         for _ in range(2)
@@ -336,7 +335,8 @@ def _outcome(fn, *args):
 
 def _array_encode(template, lengths, blob):
     scheme = instantiate_scheme(template, lengths)
-    bundle = SourceBundle.from_packed(blob, lengths)
+    flat = unpack_bits(blob, sum(lengths))
+    bundle = SourceBundle(np.split(flat, np.cumsum(lengths)[:-1]))
     return tuple(pack_bits(b) for b in encode(scheme, bundle).bits)
 
 

@@ -46,8 +46,7 @@ def _b_by_tag(region):
 def test_profile_parsing_and_cumsums():
     p = EntropyProfile(["1", "1/2", 0.25, F(3, 4), 2, 0, 1])
     assert p.h == (F(1), F(1, 2), F(1, 4), F(3, 4), F(2), F(0), F(1))
-    assert p.cum(0) == 0
-    assert p.cum(7) == F(11, 2)
+    assert p.H[6] == F(11, 2)
     assert p.H[1] == F(3, 2)
 
 
