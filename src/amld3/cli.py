@@ -10,12 +10,14 @@ Subcommands::
     gap        normalized facet distances between inner and outer bounds
     check      membership of a rate triple (exact region or float bounds)
 
-Exit codes: 0 ok, 2 invalid ordering, 3 negative entropy, 4 scheme/length
-regime mismatch or odd split, 5 bit-length mismatch, 6 out-of-range or
-non-finite float input (distortions, noise, rates, a negative --tol), 1 other
-errors (JSON nested too deeply to parse among them, and an exact number whose
-numerator or denominator, as written, has more digits than
-``sys.get_int_max_str_digits()``).
+Exit codes: 0 ok, 2 invalid ordering or an argparse usage error (a missing
+required flag, an unknown subcommand, a bad ``--tol`` literal), 3 negative
+entropy, 4 scheme/length regime mismatch or odd split, 5 bit-length mismatch,
+6 out-of-range or non-finite float input (distortions, noise, rates, a
+negative --tol), 1 other errors (JSON nested too deeply to parse, a JSON
+``--D`` target that is not a number, ``"0.5"``, ``true`` and ``null`` among
+them, and an exact number whose numerator or denominator, as written, has
+more digits than ``sys.get_int_max_str_digits()``).
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.
@@ -78,13 +80,16 @@ def _read_text(spec: str) -> str:
     return Path(spec).read_text()
 
 
+def _json_arg(spec: str):
+    """Inline JSON if ``spec`` starts with ``{``, else stdin's or a file's."""
+    return _loads(spec if spec.startswith("{") else _read_text(spec))
+
+
 def _parse_ordering(spec: str) -> ordering.Ordering:
     spec = spec.strip()
     if spec.isdigit():
         return ordering.ordering_from_json({"ordering": int(spec)})
-    if spec.startswith("{"):
-        return ordering.ordering_from_json(_loads(spec))
-    return ordering.ordering_from_json(_loads(_read_text(spec)))
+    return ordering.ordering_from_json(_json_arg(spec))
 
 
 _DECIMAL = re.compile(
@@ -115,10 +120,6 @@ def _fractions(spec: str) -> list[Fraction]:
         raise ValueError(f"zero denominator in {spec!r}") from None
 
 
-def _parse_profile(spec: str) -> rate_region.EntropyProfile:
-    return rate_region.EntropyProfile(_fractions(spec))
-
-
 def _parse_rates_exact(spec: str) -> tuple[Fraction, ...]:
     vals = tuple(_fractions(spec))
     if len(vals) != 3:
@@ -139,13 +140,10 @@ def _parse_rates_float(spec: str) -> tuple[float, ...]:
 
 def _parse_distortions(spec: str) -> gaussian_md.DistortionVector:
     spec = spec.strip()
-    if spec == "-" or spec.startswith("{"):
-        text = spec if spec.startswith("{") else _read_text(spec)
-        return gaussian_md.distortions_from_json(_loads(text))
-    if "," in spec:
+    if "," in spec and not spec.startswith("{"):
         vals = [float(p.strip()) for p in spec.split(",")]
         return gaussian_md.DistortionVector(vals)
-    return gaussian_md.distortions_from_json(_loads(_read_text(spec)))
+    return gaussian_md.distortions_from_json(_json_arg(spec))
 
 
 def _parse_noise(spec: str) -> gaussian_md.NoiseParams:
@@ -156,7 +154,8 @@ def _region(args) -> rate_region.RateRegion:
     """The region of ``--ordering`` and ``--h``, parsed in that order, so
     that a bad ordering exits 2 before a bad profile can exit 3."""
     o = _parse_ordering(args.ordering)
-    return rate_region.build_mld_region(o, _parse_profile(args.h))
+    profile = rate_region.EntropyProfile(_fractions(args.h))
+    return rate_region.build_mld_region(o, profile)
 
 
 def _labeled_corners(region):
@@ -218,6 +217,12 @@ def _read_object(spec: str, what: str) -> dict:
     return doc
 
 
+def _read_beside(spec: str, name: str) -> bytes:
+    """File ``name`` read relative to the directory of the JSON file
+    ``spec``; ``Path("-").parent`` is the working directory, for stdin."""
+    return (Path(spec).parent / name).read_bytes()
+
+
 def _field(doc: dict, key: str, what: str, kind: type, count: int = 0):
     """``doc[key]`` as one ``kind``, or as a list of ``count`` of them."""
     val = doc.get(key)
@@ -239,11 +244,8 @@ def cmd_encode(args) -> None:
     template = _template_for(args.scheme)
     manifest = _read_object(args.manifest, "manifest")
     lengths = _field(manifest, "lengths", "manifest", int, 7)
-    base = Path(".") if args.manifest == "-" else Path(args.manifest).parent
-    stream_path = Path(_field(manifest, "streams", "manifest", str))
-    if not stream_path.is_absolute():
-        stream_path = base / stream_path
-    data = stream_path.read_bytes()
+    streams = _field(manifest, "streams", "manifest", str)
+    data = _read_beside(args.manifest, streams)
     # A wrong byte count exits 5 even where the lengths also miss the
     # template's regime (4).
     codec.check_packed(data, sum(lengths))
@@ -268,7 +270,6 @@ def cmd_decode(args) -> None:
     from . import codec
 
     sidecar = _read_object(args.sidecar, "sidecar")
-    base = Path(".") if args.sidecar == "-" else Path(args.sidecar).parent
     label = _field(sidecar, "scheme", "sidecar", str)
     lengths = _field(sidecar, "lengths", "sidecar", int, 7)
     bits = _field(sidecar, "bits", "sidecar", int, 3)
@@ -287,10 +288,7 @@ def cmd_decode(args) -> None:
         )
     available = {}
     for i in ordering.subset_members(subset):
-        path = Path(files[i - 1])
-        if not path.is_absolute():
-            path = base / path
-        available[i] = path.read_bytes()
+        available[i] = _read_beside(args.sidecar, files[i - 1])
         # Checked before the next file is read, which may not exist.
         codec.check_packed(available[i], bits[i - 1])
     streams = codec.decode_packed(scheme, subset, available)
@@ -366,31 +364,25 @@ def cmd_check(args) -> None:
             f"--tol must be finite and non-negative, got {args.tol}"
         )
     if args.h is not None:
-        region = _region(args)
-        rates = _parse_rates_exact(args.rates)
-        tight, violated = rate_region.classify_slacks(
-            region.constraints, rates
-        )
-        inside = rate_region.contains(region, rates)
-        _emit_json(
-            {"inside": inside, "tight": tight, "violated": violated}
-        )
-        return
-    if args.D is None:
+        # Rows 1.1-1.3 (R_i >= H >= 0) imply the axes contains() adds.
+        rows = _region(args).constraints
+        rates, tol = _parse_rates_exact(args.rates), 0
+    elif args.D is None:
         raise ValueError("check needs either --h (exact region) or --D (bounds)")
-    D = _parse_distortions(args.D)
-    if args.which == "inner":
-        bound = gaussian_md.inner_bound(D)
-    elif args.which == "outer":
-        bound = gaussian_md.outer_bound(D)
     else:
-        if args.d is None:
+        D = _parse_distortions(args.D)
+        if args.which == "inner":
+            bound = gaussian_md.inner_bound(D)
+        elif args.which == "outer":
+            bound = gaussian_md.outer_bound(D)
+        elif args.d is None:
             raise ValueError("--which parametric requires --d")
-        bound = gaussian_md.parametric_outer_bound(D, _parse_noise(args.d))
-    rates = _parse_rates_float(args.rates)
-    tight, violated = rate_region.classify_slacks(
-        bound.constraints, rates, args.tol
-    )
+        else:
+            noise = _parse_noise(args.d)
+            bound = gaussian_md.parametric_outer_bound(D, noise)
+        rows = bound.constraints
+        rates, tol = _parse_rates_float(args.rates), args.tol
+    tight, violated = rate_region.classify_slacks(rows, rates, tol)
     _emit_json({"inside": not violated, "tight": tight, "violated": violated})
 
 

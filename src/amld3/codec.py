@@ -373,8 +373,16 @@ def instantiate_scheme(
     lengths = tuple(int(x) for x in lengths)
     if len(lengths) != 7 or any(x < 0 for x in lengths):
         raise ValueError(f"need 7 non-negative stream lengths, got {lengths}")
+    return DescriptionScheme(
+        template.name, lengths, _place(template, lengths, (0,) * 7), template
+    )
+
+
+def _place(template: SchemeTemplate, lengths, starts) -> tuple:
+    """The segments of ``template``, stream k's slice from ``starts[k-1]``."""
     pieces: dict[str, Piece] = {
-        f"V{k}": Piece(k, 0, lengths[k - 1]) for k in range(1, 8)
+        f"V{k}": Piece(k, a, a + n)
+        for k, (a, n) in enumerate(zip(starts, lengths), start=1)
     }
     for rule in template.splits:
         sizes = [
@@ -395,25 +403,19 @@ def instantiate_scheme(
                 )
         assert sum(sizes) == lengths[rule.stream - 1]
         del pieces[f"V{rule.stream}"]
-        pos = 0
+        pos = starts[rule.stream - 1]
         for name, size in zip(rule.names, sizes):
             pieces[name] = Piece(rule.stream, pos, pos + int(size))
             pos += int(size)
-    segments = []
-    for group in template.layout:
-        segs: list[Segment] = []
-        for item in group:
-            if isinstance(item, str):
-                segs.append(pieces[item])
-            else:
-                ga, gb = (tuple(pieces[n] for n in g) for g in item)
-                seg = Xor(ga, gb)
-                assert seg.size == sum(p.size for p in gb)
-                segs.append(seg)
-        segments.append(tuple(segs))
-    return DescriptionScheme(
-        template.name, lengths, tuple(segments), template
-    )
+
+    def segment(item) -> Segment:
+        if isinstance(item, str):
+            return pieces[item]
+        seg = Xor(*(tuple(pieces[n] for n in g) for g in item))
+        assert seg.size == sum(p.size for p in seg.group_b)
+        return seg
+
+    return tuple(tuple(map(segment, group)) for group in template.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -837,30 +839,12 @@ def compose_time_share(parts: Sequence[tuple]) -> DescriptionScheme:
                 )
         slice_lengths.append([int(v) for v in sl])
 
-    segments: list[list[Segment]] = [[], [], []]
+    segments: list[tuple[Segment, ...]] = [(), (), ()]
     offsets = [0] * 7
-    for (scheme, w), sl in zip(pairs, slice_lengths):
-        inst = instantiate_scheme(scheme.template, sl)
-
-        def shift(p: Piece) -> Piece:
-            off = offsets[p.stream - 1]
-            return Piece(p.stream, p.start + off, p.stop + off)
-
-        for d in range(3):
-            for seg in inst.segments[d]:
-                if isinstance(seg, Piece):
-                    segments[d].append(shift(seg))
-                else:
-                    segments[d].append(
-                        Xor(
-                            tuple(shift(p) for p in seg.group_a),
-                            tuple(shift(p) for p in seg.group_b),
-                        )
-                    )
-        for k in range(7):
-            offsets[k] += sl[k]
+    for (scheme, _), sl in zip(pairs, slice_lengths):
+        for d, segs in enumerate(_place(scheme.template, sl, offsets)):
+            segments[d] += segs
+        offsets = [o + n for o, n in zip(offsets, sl)]
     assert tuple(offsets) == base
     label = " + ".join(f"{w}*{s.label}" for s, w in pairs)
-    return DescriptionScheme(
-        label, base, tuple(tuple(g) for g in segments), None
-    )
+    return DescriptionScheme(label, base, tuple(segments), None)

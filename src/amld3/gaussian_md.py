@@ -403,7 +403,17 @@ def bound_json_dict(bound: BoundSet) -> dict:
 
 
 def distortions_from_json(obj: Mapping) -> DistortionVector:
-    """Parse {"D": {"G1": 0.5, ...}} into a DistortionVector."""
-    if "D" not in obj or not isinstance(obj["D"], Mapping):
+    """Parse {"D": {"G1": 0.5, ...}} into a DistortionVector; after the
+    KeyError for a missing subset, a target that is not a JSON number (an
+    int or a float, not a bool) raises ValueError."""
+    D = obj.get("D") if isinstance(obj, Mapping) else None
+    if not isinstance(D, Mapping):
         raise ValueError("expected an object with a 'D' mapping")
-    return DistortionVector(obj["D"])
+    if all(s in D for s in SUBSETS):  # else DistortionVector's KeyError
+        for s in SUBSETS:
+            if isinstance(D[s], bool) or not isinstance(D[s], (int, float)):
+                raise ValueError(f"D_{s} must be a JSON number, got {D[s]!r}")
+    try:
+        return DistortionVector(D)
+    except OverflowError:  # an int too large for a float
+        raise DistortionRangeError("a target is outside (0, 1]") from None

@@ -610,6 +610,45 @@ def test_deeply_nested_json_exits_1(tmp_path, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", [None, [0.5], {"x": 0.5}, "0.5", True],
+                         ids=["null", "list", "object", "string", "bool"])
+@pytest.mark.parametrize("command", [
+    ("md-bounds",), ("gap",), ("check", "--rates", "1,1,1"),
+], ids=["md-bounds", "gap", "check"])
+def test_non_number_distortion_target_exits_1(command, target):
+    # null, a list or an object raised TypeError past main; a string and a
+    # bool were taken as numbers.
+    D = {"D": {s: 0.5 for s in SUBSETS}}
+    D["D"]["G13"] = target
+    code, out, err = run_cli(*command, "--D", json.dumps(D))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "G13" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_distortion_json_ends_in_a_documented_exit_code():
+    # A top-level non-object and an int too large for a float raised
+    # TypeError and OverflowError past main.
+    huge = json.dumps({"D": {s: 10**400 if s == "G2" else 0.5
+                             for s in SUBSETS}})
+    for stdin, want in (("5", 1), ('"D"', 1), ("[]", 1), (huge, 6)):
+        code, out, err = run_cli("gap", "--D", "-", stdin=stdin)
+        assert (code, out) == (want, ""), stdin[:20]
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("region",),
+    ("frobnicate",),
+    ("check", "--rates", "1,1,1", "--tol", "abc"),
+], ids=["missing-flag", "unknown-subcommand", "bad-tol"])
+def test_usage_errors_exit_2(argv):
+    # argparse's own exit code, which shares 2 with an invalid ordering.
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert "usage:" in err
+
+
 def test_output_is_byte_deterministic():
     for args in (
         ("region", "--h", "1,1,3,2,2,1,1"),

@@ -24,7 +24,9 @@ from amld3 import (
     Xor,
     compose_time_share,
     decode,
+    decode_packed,
     encode,
+    encode_packed,
     instantiate_scheme,
     pack_bits,
     random_bundle,
@@ -510,6 +512,58 @@ def test_time_share_uneven_weights_with_xor_part():
     rng = np.random.default_rng(32)
     for _ in range(3):
         _roundtrip_all_subsets(mix, random_bundle(lengths, rng))
+
+
+def _shifted(seg, offsets):
+    """``seg`` with each piece moved ``offsets[stream - 1]`` bits on."""
+    def move(p):
+        off = offsets[p.stream - 1]
+        return Piece(p.stream, p.start + off, p.stop + off)
+    if isinstance(seg, Xor):
+        return Xor(*(tuple(map(move, g)) for g in (seg.group_a, seg.group_b)))
+    return move(seg)
+
+
+QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
+
+
+@pytest.mark.parametrize("parts, lengths", [
+    pytest.param((("X5", QUARTER), ("X6", QUARTER), ("X9", HALF)),
+                 (4, 4, 12, 4, 4, 4, 4), id="X5+X6+X9"),
+    pytest.param((("Z7", HALF), ("Z8", HALF)),
+                 (4, 4, 4, 12, 4, 4, 4), id="Z7+Z8"),
+])
+def test_time_share_places_split_parts_past_bit_0(parts, lengths):
+    # Each part's split pieces (V3.1/V3.2, or Z's half-splits of V4) start
+    # where the parts before it end on their stream.
+    mix = compose_time_share(
+        [(_scheme(label, lengths), w) for label, w in parts]
+    )
+    want, offsets = [[], [], []], [0] * 7
+    for label, w in parts:
+        sl = [int(w * n) for n in lengths]
+        own = _scheme(label, sl)
+        for d in range(3):
+            want[d] += [_shifted(seg, offsets) for seg in own.segments[d]]
+        offsets = [o + n for o, n in zip(offsets, sl)]
+    assert mix.segments == tuple(map(tuple, want))
+    for subset in SUBSETS:
+        plan = decode_plan(mix, subset)
+        known = set(plan.copies) | {t for t, _, _, _ in plan.steps}
+        need = sum(lengths[:L1.level_of(subset)])
+        assert known.issuperset(
+            i for i in range(len(plan.bounds) - 1) if plan.bounds[i] < need
+        ), subset
+    bundle = random_bundle(lengths, np.random.default_rng(33))
+    _roundtrip_all_subsets(mix, bundle)
+    packed = encode_packed(mix, bundle.to_packed())
+    assert packed == tuple(map(pack_bits, encode(mix, bundle).bits))
+    for subset in SUBSETS:
+        got = decode_packed(
+            mix, subset, {d: packed[d - 1] for d in subset_members(subset)}
+        )
+        assert got == tuple(map(pack_bits, bundle.streams[:len(got)]))
+        assert len(got) == L1.level_of(subset)
 
 
 def test_time_share_weight_validation():

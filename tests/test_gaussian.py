@@ -529,3 +529,17 @@ def test_distortions_from_json():
         distortions_from_json({"targets": {}})
     with pytest.raises(KeyError):
         distortions_from_json({"D": {"G1": 0.5}})
+    with pytest.raises(KeyError):  # before the null target is looked at
+        distortions_from_json({"D": {"G1": None}})
+    for obj in (5, "D", [], {"D": [0.5] * 7}):
+        with pytest.raises(ValueError):
+            distortions_from_json(obj)
+    assert distortions_from_json({"D": {s: 1 for s in SUBSETS}}).values == (
+        (1.0,) * 7
+    )
+    for bad in (None, [0.5], {"x": 0.5}, "0.5", True):
+        with pytest.raises(ValueError, match="D_G13 must be a JSON number"):
+            distortions_from_json({"D": {**dict.fromkeys(SUBSETS, 0.5),
+                                         "G13": bad}})
+    with pytest.raises(DistortionRangeError):
+        distortions_from_json({"D": dict.fromkeys(SUBSETS, 10**400)})

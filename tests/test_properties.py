@@ -3,7 +3,8 @@
 The exact region is checked against the frozen coefficient tables, with
 expected values from direct ``Fraction`` arithmetic on them; no library call
 enters them.  Its corners are checked against the closed-form L1 catalog and
-against the reference Cramer enumerator, on full and pruned regions.
+against the reference Cramer enumerator, on full and pruned regions, and
+exact membership equals the verdict of the eleven constraint rows alone.
 Plan-based decode, on arrays and on packed bytes, is checked against the
 bit-level decoder on random hand-built schemes and random description bits,
 and every catalog template either round-trips a random bundle or refuses its
@@ -41,6 +42,7 @@ from amld3 import (
     Xor,
     build_mld_region,
     classify_slacks,
+    contains,
     decode,
     decode_packed,
     encode,
@@ -111,6 +113,27 @@ def test_offsets_and_slack_tags_match_oracle_tables(index, h, data):
     assert classify_slacks(region.constraints, rates) == (
         [t for t, s in zip(tags, slacks) if s == 0],
         [t for t, s in zip(tags, slacks) if s < 0],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(1, 8), h=profiles(), data=st.data())
+def test_constraint_rows_alone_decide_membership(index, h, data):
+    # Rows 1.1-1.3 read R_i >= H >= 0, so the axis rows that contains()
+    # adds never change its verdict: check --h decides from the rows alone.
+    region = build_mld_region(
+        Ordering(_oracles.ORDERING_ROWS[index - 1]), EntropyProfile(h)
+    )
+    b = [c.b for c in region.constraints]
+    coord = st.one_of(
+        st.just(F(0)),
+        st.sampled_from(b),
+        st.sampled_from(b).map(lambda x: -x),
+        st.fractions(min_value=-(2**81), max_value=2**81),
+    )
+    rates = tuple(data.draw(coord) for _ in range(3))
+    assert contains(region, rates) == (
+        not classify_slacks(region.constraints, rates)[1]
     )
 
 
