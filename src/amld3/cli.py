@@ -139,10 +139,16 @@ def _parse_rates_float(spec: str) -> tuple[float, ...]:
 
 
 def _parse_distortions(spec: str) -> gaussian_md.DistortionVector:
+    """A comma list of floats when every item is one (like the ordering's
+    digits-only shortcut), else JSON inline, from stdin or from a file."""
     spec = spec.strip()
-    if "," in spec and not spec.startswith("{"):
-        vals = [float(p.strip()) for p in spec.split(",")]
-        return gaussian_md.DistortionVector(vals)
+    if "," in spec:
+        try:
+            vals = [float(p) for p in spec.split(",")]
+        except ValueError:
+            pass
+        else:
+            return gaussian_md.DistortionVector(vals)
     return gaussian_md.distortions_from_json(_json_arg(spec))
 
 

@@ -16,7 +16,7 @@ by :func:`corner_scheme_catalog_L1`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -32,7 +32,14 @@ class NegativeEntropy(ValueError):
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """Layer entropies h_1..h_7 as exact non-negative rationals."""
+    """Layer entropies h_1..h_7 as exact non-negative rationals.
+
+    The profile also keeps them as integers over one common denominator:
+    ``_L`` is the least common denominator of the h_i, ``_hn`` holds the
+    L * h_i and ``_Hn`` their running sums, the L * H_k.  The exact layer
+    does its sums on these integers and builds a ``Fraction`` only for a
+    result.
+    """
 
     h: tuple[Fraction, ...]
 
@@ -43,13 +50,20 @@ class EntropyProfile:
         for i, v in enumerate(vals):
             if v < 0:
                 raise NegativeEntropy(f"h_{i + 1} = {v} is negative")
+        L = lcm(*(v.denominator for v in vals))
+        hn = tuple(v.numerator * (L // v.denominator) for v in vals)
         object.__setattr__(self, "h", vals)
-        object.__setattr__(self, "_H", tuple(accumulate(vals)))
+        object.__setattr__(self, "_L", L)
+        object.__setattr__(self, "_hn", hn)
+        object.__setattr__(self, "_Hn", tuple(accumulate(hn)))
 
     @property
     def H(self) -> tuple[Fraction, ...]:
-        """Cumulative sums H_1..H_7, computed once with the profile."""
-        return self._H
+        """Cumulative sums H_1..H_7, from the integer sums over L."""
+        return tuple(Fraction(n, self._L) for n in self._Hn)
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -66,8 +80,26 @@ class LinearInequality:
             raise ValueError("normal must have 3 components")
 
     def evaluate(self, rates: Sequence) -> object:
-        """Slack a . rates - b (same arithmetic as the stored fields)."""
-        return sum(c * r for c, r in zip(self.a, rates)) - self.b
+        """Slack a . rates - b.
+
+        When ``b``, the normal and the rates are all ints or ``Fraction``s,
+        the rates are brought to their common denominator p, so that
+        ``R = n / p``, and the slack is the single ``Fraction``
+        ``((a . n) b_den - b_num p) / (p b_den)``.  Otherwise (float rows
+        or float rates) it is ``sum(a_i R_i) - b`` in the fields' own
+        arithmetic.
+        """
+        a, b = self.a, self.b
+        if type(b) in _EXACT_TYPES and _EXACT_TYPES.issuperset(
+            map(type, (*a, *rates))
+        ):
+            p = lcm(*[r.denominator for r in rates])
+            an = sum([
+                c * r.numerator * (p // r.denominator) for c, r in zip(a, rates)
+            ])
+            return Fraction(an * b.denominator - b.numerator * p,
+                            p * b.denominator)
+        return sum(c * r for c, r in zip(a, rates)) - b
 
 
 class Regime(enum.Enum):
@@ -122,7 +154,8 @@ class RateRegion:
             normals = None
         if normals != tuple(c.a for c in constraints):
             raise ValueError("the normals of a RateRegion must be integers")
-        b = [Fraction(c.b) for c in constraints]
+        b = [c.b if type(c.b) is Fraction else Fraction(c.b)
+             for c in constraints]
         q = lcm(*(x.denominator for x in b))
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "planes", (*normals, *AXES))
@@ -147,13 +180,24 @@ P_TAGS = tuple(f"P{suffix}" for suffix, _ in CONSTRAINT_ROWS)
 Q_TAGS = tuple(f"Q{i}" for i in range(1, 12))
 
 
-def constraint_offsets(r: Mapping[str, object]) -> tuple:
+def _halve(x):
+    return x / 2
+
+
+def _halve_int(x: int) -> int:
+    return x >> 1
+
+
+def constraint_offsets(r: Mapping[str, object], half=_halve) -> tuple:
     """The eleven offsets b, in :data:`CONSTRAINT_ROWS` order.
 
     ``r[S]`` is the cumulative rate decoder S needs: ``H`` at the level of S
     for the exact region, ``(1/2) log2(1/D~_S)`` for the Gaussian inner
-    bound.  Only sums, minima and halving are used, so exact rationals and
-    floats go through the same formulas.
+    bound.  Only sums, minima and halving are used, so integers and floats
+    go through the same formulas.  ``half`` does the halving: ``x / 2`` by
+    default, for floats; the exact region passes the integers 2L * H over
+    the profile's common denominator L, which are all even, with
+    ``x >> 1``, so every offset is an integer over 2L.
     """
     r1, r2, r3 = r["G1"], r["G2"], r["G3"]
     r12, r13, r23, r123 = r["G12"], r["G13"], r["G23"], r["G123"]
@@ -164,7 +208,7 @@ def constraint_offsets(r: Mapping[str, object]) -> tuple:
         min(r2, r1) + min(r2, r3) + min(r12, r23) + r123,
         min(r3, r1) + min(r3, r2) + min(r13, r23) + r123,
         r1 + min(r12, r3) + r123,
-        r1 + r2 / 2 + min(r12, r13, r23) / 2 + r123,
+        r1 + half(r2) + half(min(r12, r13, r23)) + r123,
     )
 
 
@@ -173,13 +217,19 @@ def build_mld_region(ordering: Ordering, profile: EntropyProfile) -> RateRegion:
 
     All eleven constraints are always emitted, including any that are
     redundant for the given profile.  Tags are Q1..Q11 when ``ordering`` is
-    L1 and P1.1..P5 otherwise, in the same fixed emission order.
+    L1 and P1.1..P5 otherwise, in the same fixed emission order.  The
+    offsets are summed as integers over 2L (see :class:`EntropyProfile`)
+    and each becomes one ``Fraction``.
     """
     tags = Q_TAGS if ordering == L1 else P_TAGS
-    offsets = constraint_offsets(dict(zip(ordering.by_level, profile.H)))
+    d = 2 * profile._L
+    offsets = constraint_offsets(
+        dict(zip(ordering.by_level, (2 * n for n in profile._Hn))),
+        _halve_int,
+    )
     return RateRegion(
         tuple(
-            LinearInequality(a, b, t)
+            LinearInequality(a, Fraction(b, d), t)
             for (_, a), b, t in zip(CONSTRAINT_ROWS, offsets, tags)
         ),
         ordering,
@@ -193,7 +243,7 @@ def classify_regime(profile: EntropyProfile) -> Regime:
     Regime I when h_3 >= h_4 + h_5, else Regime II when h_3 >= h_4,
     else Regime III.
     """
-    h = profile.h
+    h = profile._hn
     if h[2] >= h[3] + h[4]:
         return Regime.I
     if h[2] >= h[3]:
@@ -329,10 +379,12 @@ CATALOG_LABELS: Mapping[str, tuple[str, ...]] = {
 }
 
 
-def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple]:
-    """Closed-form corner coordinates of the active regime (label -> rates)."""
-    h1, h2, h3, h4, h5, h6, h7 = profile.h
-    H1, H2, H3, H4, H5, H6, H7 = profile.H
+def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple[int, ...]]:
+    """Closed-form corner coordinates of the active regime (label -> rates),
+    as integers over 2L, the profile's common denominator doubled, so that
+    regime III's ``(h3 + h4) / 2`` is an integer too."""
+    h1, h2, h3, h4, h5, h6, h7 = (2 * n for n in profile._hn)
+    H1, H2, H3, H4, H5, H6, H7 = (2 * n for n in profile._Hn)
     common = {
         "1": (H1, H4, H7),
         "2": (H1, H7 - h5, H5),
@@ -357,7 +409,7 @@ def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple]:
         out["Y11"] = (H1 + h3, H3 + h6 + h7, H2 + h4 + h5)
         out["Y12"] = (H1 + h3 + h7, H3 + h6, H2 + h4 + h5)
     else:
-        s = (h3 + h4) / 2
+        s = (h3 + h4) >> 1
         out = {f"Z{n}": r for n, r in common.items()}
         out["Z5"] = (H1 + h4 + h5, H2 + h4 + h5 + h6 + h7, H3)
         out["Z6"] = (H1 + h4 + h5 + h7, H2 + h4 + h5 + h6, H3)
@@ -381,8 +433,10 @@ def corner_scheme_catalog_L1(profile: EntropyProfile) -> list[tuple]:
     from . import codec
 
     region = build_mld_region(L1, profile)
+    d = 2 * profile._L
     out = []
-    for label, rates in _catalog_rates(profile).items():
+    for label, scaled in _catalog_rates(profile).items():
+        rates = tuple(Fraction(n, d) for n in scaled)
         corner = CornerPoint(rates, tight_constraints(region, rates), label)
         template = codec.TEMPLATES[codec.template_name_for_label(label)]
         out.append((corner, template))
@@ -396,16 +450,26 @@ def label_corners(
 
     Corners whose coordinates match several catalog entries (boundary
     profiles) get the merged label, e.g. ``"Y7+Y8"``.  Corners not in the
-    catalog keep label None.
+    catalog keep label None.  A corner is looked up by its rates times 2L,
+    the integer key of :func:`_catalog_rates`; a rate whose denominator
+    does not divide 2L is in no catalog entry.
     """
-    table: dict[tuple, list[str]] = {}
-    for lbl, rates in _catalog_rates(profile).items():
-        table.setdefault(tuple(rates), []).append(lbl)
-    return tuple(
-        replace(c, label="+".join(labels))
-        if (labels := table.get(c.rates)) else c
-        for c in corners
-    )
+    d = 2 * profile._L
+    table: dict[tuple[int, ...], list[str]] = {}
+    for lbl, scaled in _catalog_rates(profile).items():
+        table.setdefault(scaled, []).append(lbl)
+    out = []
+    for c in corners:
+        key = tuple(
+            r.numerator * (d // r.denominator) if d % r.denominator == 0
+            else None
+            for r in c.rates
+        )
+        labels = table.get(key)
+        out.append(
+            CornerPoint(c.rates, c.tight, "+".join(labels)) if labels else c
+        )
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,23 @@ def test_distortions_from_stdin():
     assert doc["(1,0,0)"] == 0.0
 
 
+@pytest.mark.parametrize("command", [
+    ("md-bounds",), ("gap",), ("check", "--rates", "1,1,1"),
+], ids=["md-bounds", "gap", "check"])
+def test_distortion_file_path_may_contain_a_comma(tmp_path, command):
+    # A --D with a comma was always read as a list of floats.
+    D = dict(zip(SUBSETS, map(float, DYADIC.split(","))))
+    path = tmp_path / "wn" / "a,b" / "t.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"D": D}))
+    assert run_cli(*command, "--D", str(path)) == run_cli(
+        *command, "--D", DYADIC
+    )
+    code, out, err = run_cli(*command, "--D", "0.5,0.4,x")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_gap_values():
     doc = run_json("gap", "--D", DYADIC)
     assert doc["(1,0,0)"] == 0.0

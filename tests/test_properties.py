@@ -43,6 +43,7 @@ from amld3 import (
     build_mld_region,
     classify_slacks,
     contains,
+    corner_scheme_catalog_L1,
     decode,
     decode_packed,
     encode,
@@ -102,13 +103,18 @@ def test_offsets_and_slack_tags_match_oracle_tables(index, h, data):
     # exercise the tight tags as well as the violated ones.
     pool = [F(0), *b, b[3] - b[0], b[3] - b[1], b[4] - b[2], b[5] - b[1]]
     coord = st.one_of(
-        st.sampled_from(pool), st.fractions(min_value=0, max_value=2**81)
+        st.sampled_from(pool),
+        st.fractions(min_value=0, max_value=2**81),
+        st.integers(0, 2**81),
     )
     rates = tuple(data.draw(coord) for _ in range(3))
     slacks = [
         sum(F(a) * r for a, r in zip(normal, rates)) - bt
         for (normal, _), bt in zip(table.values(), b)
     ]
+    got = [c.evaluate(rates) for c in region.constraints]
+    assert got == slacks
+    assert all(type(s) is Fraction for s in got)
     tags = list(table)
     assert classify_slacks(region.constraints, rates) == (
         [t for t, s in zip(tags, slacks) if s == 0],
@@ -163,6 +169,13 @@ def test_l1_corners_are_the_closed_form_catalog(h):
         (rates, tight(rates), "+".join(sorted(labels, key=_catalog_order)))
         for rates, labels in sorted(labels_at.items())
     ]
+    expected = sorted(
+        _oracles.expected_corners(h).items(),
+        key=lambda item: _catalog_order(item[0]),
+    )
+    assert [
+        (c.label, c.rates, c.tight) for c, _ in corner_scheme_catalog_L1(profile)
+    ] == [(label, rates, tight(rates)) for label, rates in expected]
 
 
 @settings(max_examples=200, deadline=None)
