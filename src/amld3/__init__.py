@@ -5,7 +5,7 @@ The package has three layers over a shared vocabulary,
 :mod:`amld3.ordering` (the eight admissible decoder orderings):
 
 * :mod:`amld3.rate_region` — exact polyhedral rate regions, corner
-  enumeration, and the corner/scheme catalog of the L1 ordering;
+  enumeration, and the L1 corner catalog, read off :mod:`amld3.catalog`;
 * :mod:`amld3.codec` — bit-exact encoders/decoders for every catalog
   corner, including the XOR network-coding segments and time sharing;
 * :mod:`amld3.gaussian_md` — inner/outer/parametric rate bounds for the
@@ -19,7 +19,8 @@ Only the codec's array API (``encode``, ``decode``, ``SourceBundle``,
 so ``import amld3``, the three analysis layers and the analysis commands of
 the CLI (``region``, ``corners``, ``check``, ``md-bounds``, ``gap``) do not
 load the codec module; ``encode`` and ``decode`` load it, but replay its
-plans on packed bytes, so no CLI command loads numpy.
+plans on packed bytes, so no CLI command loads numpy.  The scheme templates
+(:mod:`amld3.catalog`) load only to label L1 corners, or with the codec.
 """
 
 import importlib

@@ -14,10 +14,12 @@ Exit codes: 0 ok, 2 invalid ordering or an argparse usage error (a missing
 required flag, an unknown subcommand, a bad ``--tol`` literal), 3 negative
 entropy, 4 scheme/length regime mismatch or odd split, 5 bit-length mismatch,
 6 out-of-range or non-finite float input (distortions, noise, rates, a
-negative --tol), 1 other errors (JSON nested too deeply to parse, a JSON
-``--D`` target that is not a number, ``"0.5"``, ``true`` and ``null`` among
-them, and an exact number whose numerator or denominator, as written, has
-more digits than ``sys.get_int_max_str_digits()``).
+negative --tol, and inputs that overflow a bound offset: a target below
+about 5.6e-309, noise of about 1e155 or more), 1 other errors (JSON nested
+too deeply to parse, a JSON ``--D`` target that is not a number, ``"0.5"``,
+``true`` and ``null`` among them, and an exact number whose numerator or
+denominator, as written, has more digits than
+``sys.get_int_max_str_digits()``).
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.

@@ -1,17 +1,11 @@
 """Bit-exact corner-point coding schemes for the L1 ordering.
 
-A scheme template describes how the seven compressed source streams
-``V1..V7`` (bit strings of lengths ``l1..l7``) are carved into *pieces* and
-laid out into three descriptions.  A description is a concatenation of
-segments, each either a verbatim copy of a piece or the bitwise XOR of two
-equal-length operand concatenations — the network-coding segments that let a
-corner point beat every concatenation-only layout.
-
-Templates carve streams with *splits*: ``V3 -> V3.1, V3.2`` cuts a stream
-into consecutive pieces whose lengths are fixed linear expressions in
-``l1..l7``.  A template is applicable only where all its piece lengths are
-non-negative integers; :class:`RegimeMismatch` and :class:`OddSplit` report
-the two ways that can fail.
+A scheme template (:mod:`.catalog`, re-exported here) carves the streams
+``V1..V7`` into *pieces* laid out into three descriptions, and
+:func:`instantiate_scheme` binds one to stream lengths.  A description is a
+concatenation of segments, each a verbatim copy of a piece or the bitwise
+XOR of two equal-length operand concatenations — the network-coding
+segments that let a corner point beat every concatenation-only layout.
 
 Encoding and decoding are each compiled once into a plan, and each plan has
 two replays, picked by the form of the input.  :func:`encode_plan` walks the
@@ -25,10 +19,7 @@ second operand from its first and then its first from its second, until a
 pass fills nothing.  Last, one reverse pass from the atoms of ``V1..Vk``
 drops every copy and step that feeds none of them, so a decoder does only
 what its level needs.  The plan reads no description bits, so its result
-equals a bit-by-bit fixed point for any scheme and any description content,
-and a complete plan proves decodability for every bundle of the scheme's
-lengths.  For every catalog scheme each of the seven decoder subsets
-recovers exactly the streams its level promises.
+equals a bit-by-bit fixed point for any description content.
 
 The array replays (:func:`encode`, :func:`decode`, on 0/1 uint8 arrays) are
 the only code here that imports numpy.  The packed replays
@@ -44,8 +35,9 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Mapping, Sequence, Union
 
+from .catalog import (ALL_SCHEME_LABELS, TEMPLATES, SchemeTemplate,
+                      template_name_for_label)
 from .ordering import L1, SUBSET_MASKS, subset_members
-from .rate_region import CATALOG_LABELS
 
 
 class RegimeMismatch(ValueError):
@@ -151,167 +143,6 @@ def random_bundle(
 
 
 # ---------------------------------------------------------------------------
-# Templates.
-# ---------------------------------------------------------------------------
-
-def _lin(**kw) -> tuple[Fraction, ...]:
-    """Linear length expression over l1..l7, e.g. _lin(l3=1, l4=-1)."""
-    v = [Fraction(0)] * 7
-    for key, coef in kw.items():
-        v[int(key[1:]) - 1] = Fraction(coef)
-    return tuple(v)
-
-
-@dataclass(frozen=True)
-class SplitRule:
-    """Cut one stream into consecutive pieces of prescribed lengths."""
-
-    stream: int
-    names: tuple[str, ...]
-    lengths: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class SchemeTemplate:
-    """Symbolic layout of one corner-point coding scheme: per description,
-    piece names, copied verbatim, and pairs of piece-name tuples, XORed."""
-
-    name: str
-    splits: tuple[SplitRule, ...]
-    layout: tuple[tuple, tuple, tuple]
-
-
-def _x(group_a, group_b):
-    return tuple(group_a), tuple(group_b)
-
-
-def _t(name, splits, *layout) -> SchemeTemplate:
-    return SchemeTemplate(name, tuple(splits), tuple(map(tuple, layout)))
-
-
-HALF = Fraction(1, 2)
-
-_SPLIT3_45 = SplitRule(
-    3, ("V3.1", "V3.2"), (_lin(l3=1, l4=-1, l5=-1), _lin(l4=1, l5=1))
-)
-_SPLIT3_4 = SplitRule(3, ("V3.1", "V3.2"), (_lin(l3=1, l4=-1), _lin(l4=1)))
-_SPLIT5_Y = SplitRule(
-    5, ("V5.1", "V5.2"), (_lin(l3=1, l4=-1), _lin(l4=1, l5=1, l3=-1))
-)
-_SPLIT4_Z = SplitRule(4, ("V4.1", "V4.2"), (_lin(l3=1), _lin(l4=1, l3=-1)))
-_SPLIT4_ZH = SplitRule(
-    4,
-    ("V4.1", "V4.2", "V4.3"),
-    (_lin(l3=1), _lin(l4=HALF, l3=-HALF), _lin(l4=HALF, l3=-HALF)),
-)
-
-TEMPLATES: Mapping[str, SchemeTemplate] = {
-    t.name: t
-    for t in (
-        _t("X1", (),
-           ["V1"],
-           ["V1", "V2", "V3", "V4"],
-           ["V1", "V2", "V3", "V4", "V5", "V6", "V7"]),
-        _t("X2", (),
-           ["V1"],
-           ["V1", "V2", "V3", "V4", "V6", "V7"],
-           ["V1", "V2", "V3", "V4", "V5"]),
-        _t("X3", (),
-           ["V1", "V3", "V4"],
-           ["V1", "V2"],
-           ["V1", "V2", "V3", "V4", "V5", "V6", "V7"]),
-        _t("X4", (),
-           ["V1", "V3", "V4", "V7"],
-           ["V1", "V2"],
-           ["V1", "V2", "V3", "V4", "V5", "V6"]),
-        _t("X5", (_SPLIT3_45,),
-           ["V1", "V4", "V5"],
-           ["V1", "V2", "V3.1", _x(["V3.2"], ["V4", "V5"]), "V6", "V7"],
-           ["V1", "V2", "V3.1", "V3.2"]),
-        _t("X6", (_SPLIT3_45,),
-           ["V1", "V3.1", _x(["V3.2"], ["V4", "V5"]), "V7"],
-           ["V1", "V2", "V4", "V5", "V6"],
-           ["V1", "V2", "V3.1", "V3.2"]),
-        _t("X7", (_SPLIT3_4,),
-           ["V1", "V4"],
-           ["V1", "V2", "V3.1", _x(["V3.2"], ["V4"])],
-           ["V1", "V2", "V3.1", "V3.2", "V5", "V6", "V7"]),
-        _t("X8", (_SPLIT3_4,),
-           ["V1", "V3.1", _x(["V3.2"], ["V4"])],
-           ["V1", "V2", "V4"],
-           ["V1", "V2", "V3.1", "V3.2", "V5", "V6", "V7"]),
-        _t("X9", (_SPLIT3_4,),
-           ["V1", "V4"],
-           ["V1", "V2", "V3.1", _x(["V3.2"], ["V4"]), "V6", "V7"],
-           ["V1", "V2", "V3.1", "V3.2", "V5"]),
-        _t("X10", (_SPLIT3_4,),
-           ["V1", "V3.1", _x(["V3.2"], ["V4"]), "V7"],
-           ["V1", "V2", "V4"],
-           ["V1", "V2", "V3.1", "V3.2", "V5", "V6"]),
-        _t("Y5", (_SPLIT3_4, _SPLIT5_Y),
-           ["V1", "V4", "V5.1", "V5.2"],
-           ["V1", "V2", _x(["V3.2"], ["V4"]), _x(["V3.1"], ["V5.1"]),
-            "V5.2", "V6", "V7"],
-           ["V1", "V2", "V3.1", "V3.2"]),
-        _t("Y6", (_SPLIT3_4, _SPLIT5_Y),
-           ["V1", "V4", "V5.1", "V5.2", "V7"],
-           ["V1", "V2", _x(["V3.2"], ["V4"]), _x(["V3.1"], ["V5.1"]),
-            "V5.2", "V6"],
-           ["V1", "V2", "V3.1", "V3.2"]),
-        _t("Y11", (_SPLIT3_4, _SPLIT5_Y),
-           ["V1", "V4", "V5.1"],
-           ["V1", "V2", _x(["V3.2"], ["V4"]), _x(["V3.1"], ["V5.1"]),
-            "V6", "V7"],
-           ["V1", "V2", "V3.1", "V3.2", "V5.2"]),
-        _t("Y12", (_SPLIT3_4, _SPLIT5_Y),
-           ["V1", "V4", "V5.1", "V7"],
-           ["V1", "V2", _x(["V3.2"], ["V4"]), _x(["V3.1"], ["V5.1"]), "V6"],
-           ["V1", "V2", "V3.1", "V3.2", "V5.2"]),
-        _t("Z5", (_SPLIT4_Z,),
-           ["V1", "V4.1", "V4.2", "V5"],
-           ["V1", "V2", _x(["V3"], ["V4.1"]), "V4.2", "V5", "V6", "V7"],
-           ["V1", "V2", "V3"]),
-        _t("Z6", (_SPLIT4_Z,),
-           ["V1", "V4.1", "V4.2", "V5", "V7"],
-           ["V1", "V2", _x(["V3"], ["V4.1"]), "V4.2", "V5", "V6"],
-           ["V1", "V2", "V3"]),
-        _t("Z7", (_SPLIT4_ZH,),
-           ["V1", "V4.1", "V4.2"],
-           ["V1", "V2", _x(["V3"], ["V4.1"]), _x(["V4.2"], ["V4.3"])],
-           ["V1", "V2", "V3", "V4.3", "V5", "V6", "V7"]),
-        _t("Z8", (_SPLIT4_ZH,),
-           ["V1", "V4.1", "V4.2"],
-           ["V1", "V2", _x(["V3"], ["V4.1"]), _x(["V4.2"], ["V4.3"]),
-            "V6", "V7"],
-           ["V1", "V2", "V3", "V4.3", "V5"]),
-        _t("Z9", (_SPLIT4_ZH,),
-           ["V1", "V4.1", "V4.2", "V7"],
-           ["V1", "V2", _x(["V3"], ["V4.1"]), _x(["V4.2"], ["V4.3"])],
-           ["V1", "V2", "V3", "V4.3", "V5", "V6"]),
-        _t("Z10", (_SPLIT4_ZH,),
-           ["V1", "V4.1", "V4.2", "V7"],
-           ["V1", "V2", _x(["V3"], ["V4.1"]), _x(["V4.2"], ["V4.3"]), "V6"],
-           ["V1", "V2", "V3", "V4.3", "V5"]),
-    )
-}
-
-ALL_SCHEME_LABELS: tuple[str, ...] = tuple(
-    chain.from_iterable(CATALOG_LABELS.values())
-)
-"""The 32 catalog labels across the three regimes."""
-
-
-def template_name_for_label(label: str) -> str:
-    """Template implementing a catalog label (Y1 -> X1, Z3 -> X3, ...)."""
-    if label in TEMPLATES:
-        return label
-    alias = "X" + label[1:]
-    if label[:1] in ("Y", "Z") and alias in TEMPLATES:
-        return alias
-    raise KeyError(f"unknown scheme label {label!r}")
-
-
-# ---------------------------------------------------------------------------
 # Instantiation.
 # ---------------------------------------------------------------------------
 
@@ -384,28 +215,25 @@ def _place(template: SchemeTemplate, lengths, starts) -> tuple:
         f"V{k}": Piece(k, a, a + n)
         for k, (a, n) in enumerate(zip(starts, lengths), start=1)
     }
-    for rule in template.splits:
-        sizes = [
-            sum(c * l for c, l in zip(expr, lengths))
-            for expr in rule.lengths
-        ]
-        for name, size in zip(rule.names, sizes):
+    for stream, names, exprs in template.splits:
+        sizes = [sum(c * l for c, l in zip(expr, lengths)) for expr in exprs]
+        for name, size in zip(names, sizes):
             if size < 0:
                 raise RegimeMismatch(
                     f"template {template.name}: piece {name} would have "
                     f"length {size} at stream lengths {lengths}"
                 )
-        for name, size in zip(rule.names, sizes):
+        for name, size in zip(names, sizes):
             if Fraction(size).denominator != 1:
                 raise OddSplit(
                     f"template {template.name}: piece {name} length {size} "
                     f"is not an integer at stream lengths {lengths}"
                 )
-        assert sum(sizes) == lengths[rule.stream - 1]
-        del pieces[f"V{rule.stream}"]
-        pos = starts[rule.stream - 1]
-        for name, size in zip(rule.names, sizes):
-            pieces[name] = Piece(rule.stream, pos, pos + int(size))
+        assert sum(sizes) == lengths[stream - 1]
+        del pieces[f"V{stream}"]
+        pos = starts[stream - 1]
+        for name, size in zip(names, sizes):
+            pieces[name] = Piece(stream, pos, pos + int(size))
             pos += int(size)
 
     def segment(item) -> Segment:

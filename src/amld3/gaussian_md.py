@@ -52,7 +52,7 @@ class DistortionRangeError(ValueError):
 
 
 class InvalidFloatInput(ValueError):
-    """A rate is NaN or infinite, or a tolerance is negative or not finite."""
+    """A rate, bound offset or tolerance is not finite, or a tolerance < 0."""
 
 
 class NotNormalized(ValueError):
@@ -182,13 +182,19 @@ def _bound(kind: str, prefix: str, offsets, o, Dn) -> BoundSet:
     return BoundSet(kind, cons, o, Dn)
 
 
+def _finite(offsets, why: str):
+    if all(map(math.isfinite, offsets)):
+        return offsets
+    raise InvalidFloatInput(f"a bound offset is not finite: {why}")
+
+
 def _inner_offsets(D: DistortionVector):
     """Normalized targets, their ordering, and the inner offsets: the
-    region's generator at r(S) = (1/2) log2(1/D~_S)."""
+    region's generator at r(S) = (1/2) log2(1/D~_S), checked finite."""
     Dn = normalize_distortions(D)
     o = _ranked_ordering(Dn)
     r = {s: 0.5 * math.log2(1.0 / Dn[s]) for s in SUBSETS}
-    return Dn, o, constraint_offsets(r)
+    return Dn, o, _finite(constraint_offsets(r), "a target below ~5.6e-309")
 
 
 def inner_bound(D: DistortionVector) -> BoundSet:
@@ -252,7 +258,8 @@ def parametric_outer_bound(
 
     For every admissible noise choice each bound is valid; at
     ``NoiseParams.matched`` the family dominates :func:`outer_bound`
-    row-by-row.
+    row-by-row.  Noise near 1e155 overflows a pair step's products, and an
+    offset that is not finite raises :class:`InvalidFloatInput`.
     """
     Dn = normalize_distortions(D)
     o = _ranked_ordering(Dn)
@@ -320,6 +327,7 @@ def parametric_outer_bound(
         + 0.25 * pair_step("G23", alpha, lv["G3"])
         + 0.5 * tail(lv["G3"])
     )
+    offsets = _finite(offsets, "the targets or noise overflow")
     return _bound("parametric", "PO", offsets, o, Dn)
 
 

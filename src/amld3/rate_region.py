@@ -8,9 +8,9 @@ inequalities; :func:`build_mld_region` constructs them, and
 :func:`enumerate_corners` lists every vertex of the region exactly.
 
 For the fully alternating ordering L1 the shape of the corner set depends on
-how the third layer compares with the fourth and fifth (three regimes), and
-each corner is achieved by an explicit coding scheme; the pairing is exposed
-by :func:`corner_scheme_catalog_L1`.
+how the third layer compares with the fourth and fifth (three regimes).  Each
+corner is the rate triple of a coding scheme, read off its template in
+:mod:`.catalog`; :func:`corner_scheme_catalog_L1` pairs the two.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .ordering import L1, Ordering
@@ -380,45 +381,15 @@ CATALOG_LABELS: Mapping[str, tuple[str, ...]] = {
 
 
 def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple[int, ...]]:
-    """Closed-form corner coordinates of the active regime (label -> rates),
-    as integers over 2L, the profile's common denominator doubled, so that
-    regime III's ``(h3 + h4) / 2`` is an integer too."""
-    h1, h2, h3, h4, h5, h6, h7 = (2 * n for n in profile._hn)
-    H1, H2, H3, H4, H5, H6, H7 = (2 * n for n in profile._Hn)
-    common = {
-        "1": (H1, H4, H7),
-        "2": (H1, H7 - h5, H5),
-        "3": (H1 + h3 + h4, H2, H7),
-        "4": (H1 + h3 + h4 + h7, H2, H6),
+    """Label -> corner rates times 2L: the regime's RATE_FORMS at L * h."""
+    from .catalog import RATE_FORMS
+
+    h = profile._hn
+    return {
+        label: (sum(map(mul, a, h)), sum(map(mul, b, h)), sum(map(mul, c, h)))
+        for label in CATALOG_LABELS[classify_regime(profile).value]
+        for a, b, c in [RATE_FORMS[label]]
     }
-    lower = {
-        "7": (H1 + h4, H3, H3 + h5 + h6 + h7),
-        "8": (H1 + h3, H2 + h4, H3 + h5 + h6 + h7),
-        "9": (H1 + h4, H3 + h6 + h7, H3 + h5),
-        "10": (H1 + h3 + h7, H2 + h4, H3 + h5 + h6),
-    }
-    regime = classify_regime(profile)
-    if regime is Regime.I:
-        out = {f"X{n}": r for n, r in {**common, **lower}.items()}
-        out["X5"] = (H1 + h4 + h5, H3 + h6 + h7, H3)
-        out["X6"] = (H1 + h3 + h7, H2 + h4 + h5 + h6, H3)
-    elif regime is Regime.II:
-        out = {f"Y{n}": r for n, r in {**common, **lower}.items()}
-        out["Y5"] = (H1 + h4 + h5, H2 + h4 + h5 + h6 + h7, H3)
-        out["Y6"] = (H1 + h4 + h5 + h7, H2 + h4 + h5 + h6, H3)
-        out["Y11"] = (H1 + h3, H3 + h6 + h7, H2 + h4 + h5)
-        out["Y12"] = (H1 + h3 + h7, H3 + h6, H2 + h4 + h5)
-    else:
-        s = (h3 + h4) >> 1
-        out = {f"Z{n}": r for n, r in common.items()}
-        out["Z5"] = (H1 + h4 + h5, H2 + h4 + h5 + h6 + h7, H3)
-        out["Z6"] = (H1 + h4 + h5 + h7, H2 + h4 + h5 + h6, H3)
-        out["Z7"] = (H1 + s, H2 + s, H2 + s + h5 + h6 + h7)
-        out["Z8"] = (H1 + s, H2 + s + h6 + h7, H2 + s + h5)
-        out["Z9"] = (H1 + s + h7, H2 + s, H2 + s + h5 + h6)
-        out["Z10"] = (H1 + s + h7, H2 + s + h6, H2 + s + h5)
-    labels = CATALOG_LABELS[regime.value]
-    return {lbl: out[lbl] for lbl in labels}
 
 
 def corner_scheme_catalog_L1(profile: EntropyProfile) -> list[tuple]:
@@ -430,7 +401,7 @@ def corner_scheme_catalog_L1(profile: EntropyProfile) -> list[tuple]:
     schemes differ), and :func:`label_corners` is where coinciding corners
     get a merged label.  Tight sets are recomputed from the coordinates.
     """
-    from . import codec
+    from .catalog import TEMPLATES, template_name_for_label
 
     region = build_mld_region(L1, profile)
     d = 2 * profile._L
@@ -438,7 +409,7 @@ def corner_scheme_catalog_L1(profile: EntropyProfile) -> list[tuple]:
     for label, scaled in _catalog_rates(profile).items():
         rates = tuple(Fraction(n, d) for n in scaled)
         corner = CornerPoint(rates, tight_constraints(region, rates), label)
-        template = codec.TEMPLATES[codec.template_name_for_label(label)]
+        template = TEMPLATES[template_name_for_label(label)]
         out.append((corner, template))
     return out
 
@@ -477,7 +448,7 @@ def label_corners(
 # ---------------------------------------------------------------------------
 
 def _rat_str(x) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def corner_json_dict(corner: CornerPoint) -> dict:

@@ -20,7 +20,10 @@ answer:
   bit by bit until nothing changes, the reference for the plan-based
   ``amld3.decode``.  It takes only the scheme's data classes and error types
   from the library, imported inside it: this module itself imports nothing
-  of ``amld3``, so the benchmark's output checks can use it.
+  of ``amld3``, so the benchmark's output checks can use it;
+* a decodability proof for a scheme template at every length vector, read
+  off its splits and layout alone: piece lengths as linear forms, and
+  group-level recovery through the XOR segments.
 """
 
 from __future__ import annotations
@@ -651,3 +654,71 @@ def bit_decode(scheme, subset: str, available):
             )
         out.append(chunk.astype(np.uint8))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Decodability of a template at every length vector.
+# ---------------------------------------------------------------------------
+
+def _unit(k):
+    return tuple(F(int(i == k)) for i in range(1, 8))
+
+
+def _total(forms):
+    return tuple(sum(col, F(0)) for col in zip(*forms))
+
+
+def piece_forms(template) -> dict:
+    """Piece name -> its length as a linear form over l1..l7 (seven
+    Fractions): ``Vk`` for a stream left whole, the split's expression for
+    a piece cut from one."""
+    forms = {f"V{k}": _unit(k) for k in range(1, 8)}
+    for stream, names, lengths in template.splits:
+        del forms[f"V{stream}"]
+        forms.update(zip(names, (tuple(map(F, e)) for e in lengths)))
+    return forms
+
+
+def splits_sum_to_streams(template) -> bool:
+    """Each split's piece lengths add up to its stream's, as forms."""
+    return all(
+        _total(tuple(map(F, e)) for e in lengths) == _unit(stream)
+        for stream, _, lengths in template.splits
+    )
+
+
+def xor_groups_balance(template) -> bool:
+    """The two groups of each XOR have equal lengths, as forms."""
+    forms = piece_forms(template)
+    return all(
+        _total(forms[n] for n in item[0]) == _total(forms[n] for n in item[1])
+        for desc in template.layout for item in desc
+        if not isinstance(item, str)
+    )
+
+
+def propagation_recovers(template, subset: str) -> bool:
+    """Whether the descriptions of ``subset`` reveal every piece of
+    V1..V_k, k the subset's L1 level: the copied pieces are known, and an
+    XOR whose one group is wholly known reveals the other, repeated until
+    nothing changes.  With balanced XORs and exact splits this holds for
+    every length vector the template instantiates at, bit by bit."""
+    level = ORDERING_ROWS[0].index(subset) + 1
+    items = [
+        item for d in (1, 2, 3) if MASKS[subset] >> (d - 1) & 1
+        for item in template.layout[d - 1]
+    ]
+    known = {item for item in items if isinstance(item, str)}
+    xors = [item for item in items if not isinstance(item, str)]
+    grew = True
+    while grew:
+        grew = False
+        for a, b in xors:
+            for src, dst in ((a, b), (b, a)):
+                if known.issuperset(src) and not known.issuperset(dst):
+                    known.update(dst)
+                    grew = True
+    return all(
+        name in known for name in piece_forms(template)
+        if int(name[1:].split(".")[0]) <= level
+    )

@@ -409,6 +409,21 @@ def test_exit_code_6_bad_distortions_and_noise():
         assert (code, out) == (6, ""), args
 
 
+def test_exit_code_6_bound_offsets_that_overflow():
+    tiny = DYADIC.rsplit(",", 1)[0] + ",4e-324"
+    for args in (
+        ("md-bounds", "--D", tiny),
+        ("gap", "--D", tiny),
+        ("check", "--rates", "1e300,1e300,1e300", "--D", tiny),
+        ("md-bounds", "--D", DYADIC, "--d", ",".join(["1e155"] * 6)),
+        ("check", "--rates", "100,100,100", "--D", DYADIC,
+         "--which", "parametric", "--d", ",".join(["1e155"] * 6)),
+    ):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (6, ""), args
+        assert "not finite" in err, args
+
+
 def test_exit_code_1_other_errors(tmp_path):
     code, _, _ = run_cli("check", "--rates", "1,2,3")
     assert code == 1

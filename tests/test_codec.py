@@ -175,6 +175,61 @@ def test_label_aliases():
             template_name_for_label(bad)
 
 
+def test_codec_and_package_reexport_the_catalog_names():
+    import amld3.catalog
+
+    assert amld3.codec.TEMPLATES is amld3.catalog.TEMPLATES
+    assert TEMPLATES is amld3.catalog.TEMPLATES
+    assert amld3.SchemeTemplate is amld3.catalog.SchemeTemplate
+    assert amld3.ALL_SCHEME_LABELS is amld3.catalog.ALL_SCHEME_LABELS
+    assert tuple(amld3.catalog.RATE_FORMS) == ALL_SCHEME_LABELS
+    assert amld3.catalog.RATE_FORMS["Y1"] is amld3.catalog.RATE_FORMS["X1"]
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_every_template_decodes_at_every_length_vector(name):
+    # Read off the template data alone, never a decode plan: every split
+    # sums to its stream and every XOR's groups have equal length, as forms
+    # over l1..l7, and group-level recovery reaches V1..Vk at each subset.
+    template = TEMPLATES[name]
+    assert _oracles.splits_sum_to_streams(template)
+    assert _oracles.xor_groups_balance(template)
+    for subset in SUBSETS:
+        assert _oracles.propagation_recovers(template, subset), subset
+
+
+def test_dropping_any_copied_piece_breaks_the_proof():
+    mutants = 0
+    for template in TEMPLATES.values():
+        for d, desc in enumerate(template.layout):
+            for i, item in enumerate(desc):
+                if not isinstance(item, str):
+                    continue
+                layout = list(template.layout)
+                layout[d] = desc[:i] + desc[i + 1:]
+                mutant = template._replace(layout=tuple(layout))
+                assert not all(
+                    _oracles.propagation_recovers(mutant, s) for s in SUBSETS
+                ), (template.name, d + 1, item)
+                mutants += 1
+    assert mutants == 244  # every copied piece of the 20 layouts
+
+
+def test_unbalanced_xor_or_split_fails_the_identities():
+    x5 = TEMPLATES["X5"]
+    (stream, names, (first, second)), = x5.splits
+    second = second[:4] + (0,) * 3  # l4 where the split says l4 + l5
+    short = x5._replace(splits=((stream, names, (first, second)),))
+    assert not _oracles.splits_sum_to_streams(short)
+    assert not _oracles.xor_groups_balance(short)
+    layout = list(x5.layout)
+    layout[1] = tuple(
+        (("V3.2",), ("V4",)) if not isinstance(item, str) else item
+        for item in layout[1]
+    )
+    assert not _oracles.xor_groups_balance(x5._replace(layout=tuple(layout)))
+
+
 # ---------------------------------------------------------------------------
 # A fully hand-computed network-coding example (X5).
 # ---------------------------------------------------------------------------

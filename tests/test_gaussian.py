@@ -13,6 +13,7 @@ from amld3 import (
     DistortionRangeError,
     DistortionVector,
     GapReport,
+    InvalidFloatInput,
     NoiseParams,
     NonMonotoneNoise,
     NotNormalized,
@@ -475,6 +476,26 @@ def test_parametric_works_for_non_first_orderings():
 # ---------------------------------------------------------------------------
 # Membership and serialization.
 # ---------------------------------------------------------------------------
+
+def test_bounds_refuse_offsets_that_overflow():
+    # Below about 5.6e-309, 1/D overflows; noise near 1e155 overflows the
+    # products of a pair step.  Either would give an infinite or NaN offset.
+    tiny = DistortionVector([*DYADIC.values[:6], 4e-324])
+    huge = NoiseParams([1e155] * 6)
+    for bound in (inner_bound, outer_bound, facet_gap,
+                  lambda D: parametric_outer_bound(D, NoiseParams([0.5] * 6))):
+        with pytest.raises(InvalidFloatInput, match="not finite"):
+            bound(tiny)
+    with pytest.raises(InvalidFloatInput, match="not finite"):
+        parametric_outer_bound(DYADIC, huge)
+    # Just inside the range every offset is finite.
+    near = DistortionVector([*DYADIC.values[:6], 1e-308])
+    for bound in (inner_bound(near), outer_bound(near),
+                  parametric_outer_bound(near, NoiseParams([0.5] * 6)),
+                  parametric_outer_bound(DYADIC, NoiseParams([1e150] * 6))):
+        assert all(math.isfinite(c.b) for c in bound.constraints)
+    assert math.isfinite(facet_gap(near).sum_rate[1])
+
 
 def test_md_contains_tolerance_edges():
     inner = inner_bound(DYADIC)

@@ -1,6 +1,8 @@
 """numpy loads with the codec's array API only: ``import amld3``, the
 analysis layers and every CLI call leave it unloaded, and the analysis
-commands leave the codec module unloaded too.
+commands leave the codec module unloaded too.  The template table,
+``amld3.catalog``, loads only where L1 corners are labelled (and with the
+codec).
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported numpy.
@@ -18,12 +20,14 @@ import amld3
 from test_cli import DYADIC, ENV, MATCHED
 
 # Runs ``amld3.cli.main`` on argv (if any), then reports on its last line the
-# exit code and whether numpy and the codec module were imported.
+# exit code and whether numpy, the codec module and the template table were
+# imported.
 PROBE = """
 import json, sys
 import amld3, amld3.cli
 code = amld3.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([code, "numpy" in sys.modules, "amld3.codec" in sys.modules]))
+print(json.dumps([code, *(m in sys.modules
+                          for m in ("numpy", "amld3.codec", "amld3.catalog"))]))
 """
 
 
@@ -43,24 +47,28 @@ def run_probe(*argv):
 H = ("--h", "1,1,1,1,1,1,1")
 
 
-@pytest.mark.parametrize("argv, code", [
-    pytest.param((), 0, id="import"),
-    pytest.param(("region", *H), 0, id="region"),
-    pytest.param(("corners", *H, "--emit", "csv"), 0, id="corners"),
-    pytest.param(("check", *H, "--rates", "1,4,7"), 0, id="check-h"),
-    pytest.param(("check", "--rates", "1.0,1.6,2.0", "--D", DYADIC), 0,
+# ``catalog``: whether the call labels L1 corners, and so loads the table.
+@pytest.mark.parametrize("argv, code, catalog", [
+    pytest.param((), 0, False, id="import"),
+    pytest.param(("region", *H), 0, True, id="region"),
+    pytest.param(("region", *H, "--emit", "csv"), 0, False, id="region-csv"),
+    pytest.param(("corners", *H, "--emit", "csv"), 0, True, id="corners"),
+    pytest.param(("corners", "--ordering", "2", *H), 0, False,
+                 id="corners-not-L1"),
+    pytest.param(("check", *H, "--rates", "1,4,7"), 0, False, id="check-h"),
+    pytest.param(("check", "--rates", "1.0,1.6,2.0", "--D", DYADIC), 0, False,
                  id="check-D"),
-    pytest.param(("md-bounds", "--D", DYADIC, "--d", MATCHED), 0,
+    pytest.param(("md-bounds", "--D", DYADIC, "--d", MATCHED), 0, False,
                  id="md-bounds"),
-    pytest.param(("gap", "--D", DYADIC), 0, id="gap"),
-    pytest.param(("check", "--rates", "1,2,3"), 1, id="exit-1"),
-    pytest.param(("region", "--ordering", "9", *H), 2, id="exit-2"),
-    pytest.param(("region", "--h", "1,1,-1,1,1,1,1"), 3, id="exit-3"),
+    pytest.param(("gap", "--D", DYADIC), 0, False, id="gap"),
+    pytest.param(("check", "--rates", "1,2,3"), 1, False, id="exit-1"),
+    pytest.param(("region", "--ordering", "9", *H), 2, False, id="exit-2"),
+    pytest.param(("region", "--h", "1,1,-1,1,1,1,1"), 3, False, id="exit-3"),
     pytest.param(("md-bounds", "--D", DYADIC.replace("0.5", "1.5", 1)), 6,
-                 id="exit-6"),
+                 False, id="exit-6"),
 ])
-def test_analysis_calls_leave_numpy_unloaded(argv, code):
-    assert run_probe(*argv) == (code, False, False)
+def test_analysis_calls_leave_numpy_unloaded(argv, code, catalog):
+    assert run_probe(*argv) == (code, False, False, catalog)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +105,7 @@ def encoded(tmp_path_factory):
 def test_codec_calls_leave_numpy_unloaded(encoded, tmp_path, argv, code):
     argv = [str(encoded / a) if a.endswith(".json") else a for a in argv]
     assert run_probe(*argv, "--out", str(tmp_path / "out")) == (
-        code, False, True
+        code, False, True, True
     )
 
 
@@ -105,8 +113,10 @@ def test_codec_module_resolves_after_bare_import():
     run_python(
         "import sys, amld3\n"
         "assert 'numpy' not in sys.modules\n"
+        "assert 'amld3.catalog' not in sys.modules\n"
         "assert amld3.codec is sys.modules['amld3.codec']\n"
         "assert amld3.encode is amld3.codec.encode\n"
+        "assert amld3.TEMPLATES is sys.modules['amld3.catalog'].TEMPLATES\n"
     )
 
 
