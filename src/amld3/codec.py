@@ -30,10 +30,10 @@ return packed bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .catalog import (ALL_SCHEME_LABELS, TEMPLATES, SchemeTemplate,
                       template_name_for_label)
@@ -109,17 +109,16 @@ def unpack_bits(data: bytes, nbits: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
 
 
-@dataclass(frozen=True)
-class SourceBundle:
+class SourceBundle(namedtuple("SourceBundle", "streams")):
     """The seven compressed source streams as 0/1 bit arrays."""
 
-    streams: tuple[np.ndarray, ...]
+    __slots__ = ()
 
-    def __init__(self, streams: Sequence) -> None:
+    def __new__(cls, streams: Sequence) -> SourceBundle:
         arrs = tuple(as_bit_array(s) for s in streams)
         if len(arrs) != 7:
             raise ValueError(f"expected 7 streams, got {len(arrs)}")
-        object.__setattr__(self, "streams", arrs)
+        return super().__new__(cls, arrs)
 
     @property
     def lengths(self) -> tuple[int, ...]:
@@ -146,8 +145,7 @@ def random_bundle(
 # Instantiation.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """Half-open bit range [start, stop) within one source stream."""
 
     stream: int
@@ -159,8 +157,7 @@ class Piece:
         return self.stop - self.start
 
 
-@dataclass(frozen=True)
-class Xor:
+class Xor(NamedTuple):
     """Bitwise XOR of two equal-length operand concatenations."""
 
     group_a: tuple[Piece, ...]
@@ -175,8 +172,7 @@ Segment = Union[Piece, Xor]
 """A piece, copied verbatim, or an XOR of two piece groups."""
 
 
-@dataclass(frozen=True)
-class DescriptionScheme:
+class DescriptionScheme(NamedTuple):
     """A template bound to concrete stream lengths."""
 
     label: str
@@ -250,19 +246,18 @@ def _place(template: SchemeTemplate, lengths, starts) -> tuple:
 # Encoding and decoding.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EncodedDescriptions:
+class EncodedDescriptions(namedtuple("EncodedDescriptions", "bits")):
     """The three description bitstreams (None marks an absent description)."""
 
-    bits: tuple
+    __slots__ = ()
 
-    def __init__(self, bits: Sequence) -> None:
+    def __new__(cls, bits: Sequence) -> EncodedDescriptions:
         vals = tuple(
             None if b is None else as_bit_array(b) for b in bits
         )
         if len(vals) != 3:
             raise ValueError("expected 3 descriptions")
-        object.__setattr__(self, "bits", vals)
+        return super().__new__(cls, vals)
 
     @property
     def lengths(self) -> tuple:
@@ -345,8 +340,7 @@ def encode_plan(
     return tuple(plan)
 
 
-@dataclass(frozen=True)
-class DecodePlan:
+class DecodePlan(NamedTuple):
     """What one decoder subset does under one scheme, for any description bits.
 
     The concatenation V1..V7 is cut into *atoms*, atom ``i`` being the bit

@@ -27,9 +27,9 @@ absolute tolerance of 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .ordering import (
     SUBSETS,
@@ -70,13 +70,12 @@ _SUB_POSITIONS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class DistortionVector:
+class DistortionVector(namedtuple("DistortionVector", "values")):
     """Distortion targets for the 7 decoders, in canonical subset order."""
 
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __init__(self, values) -> None:
+    def __new__(cls, values) -> DistortionVector:
         if isinstance(values, Mapping):
             missing = [s for s in SUBSETS if s not in values]
             if missing:
@@ -91,7 +90,7 @@ class DistortionVector:
                 raise DistortionRangeError(
                     f"D_{s} = {v} is outside (0, 1]"
                 )
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals)
 
     def __getitem__(self, subset: str) -> float:
         try:
@@ -140,7 +139,9 @@ def sr_layer_rates(
 
     h'_k = (1/2) log2(D~ at level k-1 / D~ at level k), with the level-0
     distortion defined as 1.  All values are non-negative when the ordering
-    is the one induced by ``Dn``.
+    is the one induced by ``Dn``.  A ratio that overflows a float (a target
+    below ~5.6e-309 times the one before it) raises
+    :class:`InvalidFloatInput`.
     """
     out = []
     prev = 1.0
@@ -152,6 +153,8 @@ def sr_layer_rates(
                 "the ordering does not match the targets"
             )
         out.append(0.5 * math.log2(prev / cur))
+        if not math.isfinite(out[-1]):
+            raise InvalidFloatInput(f"layer rate h'_{k} is not finite")
         prev = cur
     return tuple(out)
 
@@ -164,8 +167,7 @@ def sr_layer_rates(
 _SLACK = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 2.0, 4.5)
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(NamedTuple):
     """A family of linear rate bounds a . R >= b at fixed distortions."""
 
     kind: str
@@ -213,13 +215,12 @@ def outer_bound(D: DistortionVector) -> BoundSet:
 # Parametric outer bound.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(namedtuple("NoiseParams", "d")):
     """Auxiliary noise levels d_1 >= ... >= d_6 >= d_7 = 0."""
 
-    d: tuple[float, ...]
+    __slots__ = ()
 
-    def __init__(self, d: Sequence[float]) -> None:
+    def __new__(cls, d: Sequence[float]) -> NoiseParams:
         vals = tuple(float(x) for x in d)
         if len(vals) == 6:
             vals = vals + (0.0,)
@@ -236,7 +237,7 @@ class NoiseParams:
             raise NonMonotoneNoise(
                 f"noise parameters must be non-increasing, got {vals}"
             )
-        object.__setattr__(self, "d", vals)
+        return super().__new__(cls, vals)
 
     @classmethod
     def matched(
@@ -343,8 +344,7 @@ plane distances rather than asserting this combined figure.
 """
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Normalized plane-to-plane distances between inner and outer bounds.
 
     Distances are (b_inner - b_outer) / ||a||, constant by construction:

@@ -22,7 +22,7 @@ L1 = (G1, G2, G3, G12, G13, G23, G123) first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Mapping
 
 SUBSETS: tuple[str, ...] = ("G1", "G2", "G3", "G12", "G13", "G23", "G123")
@@ -117,20 +117,21 @@ def _linear_extensions(placed: tuple = ()) -> Iterator[tuple[str, ...]]:
             yield from _linear_extensions(placed + (s,))
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(namedtuple("Ordering", "by_level")):
     """An admissible level assignment, stored as the subset at each level.
 
     ``by_level[k-1]`` is the subset whose decoder reproduces streams
     1..k.  Instances are immutable, hashable, and validated on construction.
     """
 
-    by_level: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.by_level) != 7:
-            raise NotBijective(f"expected 7 subsets, got {len(self.by_level)}")
+    def __new__(cls, by_level: tuple[str, ...]) -> Ordering:
+        if len(by_level) != 7:
+            raise NotBijective(f"expected 7 subsets, got {len(by_level)}")
+        self = super().__new__(cls, by_level)
         _check_levels(self.levels)
+        return self
 
     @property
     def levels(self) -> dict[str, int]:

@@ -16,13 +16,13 @@ corner is the rate triple of a coding scheme, read off its template in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ordering import L1, Ordering
 
@@ -31,8 +31,13 @@ class NegativeEntropy(ValueError):
     """A layer entropy was negative."""
 
 
-@dataclass(frozen=True)
-class EntropyProfile:
+def _read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a value whose derived
+    attributes ``__new__`` sets once in its ``__dict__``."""
+    raise AttributeError(f"cannot assign to or delete {name!r}")
+
+
+class EntropyProfile(namedtuple("EntropyProfile", "h")):
     """Layer entropies h_1..h_7 as exact non-negative rationals.
 
     The profile also keeps them as integers over one common denominator:
@@ -42,9 +47,9 @@ class EntropyProfile:
     result.
     """
 
-    h: tuple[Fraction, ...]
+    __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, h: Iterable) -> None:
+    def __new__(cls, h: Iterable) -> EntropyProfile:
         vals = tuple(map(Fraction, h))
         if len(vals) != 7:
             raise ValueError(f"expected 7 layer entropies, got {len(vals)}")
@@ -53,10 +58,9 @@ class EntropyProfile:
                 raise NegativeEntropy(f"h_{i + 1} = {v} is negative")
         L = lcm(*(v.denominator for v in vals))
         hn = tuple(v.numerator * (L // v.denominator) for v in vals)
-        object.__setattr__(self, "h", vals)
-        object.__setattr__(self, "_L", L)
-        object.__setattr__(self, "_hn", hn)
-        object.__setattr__(self, "_Hn", tuple(accumulate(hn)))
+        self = super().__new__(cls, vals)
+        self.__dict__.update(_L=L, _hn=hn, _Hn=tuple(accumulate(hn)))
+        return self
 
     @property
     def H(self) -> tuple[Fraction, ...]:
@@ -67,18 +71,16 @@ class EntropyProfile:
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
-@dataclass(frozen=True)
-class LinearInequality:
+class LinearInequality(namedtuple("LinearInequality", "a b tag")):
     """One constraint a . (R1,R2,R3) >= b with a stable tag."""
 
-    a: tuple
-    b: object
-    tag: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        if len(self.a) != 3:
+    def __new__(cls, a, b, tag: str) -> LinearInequality:
+        a = tuple(a)
+        if len(a) != 3:
             raise ValueError("normal must have 3 components")
+        return super().__new__(cls, a, b, tag)
 
     def evaluate(self, rates: Sequence) -> object:
         """Slack a . rates - b.
@@ -111,8 +113,7 @@ class Regime(enum.Enum):
     III = "III"
 
 
-@dataclass(frozen=True)
-class CornerPoint:
+class CornerPoint(NamedTuple):
     """A vertex of the rate region.
 
     ``tight`` holds the tags of the constraints satisfied with equality,
@@ -128,8 +129,7 @@ AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 """Normals of the coordinate planes R_i >= 0."""
 
 
-@dataclass(frozen=True)
-class RateRegion:
+class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
     """A polyhedral rate region {R >= 0 : a_t . R >= b_t for all t}.
 
     The normals must be integers (``ValueError`` otherwise).  Its integer
@@ -138,17 +138,12 @@ class RateRegion:
     ``scaled_b`` the q * b_t then 0 for each axis.
     """
 
-    constraints: tuple[LinearInequality, ...]
-    ordering: Ordering | None = None
-    profile: EntropyProfile | None = None
-    planes: tuple[tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    scaled_b: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    q: int = field(init=False, repr=False, compare=False)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        constraints = tuple(self.constraints)
+    def __new__(cls, constraints: Iterable[LinearInequality],
+                ordering: Ordering | None = None,
+                profile: EntropyProfile | None = None) -> RateRegion:
+        constraints = tuple(constraints)
         try:
             normals = tuple(tuple(map(int, c.a)) for c in constraints)
         except (TypeError, OverflowError):
@@ -158,15 +153,11 @@ class RateRegion:
         b = [c.b if type(c.b) is Fraction else Fraction(c.b)
              for c in constraints]
         q = lcm(*(x.denominator for x in b))
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "planes", (*normals, *AXES))
-        object.__setattr__(self, "scaled_b", (
+        self = super().__new__(cls, constraints, ordering, profile)
+        self.__dict__.update(planes=(*normals, *AXES), q=q, scaled_b=(
             *(x.numerator * (q // x.denominator) for x in b), 0, 0, 0
         ))
-        object.__setattr__(self, "q", q)
-
-    def __hash__(self) -> int:
-        return hash(self.constraints)
+        return self
 
 
 CONSTRAINT_ROWS: tuple[tuple[str, tuple[int, int, int]], ...] = (

@@ -162,6 +162,17 @@ def test_layer_rates_reject_mismatched_ordering():
         sr_layer_rates(DYADIC, other)
 
 
+def test_layer_rates_refuse_a_ratio_that_overflows():
+    # 0.015625 / 4e-324 overflows to inf, so h'_7 would be infinite.
+    tiny = DistortionVector([*DYADIC.values[:6], 4e-324])
+    with pytest.raises(InvalidFloatInput, match="h'_7 is not finite"):
+        sr_layer_rates(tiny, induced_ordering(tiny))
+    near = DistortionVector([*DYADIC.values[:6], 1e-308])
+    h = sr_layer_rates(near, induced_ordering(near))
+    assert all(map(math.isfinite, h))
+    assert h[:6] == (0.5,) * 6
+
+
 # ---------------------------------------------------------------------------
 # Inner and outer bound anchors.
 # ---------------------------------------------------------------------------

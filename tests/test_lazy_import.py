@@ -2,7 +2,7 @@
 analysis layers and every CLI call leave it unloaded, and the analysis
 commands leave the codec module unloaded too.  The template table,
 ``amld3.catalog``, loads only where L1 corners are labelled (and with the
-codec).
+codec).  No CLI call loads ``dataclasses`` or ``inspect``.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported numpy.
@@ -20,14 +20,15 @@ import amld3
 from test_cli import DYADIC, ENV, MATCHED
 
 # Runs ``amld3.cli.main`` on argv (if any), then reports on its last line the
-# exit code and whether numpy, the codec module and the template table were
-# imported.
+# exit code and whether numpy, the codec module, the template table,
+# dataclasses and inspect were imported.
 PROBE = """
 import json, sys
 import amld3, amld3.cli
 code = amld3.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([code, *(m in sys.modules
-                          for m in ("numpy", "amld3.codec", "amld3.catalog"))]))
+                          for m in ("numpy", "amld3.codec", "amld3.catalog",
+                                    "dataclasses", "inspect"))]))
 """
 
 
@@ -68,7 +69,7 @@ H = ("--h", "1,1,1,1,1,1,1")
                  False, id="exit-6"),
 ])
 def test_analysis_calls_leave_numpy_unloaded(argv, code, catalog):
-    assert run_probe(*argv) == (code, False, False, catalog)
+    assert run_probe(*argv) == (code, False, False, catalog, False, False)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ def encoded(tmp_path_factory):
 def test_codec_calls_leave_numpy_unloaded(encoded, tmp_path, argv, code):
     argv = [str(encoded / a) if a.endswith(".json") else a for a in argv]
     assert run_probe(*argv, "--out", str(tmp_path / "out")) == (
-        code, False, True, True
+        code, False, True, True, False, False
     )
 
 
