@@ -105,7 +105,8 @@ class DistortionVector(namedtuple("DistortionVector", "values")):
 def normalize_distortions(D: DistortionVector) -> DistortionVector:
     """Effective targets: D~_S = min over nonempty T <= S of D_T."""
     v = D.values
-    return DistortionVector([min(v[j] for j in subs) for subs in _SUB_POSITIONS])
+    mins = tuple([min([v[j] for j in subs]) for subs in _SUB_POSITIONS])
+    return DistortionVector._make((mins,))  # D's floats, checked already
 
 
 def induced_ordering(Dn: DistortionVector) -> Ordering:

@@ -129,6 +129,19 @@ AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 """Normals of the coordinate planes R_i >= 0."""
 
 
+@lru_cache(maxsize=32)
+def _integer_planes(normals: tuple) -> tuple[tuple[int, int, int], ...]:
+    """The normals as ints, then :data:`AXES`; ``ValueError`` unless they
+    are integers.  Equal tuples convert alike, so this is kept per tuple."""
+    try:
+        ints = tuple(tuple(map(int, a)) for a in normals)
+    except (TypeError, OverflowError):
+        ints = None
+    if ints != normals:
+        raise ValueError("the normals of a RateRegion must be integers")
+    return (*ints, *AXES)
+
+
 class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
     """A polyhedral rate region {R >= 0 : a_t . R >= b_t for all t}.
 
@@ -144,17 +157,16 @@ class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
                 ordering: Ordering | None = None,
                 profile: EntropyProfile | None = None) -> RateRegion:
         constraints = tuple(constraints)
+        normals = tuple(c.a for c in constraints)
         try:
-            normals = tuple(tuple(map(int, c.a)) for c in constraints)
-        except (TypeError, OverflowError):
-            normals = None
-        if normals != tuple(c.a for c in constraints):
-            raise ValueError("the normals of a RateRegion must be integers")
+            planes = _integer_planes(normals)
+        except TypeError:  # an unhashable entry: convert without the cache
+            planes = _integer_planes.__wrapped__(normals)
         b = [c.b if type(c.b) is Fraction else Fraction(c.b)
              for c in constraints]
         q = lcm(*(x.denominator for x in b))
         self = super().__new__(cls, constraints, ordering, profile)
-        self.__dict__.update(planes=(*normals, *AXES), q=q, scaled_b=(
+        self.__dict__.update(planes=planes, q=q, scaled_b=(
             *(x.numerator * (q // x.denominator) for x in b), 0, 0, 0
         ))
         return self
@@ -247,74 +259,80 @@ def classify_regime(profile: EntropyProfile) -> Regime:
 # Exact vertex enumeration and membership.
 # ---------------------------------------------------------------------------
 
-def _adjugate(*m) -> tuple[int, ...] | None:
-    """``(det, *adj)`` of the integer matrix with rows ``m``, both negated
-    if need be so that ``det > 0``, ``adj`` flattened row by row; None when
-    the rows are linearly dependent.  ``m . x = b`` has ``x = adj . b / det``.
-    """
-    adj = [
-        m[(c + 1) % 3][(r + 1) % 3] * m[(c + 2) % 3][(r + 2) % 3]
-        - m[(c + 1) % 3][(r + 2) % 3] * m[(c + 2) % 3][(r + 1) % 3]
-        for r in range(3) for c in range(3)
-    ]
-    det = m[0][0] * adj[0] + m[0][1] * adj[3] + m[0][2] * adj[6]
-    if det == 0:
-        return None
-    sign = 1 if det > 0 else -1
-    return (sign * det, *(sign * x for x in adj))
+def _cross(u, v) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
 @lru_cache(maxsize=32)
-def _vertex_solvers(planes) -> tuple[tuple[int, ...], ...]:
-    """``(i, j, k, det, *adj)`` for each nonsingular triple of planes.
+def _vertex_solvers(planes) -> tuple[int, tuple, tuple]:
+    """``(D, groups, solvers)`` of a set of planes, computed once per process.
 
-    Kept per set of planes: every region of :func:`build_mld_region` has
-    the same one, so their adjugates are computed once per process.
+    ``groups`` holds the plane indices of each distinct normal; ``solvers``
+    ``(i, j, k, cols, slacks)`` for each nonsingular triple of them.  With
+    offsets b the triple meets in ``n / D``, ``n = b_i cols[0] + b_j cols[1]
+    + b_k cols[2]``: ``cols`` are the adjugate's columns (cross products of
+    the normals) times D / det, so that every vertex has the one denominator
+    D, the lcm of the determinants.  Each other normal t has ``(t, *(a_t . c
+    for c in cols))`` in ``slacks``, ``a_t . n`` as a form on the offsets.
     """
-    return tuple(
-        (i, j, k, *adj)
-        for i, j, k in combinations(range(len(planes)), 3)
-        if (adj := _adjugate(planes[i], planes[j], planes[k])) is not None
-    )
+    normals = tuple(dict.fromkeys(planes))
+    triples = []
+    for i, j, k in combinations(range(len(normals)), 3):
+        u, v, w = normals[i], normals[j], normals[k]
+        cols = _cross(v, w), _cross(w, u), _cross(u, v)
+        if det := sum(map(mul, u, cols[0])):
+            triples.append((i, j, k, det, cols))
+    D = lcm(*(det for *_, det, _ in triples))
+    solvers = []
+    for i, j, k, det, cols in triples:
+        cols = tuple(tuple(D // det * x for x in c) for c in cols)
+        solvers.append((i, j, k, cols, tuple(
+            (t, *(sum(map(mul, a, c)) for c in cols))
+            for t, a in enumerate(normals) if t not in (i, j, k)
+        )))
+    return D, tuple(
+        tuple(t for t, a in enumerate(planes) if a == n) for n in normals
+    ), tuple(solvers)
 
 
 def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
     """All vertices of the region, exactly.
 
-    Each nonsingular triple of the region's planes (constraints, then the
-    coordinate planes) meets in ``n / (q det)`` with ``n = adj . (q b)``:
-    the triple's adjugate, computed once per process, times the region's
-    integer rows.  The point is a vertex when every integer slack
-    ``a . n - (q b) det`` is non-negative; the planes where it is zero are
-    the tight tags and tell coinciding vertices apart, and only distinct
-    vertices become ``Fraction``s.  Corners come sorted by rates, without
-    labels (see :func:`label_corners`).
+    Of the planes (constraints, then the coordinate planes) that share a
+    normal, only the one with the largest q b can be tight in the region.
+    So a triple of distinct normals meets there in ``n / (q D)``, a vertex
+    when the other normals' slack forms (:func:`_vertex_solvers`) are at
+    least D q b; ``n`` is formed only then.  Over the one denominator q D,
+    the integer ``n`` tells vertices apart and orders them, and the
+    constraints with ``a . n = D q b`` are a vertex's tight tags.  Corners
+    come sorted by rates, without labels (see :func:`label_corners`).
     """
     planes, bs, q = region.planes, region.scaled_b, region.q
-    rows = tuple(zip(planes, bs))
-    tags = [c.tag for c in region.constraints]
-    found = {}
-    solvers = _vertex_solvers(planes)
-    for i, j, k, det, m00, m01, m02, m10, m11, m12, m20, m21, m22 in solvers:
-        bi, bj, bk = bs[i], bs[j], bs[k]
-        n0 = m00 * bi + m01 * bj + m02 * bk
-        n1 = m10 * bi + m11 * bj + m12 * bk
-        n2 = m20 * bi + m21 * bj + m22 * bk
-        for (a1, a2, a3), b in rows:
-            if a1 * n0 + a2 * n1 + a3 * n2 < b * det:
+    D, groups, solvers = _vertex_solvers(planes)
+    kb = [max([bs[t] for t in g]) for g in groups]
+    lb = [D * b for b in kb]
+    found = set()
+    for i, j, k, cols, slacks in solvers:
+        bi, bj, bk = kb[i], kb[j], kb[k]
+        for t, ci, cj, ck in slacks:
+            if ci * bi + cj * bj + ck * bk < lb[t]:
                 break
         else:
-            tight = tuple(
-                t for t, ((a1, a2, a3), b) in enumerate(rows)
-                if a1 * n0 + a2 * n1 + a3 * n2 == b * det
-            )
-            if tight not in found:
-                d = q * det
-                found[tight] = CornerPoint(
-                    (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d)),
-                    tuple(tags[t] for t in tight if t < len(tags)),
-                )
-    return tuple(sorted(found.values(), key=lambda c: c.rates))
+            found.add(tuple(
+                bi * x + bj * y + bk * z for x, y, z in zip(*cols)
+            ))
+    tags = [c.tag for c in region.constraints]
+    rows = [(tag, a, D * b) for tag, a, b in zip(tags, planes, bs)]
+    d = q * D
+    return tuple(
+        CornerPoint(
+            (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d)),
+            tuple(tag for tag, (a1, a2, a3), b in rows
+                  if a1 * n0 + a2 * n1 + a3 * n2 == b),
+        )
+        for n0, n1, n2 in sorted(found)
+    )
 
 
 def contains(region: RateRegion, rates: Sequence) -> bool:

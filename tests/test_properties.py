@@ -3,7 +3,8 @@
 The exact region is checked against the frozen coefficient tables, with
 expected values from direct ``Fraction`` arithmetic on them; no library call
 enters them.  Its corners are checked against the closed-form L1 catalog and
-against the reference Cramer enumerator, on full and pruned regions, and
+against the reference Cramer enumerator, on full and pruned regions, on
+profiles whose planes coincide and on directly built regions, and
 exact membership equals the verdict of the eleven constraint rows alone.
 Plan-based decode, on arrays and on packed bytes, is checked against the
 bit-level decoder on random hand-built schemes and random description bits,
@@ -20,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
@@ -31,6 +33,7 @@ from amld3 import (
     DistortionVector,
     EntropyProfile,
     LengthMismatch,
+    LinearInequality,
     NoiseParams,
     OddSplit,
     Ordering,
@@ -197,6 +200,69 @@ def test_enumerate_corners_equals_reference_enumerator(index, h, drop):
         (c.a, c.b, c.tag) for c in region.constraints
     )
     assert [(c.rates, c.tight) for c in enumerate_corners(region)] == want
+
+
+# h3 = h4 gives rows Q10 and Q11 of L1 one offset, 20 at the first profile,
+# so the two rows are one plane; h1 = 0 puts row Q1 on the R1 axis.
+TIE_PROFILES = ((1, 2, 3, 3, 1, 2, 1), (0, 2, 3, 1, 1, 2, 1),
+                (0, 2, 3, 3, 1, 2, 1))
+
+
+@pytest.mark.parametrize("h", TIE_PROFILES)
+@pytest.mark.parametrize("index", range(1, 9))
+def test_enumerate_corners_on_coinciding_planes(index, h):
+    region = build_mld_region(
+        Ordering(_oracles.ORDERING_ROWS[index - 1]), EntropyProfile(h)
+    )
+    got = [(c.rates, c.tight) for c in enumerate_corners(region)]
+    assert got == _oracles.reference_corners(
+        (c.a, c.b, c.tag) for c in region.constraints
+    )
+    if index != 1:
+        return
+    if h[2] == h[3]:
+        b = {c.tag: c.b for c in region.constraints}
+        assert b["Q10"] == b["Q11"]
+        both = [("Q10" in t, "Q11" in t) for _, t in got]
+        assert (True, True) in both
+        assert all(q10 == q11 for q10, q11 in both)
+    if h[0] == 0:
+        on_axis = [t for rates, t in got if rates[0] == 0]
+        assert on_axis and all("Q1" in t for t in on_axis)
+
+
+OFFSETS = st.fractions(min_value=-4, max_value=6, max_denominator=3)
+NORMALS = st.one_of(
+    st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+                     (1, 1, 1), (2, 1, 1), (0, 0, 0))),
+    st.tuples(*[st.integers(-2, 2)] * 3),
+)
+
+
+@st.composite
+def integer_rows(draw):
+    """Rows (normal, offset) with repeated normals, at equal and at other
+    offsets, and with doubled normals beside the originals."""
+    rows = draw(st.lists(st.tuples(NORMALS, OFFSETS), min_size=1, max_size=5))
+    for a, b in list(rows):
+        kind = draw(st.sampled_from(("none", "equal", "other", "double")))
+        if kind == "equal":
+            rows.append((a, b))
+        elif kind == "other":
+            rows.append((a, draw(OFFSETS)))
+        elif kind == "double":
+            rows.append((tuple(2 * x for x in a), draw(OFFSETS)))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=integer_rows())
+def test_enumerate_corners_of_directly_built_regions(rows):
+    rows = [(a, b, f"T{t}") for t, (a, b) in enumerate(rows)]
+    region = RateRegion(LinearInequality(*row) for row in rows)
+    assert [(c.rates, c.tight) for c in enumerate_corners(region)] == (
+        _oracles.reference_corners(rows)
+    )
 
 
 # ---------------------------------------------------------------------------

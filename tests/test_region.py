@@ -30,6 +30,7 @@ from amld3 import (
     tight_constraints,
 )
 from amld3.ordering import L1
+from amld3.rate_region import _vertex_solvers
 
 F = Fraction
 ALL_ONES = EntropyProfile([1] * 7)
@@ -237,6 +238,31 @@ def test_region_refuses_non_integer_normals(normal):
         RateRegion(constraints)
     region = RateRegion((LinearInequality((F(2), 1.0, 0), 1, "A"),))
     assert region.planes[0] == (2, 1, 0)
+
+
+def test_region_refuses_unhashable_normal_entries():
+    # Normals are checked once per tuple; an entry that cannot be hashed is
+    # still checked, and refused like any other non-integer.
+    with pytest.raises(ValueError, match="must be integers"):
+        RateRegion((LinearInequality(([1], 0, 0), 1, "A"),))
+
+
+def test_corner_tables_are_shared_by_all_built_regions():
+    # Every build_mld_region region has the same planes, so the vertex
+    # solver tables are computed once: a key that varied per region would
+    # recompute them on every enumerate_corners call.
+    families = [*_oracles.REP_PROFILES.values(),
+                (1, 1, 3, 2, 1, 1, 1),  # h3 = h4 + h5
+                (1, 1, 2, 2, 1, 1, 1),  # h3 = h4
+                (1, 2, 3, 3, 1, 2, 1)]  # h3 = h4: rows 4 and 5 tie
+    before = _vertex_solvers.cache_info()
+    for order in enumerate_orderings():
+        for h in families:
+            enumerate_corners(build_mld_region(order, EntropyProfile(h)))
+    after = _vertex_solvers.cache_info()
+    assert after.currsize - before.currsize <= 1
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits >= 8 * len(families) - 1
 
 
 def test_corner_oracle_formulas_match_library_on_random_profiles():
