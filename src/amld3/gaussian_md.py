@@ -20,20 +20,24 @@ with free noise parameters ``d_1 >= ... >= d_6 >= d_7 = 0`` is exposed as
 well; choosing ``d_i = D~`` of the level-i decoder makes it at least as
 tight as the fixed-slack bound everywhere.
 
-All arithmetic here is float64 with logs base 2; membership tests use an
-absolute tolerance of 1e-9.
+Each bound call normalizes and ranks the targets once, on tuples indexed by
+canonical subset position: the induced ordering is looked up among the eight
+admissible ones, and the eleven rows are built from normals and tags fixed at
+import.  All arithmetic here is float64 with logs base 2; membership tests
+use an absolute tolerance of 1e-9.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import sub
+from operator import ge, itemgetter, sub
 from typing import Mapping, NamedTuple, Sequence
 
 from .ordering import (
     SUBSETS,
     Ordering,
+    enumerate_orderings,
     union,
     validate_ordering,
 )
@@ -68,6 +72,16 @@ _POSITION = {s: i for i, s in enumerate(SUBSETS)}
 _SUB_POSITIONS = tuple(
     tuple(_POSITION[t] for t in SUBSETS if union(t, s) == s) for s in SUBSETS
 )
+# Per subset, a getter of its own target and then its sub-subsets' targets
+# (own position first, so even a single returns a tuple to take min of).
+_SUB_GETTERS = tuple(itemgetter(i, *p) for i, p in enumerate(_SUB_POSITIONS))
+# The eight admissible orderings by level sequence of positions, each with
+# the 0-based level (rank) of every position.
+_RANKED = {
+    tuple(map(_POSITION.get, o.by_level)):
+        (o, tuple(map(o.by_level.index, SUBSETS)))
+    for o in enumerate_orderings()
+}
 
 
 class DistortionVector(namedtuple("DistortionVector", "values")):
@@ -87,9 +101,7 @@ class DistortionVector(namedtuple("DistortionVector", "values")):
                 raise ValueError(f"expected 7 targets, got {len(vals)}")
         for s, v in zip(SUBSETS, vals):
             if not 0.0 < v <= 1.0:
-                raise DistortionRangeError(
-                    f"D_{s} = {v} is outside (0, 1]"
-                )
+                raise DistortionRangeError(f"D_{s} = {v} is outside (0, 1]")
         return super().__new__(cls, vals)
 
     def __getitem__(self, subset: str) -> float:
@@ -102,11 +114,14 @@ class DistortionVector(namedtuple("DistortionVector", "values")):
         return {s: v for s, v in zip(SUBSETS, self.values)}
 
 
+def _normalized(v: tuple) -> tuple:
+    """D~ by position: the least target over each subset's sub-subsets."""
+    return tuple([min(get(v)) for get in _SUB_GETTERS])
+
+
 def normalize_distortions(D: DistortionVector) -> DistortionVector:
     """Effective targets: D~_S = min over nonempty T <= S of D_T."""
-    v = D.values
-    mins = tuple([min([v[j] for j in subs]) for subs in _SUB_POSITIONS])
-    return DistortionVector._make((mins,))  # D's floats, checked already
+    return DistortionVector._make((_normalized(D.values),))  # checked floats
 
 
 def induced_ordering(Dn: DistortionVector) -> Ordering:
@@ -119,18 +134,27 @@ def induced_ordering(Dn: DistortionVector) -> Ordering:
     are not sorted (D_G1 >= D_G2 >= D_G3 is required; relabeling
     descriptions is the caller's business).
     """
-    if Dn.values != normalize_distortions(Dn).values:
+    t = Dn.values
+    if t != _normalized(t):
         raise NotNormalized(
             "distortion targets must be normalized first "
             "(see normalize_distortions)"
         )
-    return _ranked_ordering(Dn)
+    return _ranked_ordering(t)[0]
 
 
-def _ranked_ordering(Dn: DistortionVector) -> Ordering:
-    """:func:`induced_ordering` of targets the caller has just normalized."""
-    ranked = sorted(SUBSETS, key=lambda s: -Dn[s])
-    return validate_ordering({s: i + 1 for i, s in enumerate(ranked)})
+def _ranked_ordering(t: tuple) -> tuple[Ordering, tuple[int, ...]]:
+    """(ordering, rank of each position) of normalized targets ``t``.
+
+    The positions are stable-sorted by descending target, so ties keep
+    canonical order.  A sequence that is none of the eight orderings breaks
+    an axiom, and :func:`~.ordering.validate_ordering` raises its error.
+    """
+    seq = tuple(sorted(range(7), key=t.__getitem__, reverse=True))
+    found = _RANKED.get(seq)
+    if found is None:
+        validate_ordering({SUBSETS[j]: k for k, j in enumerate(seq, 1)})
+    return found
 
 
 def sr_layer_rates(
@@ -144,10 +168,9 @@ def sr_layer_rates(
     below ~5.6e-309 times the one before it) raises
     :class:`InvalidFloatInput`.
     """
-    out = []
-    prev = 1.0
-    for k in range(1, 8):
-        cur = Dn[ordering.inverse_level(k)]
+    out, prev = [], 1.0
+    for k, s in enumerate(ordering.by_level, start=1):
+        cur = Dn.values[_POSITION[s]]
         if cur > prev:
             raise NotNormalized(
                 f"distortion increases from level {k - 1} to {k}; "
@@ -177,12 +200,18 @@ class BoundSet(NamedTuple):
     distortions: DistortionVector
 
 
-def _bound(kind: str, prefix: str, offsets, o, Dn) -> BoundSet:
-    cons = tuple(
-        LinearInequality(a, b, f"{prefix}-{suffix}")
-        for (suffix, a), b in zip(CONSTRAINT_ROWS, offsets)
-    )
-    return BoundSet(kind, cons, o, Dn)
+# The rows' normals (3-tuples of ints already), and each family's tags.
+_NORMALS = tuple(a for _, a in CONSTRAINT_ROWS)
+_TAGS = {
+    p: tuple(f"{p}-{sfx}" for sfx, _ in CONSTRAINT_ROWS)
+    for p in ("I", "O", "PO")
+}
+
+
+def _bound(kind: str, prefix: str, offsets, o, t: tuple) -> BoundSet:
+    rows = zip(_NORMALS, offsets, _TAGS[prefix])
+    return BoundSet(kind, tuple(map(LinearInequality._make, rows)), o,
+                    DistortionVector._make((t,)))
 
 
 def _finite(offsets, why: str):
@@ -192,24 +221,24 @@ def _finite(offsets, why: str):
 
 
 def _inner_offsets(D: DistortionVector):
-    """Normalized targets, their ordering, and the inner offsets: the
-    region's generator at r(S) = (1/2) log2(1/D~_S), checked finite."""
-    Dn = normalize_distortions(D)
-    o = _ranked_ordering(Dn)
-    r = {s: 0.5 * math.log2(1.0 / Dn[s]) for s in SUBSETS}
-    return Dn, o, _finite(constraint_offsets(r), "a target below ~5.6e-309")
+    """Normalized targets by position, their ordering, and the inner offsets:
+    the region's generator at r(S) = (1/2) log2(1/D~_S), checked finite."""
+    t = _normalized(D.values)
+    o = _ranked_ordering(t)[0]
+    r = dict(zip(SUBSETS, [0.5 * math.log2(1.0 / x) for x in t]))
+    return t, o, _finite(constraint_offsets(r), "a target below ~5.6e-309")
 
 
 def inner_bound(D: DistortionVector) -> BoundSet:
     """Achievable-side bounds (distortions are normalized internally)."""
-    Dn, o, offsets = _inner_offsets(D)
-    return _bound("inner", "I", offsets, o, Dn)
+    t, o, offsets = _inner_offsets(D)
+    return _bound("inner", "I", offsets, o, t)
 
 
 def outer_bound(D: DistortionVector) -> BoundSet:
     """Converse-side bounds: the inner b's minus fixed per-row slacks."""
-    Dn, o, offsets = _inner_offsets(D)
-    return _bound("outer", "O", map(sub, offsets, _SLACK), o, Dn)
+    t, o, offsets = _inner_offsets(D)
+    return _bound("outer", "O", map(sub, offsets, _SLACK), o, t)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +251,7 @@ class NoiseParams(namedtuple("NoiseParams", "d")):
     __slots__ = ()
 
     def __new__(cls, d: Sequence[float]) -> NoiseParams:
-        vals = tuple(float(x) for x in d)
+        vals = tuple(map(float, d))
         if len(vals) == 6:
             vals = vals + (0.0,)
         if len(vals) != 7:
@@ -234,22 +263,21 @@ class NoiseParams(namedtuple("NoiseParams", "d")):
             raise NonMonotoneNoise(
                 f"noise parameters must be finite and non-negative, got {vals}"
             )
-        if not all(vals[i] >= vals[i + 1] for i in range(6)):
+        if not all(map(ge, vals, vals[1:])):
             raise NonMonotoneNoise(
                 f"noise parameters must be non-increasing, got {vals}"
             )
         return super().__new__(cls, vals)
 
     @classmethod
-    def matched(
-        cls, Dn: DistortionVector, ordering: Ordering
-    ) -> "NoiseParams":
+    def matched(cls, Dn: DistortionVector, ordering: Ordering) -> NoiseParams:
         """d_i = normalized distortion of the level-i decoder (d_7 = 0)."""
-        return cls(
-            [Dn[ordering.inverse_level(i)] for i in range(1, 7)]
-        )
+        return cls([Dn.values[_POSITION[s]] for s in ordering.by_level[:6]])
 
     def at_level(self, level: int) -> float:
+        """d_level, for a level in 1..7."""
+        if not 1 <= level <= 7:
+            raise IndexError(f"level must be in 1..7, got {level}")
         return self.d[level - 1]
 
 
@@ -263,74 +291,50 @@ def parametric_outer_bound(
     row-by-row.  Noise near 1e155 overflows a pair step's products, and an
     offset that is not finite raises :class:`InvalidFloatInput`.
     """
-    Dn = normalize_distortions(D)
-    o = _ranked_ordering(Dn)
-    lv = o.levels
-    d = noise.at_level
+    t = _normalized(D.values)
+    o, lv = _ranked_ordering(t)  # by position: ranks, targets and noise
+    d = noise.d                  # 0-based too: d_k is d[k - 1]
     lg = math.log2
-    singles = ("G1", "G2", "G3")
 
-    def single_factor(g: str, level: int) -> float:
-        return lg((1.0 + d(level)) / (Dn[g] + d(level)))
+    def single_factor(i: int, k: int) -> float:
+        return lg((1.0 + d[k]) / (t[i] + d[k]))
 
-    def pair_step(pair: str, hi: int, lo: int) -> float:
-        # Rate carried by decoder `pair` between noise levels lo and hi.
+    def pair_step(p: int, hi: int, lo: int) -> float:
+        # Rate carried by decoder p between noise ranks lo and hi.
         return lg(
-            (1.0 + d(hi)) * (Dn[pair] + d(lo))
-            / ((1.0 + d(lo)) * (Dn[pair] + d(hi)))
+            (1.0 + d[hi]) * (t[p] + d[lo]) / ((1.0 + d[lo]) * (t[p] + d[hi]))
         )
 
-    def tail(level: int) -> float:
-        return lg(
-            (Dn["G123"] + d(level)) / ((1.0 + d(level)) * Dn["G123"])
-        )
+    def tail(p: int, k: int) -> float:  # pair_step(p, 6, k), as d_7 = 0
+        return lg((t[p] + d[k]) / ((1.0 + d[k]) * t[p]))
 
-    offsets = [0.5 * lg(1.0 / Dn[g]) for g in singles]
-    for gi, gj in (("G1", "G2"), ("G1", "G3"), ("G2", "G3")):
-        gij = union(gi, gj)
-        m = max(lv[gi], lv[gj])
+    # Positions: G1 G2 G3 = 0 1 2, G12 G13 G23 = 3 4 5, G123 = 6.
+    sf = [single_factor(i, lv[i]) for i in range(3)]
+    offsets = [0.5 * lg(1.0 / t[i]) for i in range(3)]
+    for i, j, ij in ((0, 1, 3), (0, 2, 4), (1, 2, 5)):
+        offsets.append(0.5 * (sf[i] + sf[j] + tail(ij, max(lv[i], lv[j]))))
+    for i, j, k, ij, ik in ((0, 1, 2, 3, 4), (1, 0, 2, 3, 5), (2, 0, 1, 4, 5)):
         offsets.append(0.5 * (
-            single_factor(gi, lv[gi])
-            + single_factor(gj, lv[gj])
-            + lg((Dn[gij] + d(m)) / ((1.0 + d(m)) * Dn[gij]))
+            2.0 * sf[i] + sf[j] + sf[k]
+            + pair_step(ij, lv[ij], max(lv[i], lv[j]))
+            + pair_step(ik, lv[ik], max(lv[i], lv[k]))
+            + tail(6, max(lv[ij], lv[ik]))
         ))
-    for gi in singles:
-        gj, gk = [g for g in singles if g != gi]
-        gij, gik = union(gi, gj), union(gi, gk)
-        offsets.append(0.5 * (
-            2.0 * single_factor(gi, lv[gi])
-            + single_factor(gj, lv[gj])
-            + single_factor(gk, lv[gk])
-            + pair_step(gij, lv[gij], max(lv[gi], lv[gj]))
-            + pair_step(gik, lv[gik], max(lv[gi], lv[gk]))
-            + tail(max(lv[gij], lv[gik]))
-        ))
-    m4 = min(lv["G12"], lv["G3"])
+    m4 = min(lv[3], lv[2])
     offsets.append(0.5 * (
-        single_factor("G1", lv["G1"])
-        + single_factor("G2", lv["G2"])
-        + single_factor("G3", m4)
-        + pair_step("G12", m4, lv["G2"])
-        + tail(m4)
+        sf[0] + sf[1] + single_factor(2, m4) + pair_step(3, m4, lv[1])
+        + tail(6, m4)
     ))
-    if lv["G3"] > lv["G12"]:
-        alpha = lv["G3"]
-    else:
-        alpha = min(lv["G12"], lv["G13"], lv["G23"])
+    alpha = lv[2] if lv[2] > lv[3] else min(lv[3], lv[4], lv[5])
     offsets.append(
-        0.5
-        * (
-            single_factor("G1", lv["G1"])
-            + single_factor("G2", lv["G2"])
-            + single_factor("G3", lv["G3"])
-        )
-        + 0.25 * pair_step("G12", alpha, lv["G2"])
-        + 0.25 * pair_step("G13", alpha, lv["G3"])
-        + 0.25 * pair_step("G23", alpha, lv["G3"])
-        + 0.5 * tail(lv["G3"])
+        0.5 * (sf[0] + sf[1] + sf[2])
+        + 0.25 * pair_step(3, alpha, lv[1])
+        + 0.25 * pair_step(4, alpha, lv[2])
+        + 0.25 * pair_step(5, alpha, lv[2])
+        + 0.5 * tail(6, lv[2])
     )
     offsets = _finite(offsets, "the targets or noise overflow")
-    return _bound("parametric", "PO", offsets, o, Dn)
+    return _bound("parametric", "PO", offsets, o, t)
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +374,17 @@ class GapReport(NamedTuple):
         }
 
 
+# Euclidean norm of each row's normal, in CONSTRAINT_ROWS order.
+_NORMS = tuple(math.sqrt(sum(x * x for x in a)) for _, a in CONSTRAINT_ROWS)
+
+
 def facet_gap(D: DistortionVector) -> GapReport:
     """Distances between matching inner and outer planes (see GapReport)."""
     _, _, offsets = _inner_offsets(D)
-    gap = {
-        suffix: (b - bo) / math.sqrt(sum(x * x for x in a))
-        for (suffix, a), b, bo in zip(
-            CONSTRAINT_ROWS, offsets, map(sub, offsets, _SLACK)
-        )
-    }
-    return GapReport(
-        singles=max(gap["1.1"], gap["1.2"], gap["1.3"]),
-        pairs=max(gap["2.12"], gap["2.13"], gap["2.23"]),
-        weighted_triples=max(gap["3.1"], gap["3.2"], gap["3.3"]),
-        sum_rate=(gap["4"], gap["5"]),
-    )
+    # b - (b - s), not s: the distance to the outer offset as rounded.
+    gap = [(b - (b - s)) / n for b, s, n in zip(offsets, _SLACK, _NORMS)]
+    return GapReport(max(gap[0:3]), max(gap[3:6]), max(gap[6:9]),
+                     (gap[9], gap[10]))
 
 
 def md_contains(
@@ -394,7 +394,7 @@ def md_contains(
 
     NaN rates are never inside (see :func:`~.rate_region.classify_slacks`).
     """
-    r = tuple(float(x) for x in rates)
+    r = tuple(map(float, rates))
     if len(r) != 3:
         raise ValueError("expected 3 rates")
     return not classify_slacks(bound.constraints, r, tol)[1]

@@ -5,8 +5,9 @@ the library implementation, so that tests compare two routes to the same
 answer:
 
 * a frozen table of the eight admissible level orderings;
-* a normalizer of Gaussian distortion targets over subset bitmasks, and a
-  ranker that counts, for each decoder, the decoders ranked ahead of it;
+* a normalizer of Gaussian distortion targets over subset bitmasks, a
+  ranker that counts, for each decoder, the decoders ranked ahead of it, and
+  a second ranker that sorts the targets and checks the axioms itself;
 * the coefficient tables of the eleven region inequalities for each of the
   eight orderings, expressed over the layer entropies (h_1, ..., h_7);
 * closed-form corner coordinates for the three regimes of the first ordering;
@@ -100,6 +101,18 @@ def rank_targets(normalized):
         )
         seq[ahead] = s
     return tuple(seq)
+
+
+def induced_level_sequence(normalized):
+    """(level sequence, admissible) of normalized targets, by a stable sort:
+    decreasing target, ties in canonical order; the sequence is checked
+    with :func:`level_sequence_is_admissible`."""
+    seq = tuple(
+        s for _, _, s in sorted(
+            (-v, i, s) for i, (s, v) in enumerate(zip(SUBSETS, normalized))
+        )
+    )
+    return seq, level_sequence_is_admissible(seq)
 
 
 # Coefficients of the eleven inequalities of the first ordering, written as

@@ -741,6 +741,51 @@ def test_cli_output_matches_golden_digest(capsys):
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+def _gaussian_targets():
+    """(ordering index, targets, noise) for each ordering: a per-level
+    dyadic target, and one with G123 and every pair whose level follows its
+    later single raised to 1, which normalizes back to ties that still
+    induce the same ordering; the noise is matched to the dyadic target."""
+    for n, row in enumerate(_oracles.ORDERING_ROWS, start=1):
+        level = {s: k + 1 for k, s in enumerate(row)}
+        dyadic = {s: 2.0 ** -level[s] for s in SUBSETS}
+        raised = dict(dyadic, G123=1.0)
+        for s in ("G12", "G13", "G23"):
+            singles = [g for g in ("G1", "G2", "G3") if g[1] in s[1:]]
+            if level[s] == 1 + max(level[g] for g in singles):
+                raised[s] = 1.0
+        noise = ",".join(repr(2.0 ** -k) for k in range(1, 7))
+        for D in (dyadic, raised):
+            yield n, ",".join(repr(D[s]) for s in SUBSETS), noise
+
+
+# sha256 over (argv, exit code, stdout) of md-bounds, gap and check --D in
+# JSON on the targets of _gaussian_targets.
+GAUSSIAN_GOLDEN_DIGEST = (
+    "cef1f20f156e9d7961efbbf72df3e9e98bfe3e8ff2a1c55f1276620aa9b8253d"
+)
+
+
+def test_gaussian_cli_output_matches_golden_digest(capsys):
+    from amld3 import cli
+
+    digest = hashlib.sha256()
+    for n, D, noise in _gaussian_targets():
+        argvs = [["md-bounds", "--D", D, "--d", noise, "--emit", "json"],
+                 ["gap", "--D", D, "--emit", "json"]]
+        argvs += [["check", "--D", D, "--which", which, "--d", noise,
+                   "--rates", rates]
+                  for which in ("inner", "outer", "parametric")
+                  for rates in ("1,2.5,3", "2,2,2")]
+        for argv in argvs:
+            code = cli.main(argv)
+            out = capsys.readouterr().out
+            if argv[0] == "md-bounds":
+                assert json.loads(out)["ordering"] == n
+            digest.update(json.dumps([argv, code, out]).encode())
+    assert digest.hexdigest() == GAUSSIAN_GOLDEN_DIGEST
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demo_runs(demo):

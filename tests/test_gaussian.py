@@ -339,6 +339,44 @@ def test_bound_floats_match_golden_digest():
     assert digest.hexdigest() == FLOAT_DIGEST
 
 
+# Fixed rate triples for the membership verdicts of the structure digest.
+DIGEST_RATES = (
+    (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 2.0, 3.0),
+    (3.0, 3.0, 3.0), (6.0, 4.0, 2.0), (20.0, 20.0, 20.0),
+)
+
+# sha256 over _digest_targets(2000, 1010) of what FLOAT_DIGEST leaves out:
+# the normalized targets, the induced ordering index, each bound's ordering
+# index and each row's normal, tag and types, and md_contains at tol 0 and
+# 1e-9 on DIGEST_RATES and on a point 5e-10 below the first row's plane,
+# for every bound.
+STRUCT_DIGEST = (
+    "b241ed81b31dab6e3759d229acfacb314a47464dac1b9444f2884d618aa0d67c"
+)
+
+
+def test_bound_structure_matches_golden_digest():
+    digest = hashlib.sha256()
+    for D in _digest_targets(2000, 1010):
+        Dn = normalize_distortions(D)
+        o = induced_ordering(Dn)
+        digest.update(repr((Dn.values, o.index)).encode())
+        for bound in (inner_bound(D), outer_bound(D),
+                      parametric_outer_bound(D, NoiseParams.matched(Dn, o))):
+            digest.update(repr((bound.kind, bound.ordering.index)).encode())
+            for c in bound.constraints:
+                digest.update(repr((
+                    type(c).__name__, c.a, tuple(type(x).__name__ for x in c.a),
+                    c.tag, type(c.b).__name__,
+                )).encode())
+            edge = (bound.constraints[0].b - 5e-10, 1e3, 1e3)
+            for rates in (*DIGEST_RATES, edge):
+                verdicts = (md_contains(bound, rates, tol=0.0),
+                            md_contains(bound, rates, tol=1e-9))
+                digest.update(repr(verdicts).encode())
+    assert digest.hexdigest() == STRUCT_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # Noise parameters and the parametric bound.
 # ---------------------------------------------------------------------------
@@ -359,6 +397,11 @@ def test_noise_params_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(NonMonotoneNoise):
             NoiseParams([bad, 0.0, 0.0, 0.0, 0.0, 0.0])
+    # Levels outside 1..7 raise; 0 and -1 used to wrap to d_7 and d_6.
+    assert [n.at_level(k) for k in range(1, 8)] == list(n.d)
+    for bad in (0, -1, 8):
+        with pytest.raises(IndexError, match=f"got {bad}"):
+            n.at_level(bad)
 
 
 def test_matched_noise_reads_levels_off_the_ordering():

@@ -13,7 +13,9 @@ lengths with a documented error.  The packed replays are checked against the
 array replays and the bit-level decoder on every catalog label, with the
 padding bits of their inputs set.  Gaussian targets are normalized and
 ranked as the oracle's normalizer and ranker do, and the matched-noise
-parametric bound dominates the fixed-slack outer bound on all of them.
+parametric bound dominates the fixed-slack outer bound on all of them.  On
+tie-heavy dyadic targets the induced ordering of every bound is the sorting
+oracle's, or the same axiom error as ``validate_ordering`` gives.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from amld3 import (
     encode_packed,
     enumerate_corners,
     induced_ordering,
+    inner_bound,
     instantiate_scheme,
     label_corners,
     normalize_distortions,
@@ -63,6 +66,7 @@ from amld3 import (
     restrict,
     template_name_for_label,
     unpack_bits,
+    validate_ordering,
 )
 from amld3.codec import decode_plan
 from amld3.ordering import SUBSETS, subset_members
@@ -526,3 +530,59 @@ def test_normalized_targets_ranking_and_parametric_dominance(values):
     for cp, co in zip(po.constraints, outer_bound(D).constraints):
         assert cp.a == co.a
         assert cp.b >= co.b - 1e-9, (cp.tag, cp.b, co.b)
+
+
+# Few distinct values, so that most draws tie.
+DYADIC_SET = (1.0, 0.5, 0.25, 0.125, 0.0625)
+
+
+@st.composite
+def tie_heavy_targets(draw):
+    """Seven values from DYADIC_SET, either placed non-increasing along one
+    of the 8 orderings or left as drawn (which may put the singles out of
+    order), with some pair and triple targets then raised above the targets
+    of their sub-subsets."""
+    values = draw(st.lists(st.sampled_from(DYADIC_SET), min_size=7,
+                           max_size=7))
+    vals = dict(zip(SUBSETS, values))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(_oracles.ORDERING_ROWS))
+        vals = dict(zip(row, sorted(values, reverse=True)))
+    for s in SUBSETS[3:]:
+        if draw(st.booleans()):
+            vals[s] = draw(st.sampled_from(
+                [x for x in DYADIC_SET if x >= vals[s]]))
+    return [vals[s] for s in SUBSETS]
+
+
+def _error_of(call):
+    """(class, message) of the ValueError a call raises, or None."""
+    try:
+        call()
+    except ValueError as e:  # every OrderingError is one
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=tie_heavy_targets())
+def test_induced_ordering_matches_the_sorting_oracle_on_ties(values):
+    D = DistortionVector(values)
+    Dn = normalize_distortions(D)
+    seq, admissible = _oracles.induced_level_sequence(Dn.values)
+    noise = NoiseParams([0.5] * 6)
+    calls = (
+        lambda: induced_ordering(Dn),
+        lambda: inner_bound(D).ordering,
+        lambda: outer_bound(D).ordering,
+        lambda: parametric_outer_bound(D, noise).ordering,
+    )
+    if admissible:
+        for call in calls:
+            assert call().by_level == seq
+        return
+    want = _error_of(
+        lambda: validate_ordering({s: k for k, s in enumerate(seq, 1)}))
+    assert want is not None
+    for call in calls:
+        assert _error_of(call) == want
