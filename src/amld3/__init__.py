@@ -4,8 +4,9 @@
 The package has three layers over a shared vocabulary,
 :mod:`amld3.ordering` (the eight admissible decoder orderings):
 
-* :mod:`amld3.rate_region` — exact polyhedral rate regions, corner
-  enumeration, and the L1 corner catalog, read off :mod:`amld3.catalog`;
+* :mod:`amld3.rate_region` — exact polyhedral rate regions and corner
+  enumeration, and with :mod:`amld3.catalog` the L1 corner catalog, read
+  off the scheme templates;
 * :mod:`amld3.codec` — bit-exact encoders/decoders for every catalog
   corner, including the XOR network-coding segments and time sharing;
 * :mod:`amld3.gaussian_md` — inner/outer/parametric rate bounds for the
@@ -14,13 +15,14 @@ The package has three layers over a shared vocabulary,
 The ``amld3`` console script exposes all of it on the command line.
 
 Only the codec's array API (``encode``, ``decode``, ``SourceBundle``,
-``pack_bits``, ...) loads numpy.  The codec's names (``amld3.encode``,
-``amld3.TEMPLATES``, ``amld3.codec`` itself, ...) are loaded on first use,
-so ``import amld3``, the three analysis layers and the analysis commands of
-the CLI (``region``, ``corners``, ``check``, ``md-bounds``, ``gap``) do not
-load the codec module; ``encode`` and ``decode`` load it, but replay its
-plans on packed bytes, so no CLI command loads numpy.  The scheme templates
-(:mod:`amld3.catalog`) load only to label L1 corners, or with the codec.
+``pack_bits``, ...) loads numpy.  The names of :mod:`amld3.catalog`
+(``amld3.TEMPLATES``, ``amld3.label_corners``, ...) and of
+:mod:`amld3.codec` (``amld3.encode``, ...), and the two modules themselves,
+are loaded on first use.  So ``import amld3``, the three analysis layers and
+the analysis commands of the CLI (``region``, ``corners``, ``check``,
+``md-bounds``, ``gap``) do not load the codec module; ``encode`` and
+``decode`` load it, but replay its plans on packed bytes, so no CLI command
+loads numpy.  The catalog loads only to label L1 corners, or with the codec.
 """
 
 import importlib
@@ -40,7 +42,6 @@ from .ordering import (
     validate_ordering,
 )
 from .rate_region import (
-    CATALOG_LABELS,
     P_TAGS,
     Q_TAGS,
     CornerPoint,
@@ -54,9 +55,7 @@ from .rate_region import (
     classify_slacks,
     contains,
     corner_json_dict,
-    corner_scheme_catalog_L1,
     enumerate_corners,
-    label_corners,
     region_json_dict,
     tight_constraints,
 )
@@ -84,49 +83,38 @@ from .gaussian_md import (
 
 __version__ = "0.1.0"
 
-# Served by ``__getattr__`` below, so that the codec module loads on first use.
-_CODEC_NAMES = (
-    "ALL_SCHEME_LABELS",
-    "TEMPLATES",
-    "DescriptionScheme",
-    "EncodedDescriptions",
-    "LengthMismatch",
-    "NonIntegralSplit",
-    "OddSplit",
-    "Piece",
-    "RegimeMismatch",
-    "SchemeTemplate",
-    "SourceBundle",
-    "Unresolvable",
-    "Xor",
-    "compose_time_share",
-    "decode",
-    "decode_packed",
-    "encode",
-    "encode_packed",
-    "instantiate_scheme",
-    "pack_bits",
-    "random_bundle",
-    "restrict",
-    "template_name_for_label",
-    "unpack_bits",
-)
+# Served by ``__getattr__`` below: each module loads on first use of a name.
+_LAZY = {
+    "catalog": (
+        "ALL_SCHEME_LABELS", "CATALOG_LABELS", "SchemeTemplate", "TEMPLATES",
+        "corner_scheme_catalog_L1", "label_corners", "template_name_for_label",
+    ),
+    "codec": (
+        "DescriptionScheme", "EncodedDescriptions", "LengthMismatch",
+        "NonIntegralSplit", "OddSplit", "Piece", "RegimeMismatch",
+        "SourceBundle", "Unresolvable", "Xor", "compose_time_share", "decode",
+        "decode_packed", "encode", "encode_packed", "instantiate_scheme",
+        "pack_bits", "random_bundle", "restrict", "unpack_bits",
+    ),
+}
+_OWNER = {n: module for module, names in _LAZY.items() for n in names}
 
-# The public names imported above, then the codec's.
+# The public names imported above, then the lazily loaded ones.
 __all__ = [
     *(n for n, v in globals().items()
       if not n.startswith("_") and not isinstance(v, types.ModuleType)),
-    *_CODEC_NAMES,
+    *_OWNER,
 ]
 
 
 def __getattr__(name: str):
-    if name != "codec" and name not in _CODEC_NAMES:
+    module = name if name in _LAZY else _OWNER.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    codec = importlib.import_module(".codec", __name__)
-    globals().update((n, getattr(codec, n)) for n in _CODEC_NAMES)
+    mod = importlib.import_module(f".{module}", __name__)
+    globals().update((n, getattr(mod, n)) for n in _LAZY[module])
     return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_CODEC_NAMES, "codec"})
+    return sorted({*globals(), *_OWNER, *_LAZY})

@@ -4,19 +4,25 @@ Templates carve the streams ``V1..V7`` (lengths ``l1..l7``) into pieces with
 *splits*, ``(stream, names, lengths)`` triples: ``V3 -> V3.1, V3.2`` cuts a
 stream into consecutive pieces whose lengths are linear in ``l1..l7``.  A
 template applies only where all piece lengths are non-negative integers
-(else :class:`~.codec.RegimeMismatch` or :class:`~.codec.OddSplit`).  Each
-L1 corner is the rate triple of its scheme: :data:`RATE_FORMS`, the
-description lengths as doubled integer forms over ``l1..l7``, is the catalog
-of :mod:`.rate_region`.
+(else :class:`~.codec.RegimeMismatch` or :class:`~.codec.OddSplit`).
+
+The module is also the L1 corner catalog, one label set per regime
+(:data:`CATALOG_LABELS`).  Each corner is the rate triple of its scheme:
+:data:`RATE_FORMS`, the description lengths as doubled integer forms over
+``l1..l7``, from which :func:`label_corners` and
+:func:`corner_scheme_catalog_L1` read the corners.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, NamedTuple
+from operator import mul
+from typing import Mapping, NamedTuple, Sequence
 
-from .rate_region import CATALOG_LABELS
+from .ordering import L1
+from .rate_region import (CornerPoint, EntropyProfile, build_mld_region,
+                          classify_regime, tight_constraints)
 
 
 def _lin(**kw) -> tuple[Fraction, ...]:
@@ -150,6 +156,12 @@ TEMPLATES: Mapping[str, SchemeTemplate] = {
     )
 }
 
+CATALOG_LABELS: Mapping[str, tuple[str, ...]] = {
+    "I": tuple(f"X{i}" for i in range(1, 11)),
+    "II": tuple(f"Y{i}" for i in range(1, 13)),
+    "III": tuple(f"Z{i}" for i in range(1, 11)),
+}
+
 ALL_SCHEME_LABELS: tuple[str, ...] = tuple(
     chain.from_iterable(CATALOG_LABELS.values())
 )
@@ -187,3 +199,62 @@ RATE_FORMS: Mapping[str, tuple[tuple[int, ...], ...]] = {
     label: _FORMS[template_name_for_label(label)] for label in ALL_SCHEME_LABELS
 }
 """Catalog label -> twice its scheme's description lengths over l1..l7."""
+
+
+def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple[int, ...]]:
+    """Label -> corner rates times 2L: the regime's RATE_FORMS at L * h."""
+    h = profile._hn
+    return {
+        label: (sum(map(mul, a, h)), sum(map(mul, b, h)), sum(map(mul, c, h)))
+        for label in CATALOG_LABELS[classify_regime(profile).value]
+        for a, b, c in [RATE_FORMS[label]]
+    }
+
+
+def corner_scheme_catalog_L1(profile: EntropyProfile) -> list[tuple]:
+    """Corner points of the L1 region paired with their coding schemes.
+
+    Returns one ``(CornerPoint, SchemeTemplate)`` entry per catalog label of
+    the active regime (10, 12, or 10 entries).  At boundary profiles two
+    labels may share the same coordinates; each keeps its own entry (the
+    schemes differ), and :func:`label_corners` is where coinciding corners
+    get a merged label.  Tight sets are recomputed from the coordinates.
+    """
+    region = build_mld_region(L1, profile)
+    d = 2 * profile._L
+    out = []
+    for label, scaled in _catalog_rates(profile).items():
+        rates = tuple(Fraction(n, d) for n in scaled)
+        corner = CornerPoint(rates, tight_constraints(region, rates), label)
+        template = TEMPLATES[template_name_for_label(label)]
+        out.append((corner, template))
+    return out
+
+
+def label_corners(
+    corners: Sequence[CornerPoint], profile: EntropyProfile
+) -> tuple[CornerPoint, ...]:
+    """Attach catalog labels to enumerated corners of an L1 region.
+
+    Corners whose coordinates match several catalog entries (boundary
+    profiles) get the merged label, e.g. ``"Y7+Y8"``.  Corners not in the
+    catalog keep label None.  A corner is looked up by its rates times 2L,
+    the integer key of :func:`_catalog_rates`; a rate whose denominator
+    does not divide 2L is in no catalog entry.
+    """
+    d = 2 * profile._L
+    table: dict[tuple[int, ...], list[str]] = {}
+    for lbl, scaled in _catalog_rates(profile).items():
+        table.setdefault(scaled, []).append(lbl)
+    out = []
+    for c in corners:
+        key = tuple(
+            r.numerator * (d // r.denominator) if d % r.denominator == 0
+            else None
+            for r in c.rates
+        )
+        labels = table.get(key)
+        out.append(
+            CornerPoint(c.rates, c.tight, "+".join(labels)) if labels else c
+        )
+    return tuple(out)

@@ -169,7 +169,9 @@ def _region(args) -> rate_region.RateRegion:
 def _labeled_corners(region):
     corners = rate_region.enumerate_corners(region)
     if region.ordering == ordering.L1:
-        corners = rate_region.label_corners(corners, region.profile)
+        from . import catalog
+
+        corners = catalog.label_corners(corners, region.profile)
     return corners
 
 

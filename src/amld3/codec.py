@@ -480,7 +480,9 @@ def encode(scheme: DescriptionScheme, bundle: SourceBundle) -> EncodedDescriptio
                 np.bitwise_xor(streams[s - 1][a:a + n],
                                streams[sb - 1][b:b + n], out=buf[o:o + n])
         out.append(buf)
-    return EncodedDescriptions(out)
+    # Each buffer is a 1-D uint8 array that the runs tile with copies and
+    # XORs of 0/1 stream bits, so it needs no second scan for values > 1.
+    return EncodedDescriptions._make((tuple(out),))
 
 
 def _check_members(subset: str, given: Mapping) -> None:

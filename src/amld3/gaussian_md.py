@@ -13,17 +13,17 @@ problem.  The inner bound below is the image of the eleven rate-region
 inequalities under that reduction: it and the exact region of
 :func:`~.rate_region.build_mld_region` call the one generator
 :func:`~.rate_region.constraint_offsets`, with ``r(S)`` here and
-``H(level(S))`` there.  The outer bound subtracts a fixed per-inequality
-slack, so the two polyhedra sit within a constant gap of each other
-independent of the targets.  A sharper parametric outer bound
+``H(level(S))`` there, and the one row builder.  The outer bound subtracts
+a fixed per-inequality slack, so the two polyhedra sit within a constant
+gap of each other independent of the targets.  A sharper parametric outer bound
 with free noise parameters ``d_1 >= ... >= d_6 >= d_7 = 0`` is exposed as
 well; choosing ``d_i = D~`` of the level-i decoder makes it at least as
 tight as the fixed-slack bound everywhere.
 
 Each bound call normalizes and ranks the targets once, on tuples indexed by
 canonical subset position: the induced ordering is looked up among the eight
-admissible ones, and the eleven rows are built from normals and tags fixed at
-import.  All arithmetic here is float64 with logs base 2; membership tests
+admissible ones, and the eleven rows get the region's normals and tags fixed
+at import.  All arithmetic here is float64 with logs base 2; membership tests
 use an absolute tolerance of 1e-9.
 """
 
@@ -44,6 +44,7 @@ from .ordering import (
 from .rate_region import (
     CONSTRAINT_ROWS,
     LinearInequality,
+    _rows,
     classify_slacks,
     constraint_offsets,
 )
@@ -200,8 +201,6 @@ class BoundSet(NamedTuple):
     distortions: DistortionVector
 
 
-# The rows' normals (3-tuples of ints already), and each family's tags.
-_NORMALS = tuple(a for _, a in CONSTRAINT_ROWS)
 _TAGS = {
     p: tuple(f"{p}-{sfx}" for sfx, _ in CONSTRAINT_ROWS)
     for p in ("I", "O", "PO")
@@ -209,8 +208,7 @@ _TAGS = {
 
 
 def _bound(kind: str, prefix: str, offsets, o, t: tuple) -> BoundSet:
-    rows = zip(_NORMALS, offsets, _TAGS[prefix])
-    return BoundSet(kind, tuple(map(LinearInequality._make, rows)), o,
+    return BoundSet(kind, _rows(offsets, _TAGS[prefix]), o,
                     DistortionVector._make((t,)))
 
 
@@ -222,10 +220,11 @@ def _finite(offsets, why: str):
 
 def _inner_offsets(D: DistortionVector):
     """Normalized targets by position, their ordering, and the inner offsets:
-    the region's generator at r(S) = (1/2) log2(1/D~_S), checked finite."""
+    the region's generator at r(S) = (1/2) log2(1/D~_S), checked finite.
+    The generator returns twice the offsets, so it is fed r(S) / 2."""
     t = _normalized(D.values)
     o = _ranked_ordering(t)[0]
-    r = dict(zip(SUBSETS, [0.5 * math.log2(1.0 / x) for x in t]))
+    r = dict(zip(SUBSETS, [0.25 * math.log2(1.0 / x) for x in t]))
     return t, o, _finite(constraint_offsets(r), "a target below ~5.6e-309")
 
 

@@ -4,13 +4,12 @@ A source is split into seven independent streams with layer entropies
 ``h_1, ..., h_7`` (exact rationals) and cumulative sums ``H_k``.  Given an
 admissible decoder ordering, the closure of achievable description-rate
 triples ``(R1, R2, R3)`` is the polyhedron cut out by eleven linear
-inequalities; :func:`build_mld_region` constructs them, and
-:func:`enumerate_corners` lists every vertex of the region exactly.
-
-For the fully alternating ordering L1 the shape of the corner set depends on
-how the third layer compares with the fourth and fifth (three regimes).  Each
-corner is the rate triple of a coding scheme, read off its template in
-:mod:`.catalog`; :func:`corner_scheme_catalog_L1` pairs the two.
+inequalities; :func:`build_mld_region` constructs them, with the offsets of
+:func:`constraint_offsets` and the row builder :func:`_rows` that the
+Gaussian bounds share, and :func:`enumerate_corners` lists every vertex of
+the region exactly.  For the fully alternating ordering L1,
+:func:`classify_regime` tells which of the three corner catalogs of
+:mod:`.catalog` applies.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class LinearInequality(namedtuple("LinearInequality", "a b tag")):
             ])
             return Fraction(an * b.denominator - b.numerator * p,
                             p * b.denominator)
-        return sum(c * r for c, r in zip(a, rates)) - b
+        return sum(map(mul, a, rates)) - b
 
 
 class Regime(enum.Enum):
@@ -182,38 +181,36 @@ CONSTRAINT_ROWS: tuple[tuple[str, tuple[int, int, int]], ...] = (
 
 P_TAGS = tuple(f"P{suffix}" for suffix, _ in CONSTRAINT_ROWS)
 Q_TAGS = tuple(f"Q{i}" for i in range(1, 12))
+_NORMALS = tuple(a for _, a in CONSTRAINT_ROWS)
 
 
-def _halve(x):
-    return x / 2
+def constraint_offsets(r: Mapping[str, object]) -> tuple:
+    """Twice the eleven offsets b, in :data:`CONSTRAINT_ROWS` order.
 
-
-def _halve_int(x: int) -> int:
-    return x >> 1
-
-
-def constraint_offsets(r: Mapping[str, object], half=_halve) -> tuple:
-    """The eleven offsets b, in :data:`CONSTRAINT_ROWS` order.
-
-    ``r[S]`` is the cumulative rate decoder S needs: ``H`` at the level of S
-    for the exact region, ``(1/2) log2(1/D~_S)`` for the Gaussian inner
-    bound.  Only sums, minima and halving are used, so integers and floats
-    go through the same formulas.  ``half`` does the halving: ``x / 2`` by
-    default, for floats; the exact region passes the integers 2L * H over
-    the profile's common denominator L, which are all even, with
-    ``x >> 1``, so every offset is an integer over 2L.
+    ``r[S]`` is the cumulative rate decoder S needs: ``L * H`` at the level
+    of S for the exact region, over the profile's common denominator L, and
+    ``(1/4) log2(1/D~_S)`` for the Gaussian inner bound.  Only sums, minima
+    and doubling are used: integers stay integers, the exact offsets being
+    these over 2L, and floats fed r / 2 give exactly the offsets at r, as
+    halving and doubling a float are exact.
     """
     r1, r2, r3 = r["G1"], r["G2"], r["G3"]
     r12, r13, r23, r123 = r["G12"], r["G13"], r["G23"], r["G123"]
+    m12, m13, m23 = min(r1, r2), min(r1, r3), min(r2, r3)
     return (
-        r1, r2, r3,
-        min(r1, r2) + r12, min(r1, r3) + r13, min(r2, r3) + r23,
-        min(r1, r2) + min(r1, r3) + min(r12, r13) + r123,
-        min(r2, r1) + min(r2, r3) + min(r12, r23) + r123,
-        min(r3, r1) + min(r3, r2) + min(r13, r23) + r123,
-        r1 + min(r12, r3) + r123,
-        r1 + half(r2) + half(min(r12, r13, r23)) + r123,
+        2 * r1, 2 * r2, 2 * r3,
+        2 * (m12 + r12), 2 * (m13 + r13), 2 * (m23 + r23),
+        2 * (m12 + m13 + min(r12, r13) + r123),
+        2 * (m12 + m23 + min(r12, r23) + r123),
+        2 * (m13 + m23 + min(r13, r23) + r123),
+        2 * (r1 + min(r12, r3) + r123),
+        2 * r1 + r2 + min(r12, r13, r23) + 2 * r123,
     )
+
+
+def _rows(offsets: Iterable, tags: Sequence[str]) -> tuple:
+    """The eleven rows: the fixed normals with these offsets and tags."""
+    return tuple(map(LinearInequality._make, zip(_NORMALS, offsets, tags)))
 
 
 def build_mld_region(ordering: Ordering, profile: EntropyProfile) -> RateRegion:
@@ -225,17 +222,11 @@ def build_mld_region(ordering: Ordering, profile: EntropyProfile) -> RateRegion:
     offsets are summed as integers over 2L (see :class:`EntropyProfile`)
     and each becomes one ``Fraction``.
     """
-    tags = Q_TAGS if ordering == L1 else P_TAGS
     d = 2 * profile._L
-    offsets = constraint_offsets(
-        dict(zip(ordering.by_level, (2 * n for n in profile._Hn))),
-        _halve_int,
-    )
+    offsets = constraint_offsets(dict(zip(ordering.by_level, profile._Hn)))
     return RateRegion(
-        tuple(
-            LinearInequality(a, Fraction(b, d), t)
-            for (_, a), b, t in zip(CONSTRAINT_ROWS, offsets, tags)
-        ),
+        _rows([Fraction(b, d) for b in offsets],
+              Q_TAGS if ordering == L1 else P_TAGS),
         ordering,
         profile,
     )
@@ -306,7 +297,8 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
     least D q b; ``n`` is formed only then.  Over the one denominator q D,
     the integer ``n`` tells vertices apart and orders them, and the
     constraints with ``a . n = D q b`` are a vertex's tight tags.  Corners
-    come sorted by rates, without labels (see :func:`label_corners`).
+    come sorted by rates, without labels (see
+    :func:`~.catalog.label_corners`).
     """
     planes, bs, q = region.planes, region.scaled_b, region.q
     D, groups, solvers = _vertex_solvers(planes)
@@ -376,80 +368,6 @@ def tight_constraints(region: RateRegion, rates: Sequence) -> tuple[str, ...]:
     """Tags of the constraints met with equality at the given point."""
     r = tuple(map(Fraction, rates))
     return tuple(classify_slacks(region.constraints, r)[0])
-
-
-# ---------------------------------------------------------------------------
-# Corner catalog for the L1 ordering.
-# ---------------------------------------------------------------------------
-
-CATALOG_LABELS: Mapping[str, tuple[str, ...]] = {
-    "I": tuple(f"X{i}" for i in range(1, 11)),
-    "II": tuple(f"Y{i}" for i in range(1, 13)),
-    "III": tuple(f"Z{i}" for i in range(1, 11)),
-}
-
-
-def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple[int, ...]]:
-    """Label -> corner rates times 2L: the regime's RATE_FORMS at L * h."""
-    from .catalog import RATE_FORMS
-
-    h = profile._hn
-    return {
-        label: (sum(map(mul, a, h)), sum(map(mul, b, h)), sum(map(mul, c, h)))
-        for label in CATALOG_LABELS[classify_regime(profile).value]
-        for a, b, c in [RATE_FORMS[label]]
-    }
-
-
-def corner_scheme_catalog_L1(profile: EntropyProfile) -> list[tuple]:
-    """Corner points of the L1 region paired with their coding schemes.
-
-    Returns one ``(CornerPoint, SchemeTemplate)`` entry per catalog label of
-    the active regime (10, 12, or 10 entries).  At boundary profiles two
-    labels may share the same coordinates; each keeps its own entry (the
-    schemes differ), and :func:`label_corners` is where coinciding corners
-    get a merged label.  Tight sets are recomputed from the coordinates.
-    """
-    from .catalog import TEMPLATES, template_name_for_label
-
-    region = build_mld_region(L1, profile)
-    d = 2 * profile._L
-    out = []
-    for label, scaled in _catalog_rates(profile).items():
-        rates = tuple(Fraction(n, d) for n in scaled)
-        corner = CornerPoint(rates, tight_constraints(region, rates), label)
-        template = TEMPLATES[template_name_for_label(label)]
-        out.append((corner, template))
-    return out
-
-
-def label_corners(
-    corners: Sequence[CornerPoint], profile: EntropyProfile
-) -> tuple[CornerPoint, ...]:
-    """Attach catalog labels to enumerated corners of an L1 region.
-
-    Corners whose coordinates match several catalog entries (boundary
-    profiles) get the merged label, e.g. ``"Y7+Y8"``.  Corners not in the
-    catalog keep label None.  A corner is looked up by its rates times 2L,
-    the integer key of :func:`_catalog_rates`; a rate whose denominator
-    does not divide 2L is in no catalog entry.
-    """
-    d = 2 * profile._L
-    table: dict[tuple[int, ...], list[str]] = {}
-    for lbl, scaled in _catalog_rates(profile).items():
-        table.setdefault(scaled, []).append(lbl)
-    out = []
-    for c in corners:
-        key = tuple(
-            r.numerator * (d // r.denominator) if d % r.denominator == 0
-            else None
-            for r in c.rates
-        )
-        labels = table.get(key)
-        out.append(
-            CornerPoint(c.rates, c.tight, "+".join(labels)) if labels else c
-        )
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,24 @@ def test_codec_module_resolves_after_bare_import():
     )
 
 
+def test_catalog_names_load_the_catalog_not_the_codec():
+    run_python(
+        "import sys, amld3\n"
+        "assert amld3.TEMPLATES is sys.modules['amld3.catalog'].TEMPLATES\n"
+        "assert amld3.label_corners is amld3.catalog.label_corners\n"
+        "assert 'amld3.codec' not in sys.modules\n"
+    )
+
+
+def test_the_l1_catalog_lives_in_catalog_only():
+    from amld3 import catalog, rate_region
+
+    for name in ("CATALOG_LABELS", "label_corners",
+                 "corner_scheme_catalog_L1"):
+        assert getattr(amld3, name) is getattr(catalog, name), name
+        assert not hasattr(rate_region, name), name
+
+
 def test_dir_lists_the_codec_names_before_they_load():
     run_python(
         "import sys, amld3\n"
