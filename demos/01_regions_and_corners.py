@@ -19,9 +19,8 @@ from amld3.ordering import L1
 def show_region(h, note):
     profile = EntropyProfile(h)
     region = build_mld_region(L1, profile)
-    regime = classify_regime(profile)
     print("=" * 80)
-    print(f"h = {h}   ->  regime {regime.value}   ({note})")
+    print(f"h = {h}   ->  regime {classify_regime(profile)}   ({note})")
     print("=" * 80)
     print("constraints (a1 R1 + a2 R2 + a3 R3 >= b):")
     for c in region.constraints:

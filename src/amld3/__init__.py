@@ -49,7 +49,6 @@ from .rate_region import (
     LinearInequality,
     NegativeEntropy,
     RateRegion,
-    Regime,
     build_mld_region,
     classify_regime,
     classify_slacks,

@@ -206,7 +206,7 @@ def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple[int, ...]]:
     h = profile._hn
     return {
         label: (sum(map(mul, a, h)), sum(map(mul, b, h)), sum(map(mul, c, h)))
-        for label in CATALOG_LABELS[classify_regime(profile).value]
+        for label in CATALOG_LABELS[classify_regime(profile)]
         for a, b, c in [RATE_FORMS[label]]
     }
 

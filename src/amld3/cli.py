@@ -11,14 +11,15 @@ Subcommands::
     check      membership of a rate triple (exact region or float bounds)
 
 Exit codes: 0 ok, 2 invalid ordering or an argparse usage error (a missing
-required flag, an unknown subcommand, a bad ``--tol`` literal), 3 negative
-entropy, 4 scheme/length regime mismatch or odd split, 5 bit-length mismatch,
-6 out-of-range or non-finite float input (distortions, noise, rates, a
-negative --tol, and inputs that overflow a bound offset: a target below
-about 5.6e-309, noise of about 1e155 or more), 1 other errors (JSON nested
-too deeply to parse, a JSON ``--D`` target that is not a number, ``"0.5"``,
-``true`` and ``null`` among them, and an exact number whose numerator or
-denominator, as written, has more digits than
+required flag, an unknown subcommand, a bad ``--tol`` literal, ``check``
+given both ``--h`` and ``--D``), 3 negative entropy, 4 scheme/length regime
+mismatch or odd split, 5 bit-length mismatch, 6 out-of-range or non-finite
+float input (distortions, noise, rates, a negative --tol, and inputs that
+overflow a bound offset: a target below about 5.6e-309, noise of about 1e155
+or more), 1 other errors (``check`` given neither ``--h`` nor ``--D``, JSON
+nested too deeply to parse, a JSON ``--D`` target that is not a number,
+``"0.5"``, ``true`` and ``null`` among them, and an exact number whose
+numerator or denominator, as written, has more digits than
 ``sys.get_int_max_str_digits()``).
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
@@ -184,7 +185,7 @@ def cmd_region(args) -> None:
     if args.emit == "csv":
         rows = [("tag", "a1", "a2", "a3", "b")]
         for c in region.constraints:
-            rows.append((c.tag, *(int(x) for x in c.a), c.b))
+            rows.append((c.tag, *c.a, c.b))
         _emit_csv(rows)
         return
     _emit_json(rate_region.region_json_dict(region, _labeled_corners(region)))
@@ -312,7 +313,7 @@ def cmd_decode(args) -> None:
     _emit_json(
         {
             "subset": subset,
-            "level": ordering.L1.level_of(subset),
+            "level": len(streams),
             "lengths": list(lengths[:len(streams)]),
             "files": files,
         }
@@ -358,11 +359,8 @@ def cmd_gap(args) -> None:
     report = gaussian_md.facet_gap(_parse_distortions(args.D))
     if args.emit == "csv":
         rows = [("family", "gap")]
-        d = report.as_dict()
-        for key in ("(1,0,0)", "(1,1,0)", "(2,1,1)"):
-            rows.append((key, _quantize(d[key])))
-        rows.append(("(1,1,1)", *(_quantize(x) for x in d["(1,1,1)"])))
-        rows.append(("(1,1,1)_reference", _quantize(d["(1,1,1)_reference"])))
+        for key, gap in _quantize(report.as_dict()).items():
+            rows.append((key, *gap) if type(gap) is list else (key, gap))
         _emit_csv(rows)
         return
     _emit_json(report.as_dict())
@@ -467,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="membership of a rate triple")
     p.add_argument("--rates", required=True, help="3 comma-separated rates")
     p.add_argument("--ordering", default="1")
-    p.add_argument("--h", help="layer entropies: exact region check")
-    p.add_argument("--D", help="distortion targets: bound check")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--h", help="layer entropies: exact region check")
+    mode.add_argument("--D", help="distortion targets: bound check")
     p.add_argument(
         "--which",
         choices=("inner", "outer", "parametric"),

@@ -7,10 +7,10 @@ concatenation of segments, each a verbatim copy of a piece or the bitwise
 XOR of two equal-length operand concatenations — the network-coding
 segments that let a corner point beat every concatenation-only layout.
 
-Encoding and decoding are each compiled once into a plan, and each plan has
-two replays, picked by the form of the input.  :func:`encode_plan` walks the
-segments: each description is a list of aligned *runs*, a slice of one
-stream copied or XORed with a slice of another.  :func:`decode_plan` cuts
+Encoding and decoding are each compiled into a plan on each call, and each
+plan has two replays, picked by the form of the input.  :func:`encode_plan`
+walks the segments: each description is a list of aligned *runs*, a slice of
+one stream copied or XORed with a slice of another.  :func:`decode_plan` cuts
 the streams into *atoms* — at every piece boundary, carried across each XOR
 run's alignment until no new cut appears — so that every bit of an atom is
 known or none is.  It marks the atoms the copy runs reveal (the last copy of

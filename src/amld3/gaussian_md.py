@@ -391,12 +391,11 @@ def md_contains(
 ) -> bool:
     """Whether a rate triple satisfies every bound, within tolerance.
 
-    NaN rates are never inside (see :func:`~.rate_region.classify_slacks`).
+    NaN rates are never inside (see :func:`~.rate_region.classify_slacks`),
+    and rates of any length but 3 are a ``ValueError``.
     """
-    r = tuple(map(float, rates))
-    if len(r) != 3:
-        raise ValueError("expected 3 rates")
-    return not classify_slacks(bound.constraints, r, tol)[1]
+    rates = tuple(map(float, rates))
+    return not classify_slacks(bound.constraints, rates, tol)[1]
 
 
 def bound_json_dict(bound: BoundSet) -> dict:

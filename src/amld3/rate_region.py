@@ -14,7 +14,6 @@ the region exactly.  For the fully alternating ordering L1,
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -71,7 +70,8 @@ _EXACT_TYPES = frozenset((int, Fraction))
 
 
 class LinearInequality(namedtuple("LinearInequality", "a b tag")):
-    """One constraint a . (R1,R2,R3) >= b with a stable tag."""
+    """One constraint a . (R1,R2,R3) >= b with a stable tag; the normal
+    ``a``, three integers (``ValueError`` otherwise), is kept as ints."""
 
     __slots__ = ()
 
@@ -79,21 +79,29 @@ class LinearInequality(namedtuple("LinearInequality", "a b tag")):
         a = tuple(a)
         if len(a) != 3:
             raise ValueError("normal must have 3 components")
-        return super().__new__(cls, a, b, tag)
+        try:
+            ints = tuple(map(int, a))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != a:
+            raise ValueError("the entries of a normal must be integers")
+        return super().__new__(cls, ints, b, tag)
 
     def evaluate(self, rates: Sequence) -> object:
         """Slack a . rates - b.
 
-        When ``b``, the normal and the rates are all ints or ``Fraction``s,
-        the rates are brought to their common denominator p, so that
-        ``R = n / p``, and the slack is the single ``Fraction``
+        When ``b`` and the rates are all ints or ``Fraction``s (the normal
+        is ints), the rates are brought to their common denominator p, so
+        that ``R = n / p``, and the slack is the single ``Fraction``
         ``((a . n) b_den - b_num p) / (p b_den)``.  Otherwise (float rows
         or float rates) it is ``sum(a_i R_i) - b`` in the fields' own
-        arithmetic.
+        arithmetic.  Rates of any length but 3 are a ``ValueError``.
         """
+        if len(rates) != 3:
+            raise ValueError("expected 3 rates")
         a, b = self.a, self.b
         if type(b) in _EXACT_TYPES and _EXACT_TYPES.issuperset(
-            map(type, (*a, *rates))
+            map(type, rates)
         ):
             p = lcm(*[r.denominator for r in rates])
             an = sum([
@@ -102,14 +110,6 @@ class LinearInequality(namedtuple("LinearInequality", "a b tag")):
             return Fraction(an * b.denominator - b.numerator * p,
                             p * b.denominator)
         return sum(map(mul, a, rates)) - b
-
-
-class Regime(enum.Enum):
-    """Which corner catalog is active for the L1 ordering."""
-
-    I = "I"
-    II = "II"
-    III = "III"
 
 
 class CornerPoint(NamedTuple):
@@ -128,26 +128,13 @@ AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 """Normals of the coordinate planes R_i >= 0."""
 
 
-@lru_cache(maxsize=32)
-def _integer_planes(normals: tuple) -> tuple[tuple[int, int, int], ...]:
-    """The normals as ints, then :data:`AXES`; ``ValueError`` unless they
-    are integers.  Equal tuples convert alike, so this is kept per tuple."""
-    try:
-        ints = tuple(tuple(map(int, a)) for a in normals)
-    except (TypeError, OverflowError):
-        ints = None
-    if ints != normals:
-        raise ValueError("the normals of a RateRegion must be integers")
-    return (*ints, *AXES)
-
-
 class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
     """A polyhedral rate region {R >= 0 : a_t . R >= b_t for all t}.
 
-    The normals must be integers (``ValueError`` otherwise).  Its integer
-    rows are derived once: ``q`` is the least common denominator of the
-    b_t, ``planes`` the constraint normals then :data:`AXES`, and
-    ``scaled_b`` the q * b_t then 0 for each axis.
+    Its integer rows are derived once: ``q`` is the least common
+    denominator of the b_t, ``planes`` the constraint normals (integers, as
+    :class:`LinearInequality` checks) then :data:`AXES`, and ``scaled_b``
+    the q * b_t then 0 for each axis.
     """
 
     __setattr__ = __delattr__ = _read_only
@@ -156,11 +143,7 @@ class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
                 ordering: Ordering | None = None,
                 profile: EntropyProfile | None = None) -> RateRegion:
         constraints = tuple(constraints)
-        normals = tuple(c.a for c in constraints)
-        try:
-            planes = _integer_planes(normals)
-        except TypeError:  # an unhashable entry: convert without the cache
-            planes = _integer_planes.__wrapped__(normals)
+        planes = (*(c.a for c in constraints), *AXES)
         b = [c.b if type(c.b) is Fraction else Fraction(c.b)
              for c in constraints]
         q = lcm(*(x.denominator for x in b))
@@ -232,18 +215,17 @@ def build_mld_region(ordering: Ordering, profile: EntropyProfile) -> RateRegion:
     )
 
 
-def classify_regime(profile: EntropyProfile) -> Regime:
-    """Regime of the L1 corner catalog, by precedence I, II, III.
-
-    Regime I when h_3 >= h_4 + h_5, else Regime II when h_3 >= h_4,
-    else Regime III.
+def classify_regime(profile: EntropyProfile) -> str:
+    """The L1 regime, a key of :data:`~.catalog.CATALOG_LABELS`, by
+    precedence: ``"I"`` when h_3 >= h_4 + h_5, else ``"II"`` when
+    h_3 >= h_4, else ``"III"``.
     """
     h = profile._hn
     if h[2] >= h[3] + h[4]:
-        return Regime.I
+        return "I"
     if h[2] >= h[3]:
-        return Regime.II
-    return Regime.III
+        return "II"
+    return "III"
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +376,13 @@ def region_json_dict(
     if region.ordering is not None:
         out["ordering"] = region.ordering.index
         out["regime"] = (
-            classify_regime(region.profile).value
+            classify_regime(region.profile)
             if region.ordering == L1 and region.profile is not None
             else None
         )
     out["constraints"] = [
-        {"a": list(a), "b": _rat_str(c.b), "tag": c.tag}
-        for c, a in zip(region.constraints, region.planes)
+        {"a": list(c.a), "b": _rat_str(c.b), "tag": c.tag}
+        for c in region.constraints
     ]
     if corners is not None:
         out["corners"] = [corner_json_dict(c) for c in corners]

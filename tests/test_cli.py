@@ -673,9 +673,12 @@ def test_malformed_distortion_json_ends_in_a_documented_exit_code():
     ("region",),
     ("frobnicate",),
     ("check", "--rates", "1,1,1", "--tol", "abc"),
-], ids=["missing-flag", "unknown-subcommand", "bad-tol"])
+    ("check", "--rates", "1,4,7", "--h", "1,1,1,1,1,1,1", "--D", DYADIC,
+     "--which", "inner"),
+], ids=["missing-flag", "unknown-subcommand", "bad-tol", "both-h-and-D"])
 def test_usage_errors_exit_2(argv):
     # argparse's own exit code, which shares 2 with an invalid ordering.
+    # check takes --h (exact region) or --D (bounds), never both.
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert "usage:" in err

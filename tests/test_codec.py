@@ -34,7 +34,7 @@ from amld3 import (
     template_name_for_label,
     unpack_bits,
 )
-from amld3.codec import decode_plan
+from amld3.codec import decode_plan, encode_plan
 from amld3.ordering import SUBSETS, L1, subset_members
 
 # Stream-length pools, one list per regime; every entry is strictly (or
@@ -508,6 +508,24 @@ def test_unresolvable_when_xor_cannot_be_cancelled():
     scheme = DescriptionScheme("BAD", (1, 1, 0, 0, 0, 0, 0), ((seg,), (), ()))
     with pytest.raises(Unresolvable):
         decode(scheme, "G1", {1: np.ones(1, np.uint8)})
+
+
+@pytest.mark.parametrize("piece", [
+    Piece(1, 1, 3), Piece(2, 2, 1), Piece(8, 0, 1), Piece(0, 0, 1),
+], ids=["past-end", "reversed", "stream-8", "stream-0"])
+def test_encode_plan_refuses_a_piece_outside_its_stream(piece):
+    for seg in (piece, Xor((piece,), (piece,))):
+        scheme = DescriptionScheme("BAD", (2, 2, 0, 0, 0, 0, 0),
+                                   ((Piece(1, 0, 1), seg), (), ()))
+        with pytest.raises(ValueError, match="does not lie within"):
+            encode_plan(scheme)
+
+
+def test_encode_plan_refuses_xor_groups_of_unequal_length():
+    seg = Xor((Piece(1, 0, 2),), (Piece(2, 0, 1), Piece(2, 1, 1)))
+    scheme = DescriptionScheme("BAD", (2, 2, 0, 0, 0, 0, 0), ((seg,), (), ()))
+    with pytest.raises(ValueError, match="different lengths"):
+        encode_plan(scheme)
 
 
 def test_restrict_masks_descriptions():

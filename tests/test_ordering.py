@@ -90,6 +90,11 @@ def test_not_bijective_out_of_range_level():
             validate_ordering(dict(L1.levels, G1=bad))
 
 
+def test_ordering_of_two_subsets_is_not_bijective():
+    with pytest.raises(NotBijective, match="expected 7 subsets, got 2"):
+        Ordering(("G1", "G2"))
+
+
 def test_singles_out_of_order():
     levels = {
         "G1": 2, "G2": 1, "G3": 3,

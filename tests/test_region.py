@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,15 +18,18 @@ from amld3 import (
     P_TAGS,
     Q_TAGS,
     RateRegion,
-    Regime,
+    DistortionVector,
     build_mld_region,
     classify_regime,
+    classify_slacks,
     contains,
     corner_json_dict,
     corner_scheme_catalog_L1,
     enumerate_corners,
     enumerate_orderings,
     label_corners,
+    md_contains,
+    outer_bound,
     region_json_dict,
     tight_constraints,
 )
@@ -113,6 +117,24 @@ def test_evaluate_slack():
     assert c.evaluate((2, 4, 0)) == 1
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+@pytest.mark.parametrize("kind", [F, float], ids=["exact", "float"])
+def test_rates_of_the_wrong_length_are_refused(n, kind):
+    # Rows read the rates by position: another length is refused, not cut.
+    rates = tuple(kind(x) for x in (1, 4, 7, 9)[:n])
+    region = build_mld_region(L1, ALL_ONES)
+    bound = outer_bound(DistortionVector([2.0 ** -k for k in range(1, 8)]))
+    for rows in (region.constraints, bound.constraints):
+        with pytest.raises(ValueError, match="expected 3 rates"):
+            rows[0].evaluate(rates)
+        with pytest.raises(ValueError, match="expected 3 rates"):
+            classify_slacks(rows, rates)
+    with pytest.raises(ValueError, match="expected 3 rates"):
+        tight_constraints(region, rates)
+    with pytest.raises(ValueError, match="expected 3 rates"):
+        md_contains(bound, rates)
+
+
 # ---------------------------------------------------------------------------
 # Regime classification.
 # ---------------------------------------------------------------------------
@@ -120,18 +142,19 @@ def test_evaluate_slack():
 @pytest.mark.parametrize(
     "h,expected",
     [
-        ((1, 1, 3, 1, 1, 1, 1), Regime.I),
-        ((1, 1, 2, 1, 1, 1, 1), Regime.I),    # boundary h3 = h4 + h5
-        ((1, 1, 1, 1, 1, 1, 1), Regime.II),
-        ((1, 1, 3, 2, 2, 1, 1), Regime.II),
-        ((1, 1, 2, 2, 1, 1, 1), Regime.II),   # boundary h3 = h4
-        ((1, 1, 1, 3, 1, 1, 1), Regime.III),
-        ((1, 1, 0, 1, 1, 1, 1), Regime.III),
+        ((1, 1, 3, 1, 1, 1, 1), "I"),
+        ((1, 1, 2, 1, 1, 1, 1), "I"),    # boundary h3 = h4 + h5
+        ((1, 1, 1, 1, 1, 1, 1), "II"),
+        ((1, 1, 3, 2, 2, 1, 1), "II"),
+        ((1, 1, 2, 2, 1, 1, 1), "II"),   # boundary h3 = h4
+        ((1, 1, 1, 3, 1, 1, 1), "III"),
+        ((1, 1, 0, 1, 1, 1, 1), "III"),
     ],
+    ids=lambda v: f"Regime.{v}" if isinstance(v, str) else None,
 )
 def test_classify_regime(h, expected):
-    assert classify_regime(EntropyProfile(h)) is expected
-    assert _oracles.regime_of(h) == expected.value
+    assert classify_regime(EntropyProfile(h)) == expected
+    assert _oracles.regime_of(h) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +164,7 @@ def test_classify_regime(h, expected):
 @pytest.mark.parametrize("regime", ["I", "II", "III"])
 def test_representative_corner_sets(regime):
     profile = EntropyProfile(_oracles.REP_PROFILES[regime])
-    assert classify_regime(profile).value == regime
+    assert classify_regime(profile) == regime
     corners = enumerate_corners(build_mld_region(L1, profile))
     got = {tuple(c.rates) for c in corners}
     expected = {
@@ -233,18 +256,28 @@ def test_inactive_constraints_are_redundant(regime, drop):
 
 @pytest.mark.parametrize("normal", [(1, F(1, 2), 0), (0.5, 1, 1), ("1", 0, 0)])
 def test_region_refuses_non_integer_normals(normal):
-    constraints = (LinearInequality(normal, 1, "A"),)
     with pytest.raises(ValueError, match="must be integers"):
-        RateRegion(constraints)
+        RateRegion((LinearInequality(normal, 1, "A"),))
     region = RateRegion((LinearInequality((F(2), 1.0, 0), 1, "A"),))
     assert region.planes[0] == (2, 1, 0)
 
 
 def test_region_refuses_unhashable_normal_entries():
-    # Normals are checked once per tuple; an entry that cannot be hashed is
-    # still checked, and refused like any other non-integer.
+    # Normals are checked when a row is built; an entry that cannot be
+    # hashed is refused like any other non-integer.
     with pytest.raises(ValueError, match="must be integers"):
         RateRegion((LinearInequality(([1], 0, 0), 1, "A"),))
+
+
+def test_row_normal_is_three_ints():
+    with pytest.raises(ValueError, match="3 components"):
+        LinearInequality((1, 1), 1, "A")
+    for normal in ((math.inf, 0, 0), (0, math.nan, 0), (0, 0, 1 + 1e-9)):
+        with pytest.raises(ValueError, match="must be integers"):
+            LinearInequality(normal, 1, "A")
+    row = LinearInequality([F(2), 1.0, 0], 1, "A")
+    assert row.a == (2, 1, 0)
+    assert [type(x) for x in row.a] == [int, int, int]
 
 
 def test_corner_tables_are_shared_by_all_built_regions():
@@ -271,7 +304,7 @@ def test_corner_oracle_formulas_match_library_on_random_profiles():
     while min(hits.values()) < 5:
         h = [F(rng.randrange(0, 9), rng.choice((1, 2))) for _ in range(7)]
         profile = EntropyProfile(h)
-        reg = classify_regime(profile).value
+        reg = classify_regime(profile)
         if hits[reg] >= 12:
             continue
         hits[reg] += 1
@@ -345,6 +378,14 @@ def test_catalog_at_boundary_keeps_one_entry_per_label():
     assert labels == list(CATALOG_LABELS["II"])
     rates = [tuple(c.rates) for c, _ in catalog]
     assert rates.count((2, 3, 6)) == 2  # Y7 and Y8 coincide here
+
+
+def test_label_corners_leaves_off_catalog_denominators_unlabeled():
+    # A rate over 3 is not a multiple of 1/(2L) = 1/2 here, so no catalog
+    # entry can match it.
+    off = CornerPoint((F(1, 3), F(4), F(7)), ())
+    on = CornerPoint((F(1), F(4), F(7)), ("Q1", "Q4", "Q7"))
+    assert label_corners([off, on], ALL_ONES) == (off, on._replace(label="Y1"))
 
 
 def test_region_json_shape():
