@@ -12,15 +12,16 @@ Subcommands::
 
 Exit codes: 0 ok, 2 invalid ordering or an argparse usage error (a missing
 required flag, an unknown subcommand, a bad ``--tol`` literal, ``check``
-given both ``--h`` and ``--D``), 3 negative entropy, 4 scheme/length regime
-mismatch or odd split, 5 bit-length mismatch, 6 out-of-range or non-finite
-float input (distortions, noise, rates, a negative --tol, and inputs that
-overflow a bound offset: a target below about 5.6e-309, noise of about 1e155
-or more), 1 other errors (``check`` given neither ``--h`` nor ``--D``, JSON
-nested too deeply to parse, a JSON ``--D`` target that is not a number,
-``"0.5"``, ``true`` and ``null`` among them, and an exact number whose
-numerator or denominator, as written, has more digits than
-``sys.get_int_max_str_digits()``).
+given both ``--h`` and ``--D``, or a flag of the other mode: ``--ordering``
+with ``--D``, ``--which``, ``--d`` or ``--tol`` with ``--h``), 3 negative
+entropy, 4 scheme/length regime mismatch or odd split, 5 bit-length
+mismatch, 6 out-of-range or non-finite float input (distortions, noise,
+rates, a negative --tol, and inputs that overflow a bound offset: a target
+below about 5.6e-309, noise of about 1e155 or more), 1 other errors
+(``check`` given neither ``--h`` nor ``--D``, JSON nested too deeply to
+parse, a JSON ``--D`` target that is not a number, ``"0.5"``, ``true`` and
+``null`` among them, and an exact number whose numerator or denominator, as
+written, has more digits than ``sys.get_int_max_str_digits()``).
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.
@@ -367,12 +368,19 @@ def cmd_gap(args) -> None:
 
 
 def cmd_check(args) -> None:
-    if not 0.0 <= args.tol < math.inf:
+    # A flag of the other mode is a usage error (the defaults are None).
+    for flag, mode in (("ordering", "D"), ("which", "h"), ("d", "h"),
+                       ("tol", "h")):
+        if None not in (getattr(args, flag), getattr(args, mode)):
+            args.usage_error(f"argument --{flag}: not allowed with --{mode}")
+    tol = gaussian_md.DEFAULT_TOL if args.tol is None else args.tol
+    if not 0.0 <= tol < math.inf:
         raise gaussian_md.InvalidFloatInput(
-            f"--tol must be finite and non-negative, got {args.tol}"
+            f"--tol must be finite and non-negative, got {tol}"
         )
     if args.h is not None:
         # Rows 1.1-1.3 (R_i >= H >= 0) imply the axes contains() adds.
+        args.ordering = "1" if args.ordering is None else args.ordering
         rows = _region(args).constraints
         rates, tol = _parse_rates_exact(args.rates), 0
     elif args.D is None:
@@ -381,7 +389,7 @@ def cmd_check(args) -> None:
         D = _parse_distortions(args.D)
         if args.which == "inner":
             bound = gaussian_md.inner_bound(D)
-        elif args.which == "outer":
+        elif args.which in (None, "outer"):
             bound = gaussian_md.outer_bound(D)
         elif args.d is None:
             raise ValueError("--which parametric requires --d")
@@ -389,7 +397,7 @@ def cmd_check(args) -> None:
             noise = _parse_noise(args.d)
             bound = gaussian_md.parametric_outer_bound(D, noise)
         rows = bound.constraints
-        rates, tol = _parse_rates_float(args.rates), args.tol
+        rates = _parse_rates_float(args.rates)
     tight, violated = rate_region.classify_slacks(rows, rates, tol)
     _emit_json({"inside": not violated, "tight": tight, "violated": violated})
 
@@ -464,19 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="membership of a rate triple")
     p.add_argument("--rates", required=True, help="3 comma-separated rates")
-    p.add_argument("--ordering", default="1")
+    p.add_argument("--ordering", help="as for region (with --h; default 1)")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--h", help="layer entropies: exact region check")
     mode.add_argument("--D", help="distortion targets: bound check")
     p.add_argument(
         "--which",
         choices=("inner", "outer", "parametric"),
-        default="outer",
-        help="which bound set to check against (with --D)",
+        help="which bound set to check against (with --D; default outer)",
     )
     p.add_argument("--d", help="noise parameters for --which parametric")
-    p.add_argument("--tol", type=float, default=gaussian_md.DEFAULT_TOL)
-    p.set_defaults(func=cmd_check)
+    p.add_argument("--tol", type=float, help="slack tolerance (with --D)")
+    p.set_defaults(func=cmd_check, usage_error=p.error)
     return parser
 
 

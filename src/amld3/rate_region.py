@@ -35,27 +35,33 @@ def _read_only(self, name, *value):
     raise AttributeError(f"cannot assign to or delete {name!r}")
 
 
+def _rational(v) -> Fraction:
+    """The exact layer's one coercion: ``v`` kept if a ``Fraction``."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 class EntropyProfile(namedtuple("EntropyProfile", "h")):
     """Layer entropies h_1..h_7 as exact non-negative rationals.
 
-    The profile also keeps them as integers over one common denominator:
-    ``_L`` is the least common denominator of the h_i, ``_hn`` holds the
-    L * h_i and ``_Hn`` their running sums, the L * H_k.  The exact layer
-    does its sums on these integers and builds a ``Fraction`` only for a
-    result.
+    Each h_i is coerced once and read once as integers, kept over one
+    common denominator: ``_L`` is the least common denominator of the h_i,
+    ``_hn`` holds the L * h_i and ``_Hn`` their running sums, the L * H_k.
+    The exact layer does its sums on these integers and builds a
+    ``Fraction`` only for a result.
     """
 
     __setattr__ = __delattr__ = _read_only
 
     def __new__(cls, h: Iterable) -> EntropyProfile:
-        vals = tuple(map(Fraction, h))
+        vals = tuple(map(_rational, h))
         if len(vals) != 7:
             raise ValueError(f"expected 7 layer entropies, got {len(vals)}")
-        for i, v in enumerate(vals):
-            if v < 0:
-                raise NegativeEntropy(f"h_{i + 1} = {v} is negative")
-        L = lcm(*(v.denominator for v in vals))
-        hn = tuple(v.numerator * (L // v.denominator) for v in vals)
+        ratios = [v.as_integer_ratio() for v in vals]
+        for i, (n, _) in enumerate(ratios):
+            if n < 0:
+                raise NegativeEntropy(f"h_{i + 1} = {vals[i]} is negative")
+        L = lcm(*(d for _, d in ratios))
+        hn = tuple(n * (L // d) for n, d in ratios)
         self = super().__new__(cls, vals)
         self.__dict__.update(_L=L, _hn=hn, _Hn=tuple(accumulate(hn)))
         return self
@@ -91,11 +97,11 @@ class LinearInequality(namedtuple("LinearInequality", "a b tag")):
         """Slack a . rates - b.
 
         When ``b`` and the rates are all ints or ``Fraction``s (the normal
-        is ints), the rates are brought to their common denominator p, so
-        that ``R = n / p``, and the slack is the single ``Fraction``
-        ``((a . n) b_den - b_num p) / (p b_den)``.  Otherwise (float rows
-        or float rates) it is ``sum(a_i R_i) - b`` in the fields' own
-        arithmetic.  Rates of any length but 3 are a ``ValueError``.
+        is ints), each is read once as a numerator and denominator; with
+        ``R = n / p`` over the rates' common denominator p, the slack is the
+        single ``Fraction`` ``((a . n) b_den - b_num p) / (p b_den)``.
+        Otherwise (float rows or float rates) it is ``sum(a_i R_i) - b`` in
+        the fields' own arithmetic.  Rates not 3 long are a ``ValueError``.
         """
         if len(rates) != 3:
             raise ValueError("expected 3 rates")
@@ -103,12 +109,14 @@ class LinearInequality(namedtuple("LinearInequality", "a b tag")):
         if type(b) in _EXACT_TYPES and _EXACT_TYPES.issuperset(
             map(type, rates)
         ):
-            p = lcm(*[r.denominator for r in rates])
-            an = sum([
-                c * r.numerator * (p // r.denominator) for c, r in zip(a, rates)
-            ])
-            return Fraction(an * b.denominator - b.numerator * p,
-                            p * b.denominator)
+            (a1, a2, a3), (r1, r2, r3) = a, rates
+            n1, d1 = r1.as_integer_ratio()
+            n2, d2 = r2.as_integer_ratio()
+            n3, d3 = r3.as_integer_ratio()
+            bn, bd = b.as_integer_ratio()
+            p = lcm(d1, d2, d3)
+            an = a1 * n1 * (p // d1) + a2 * n2 * (p // d2) + a3 * n3 * (p // d3)
+            return Fraction(an * bd - bn * p, p * bd)
         return sum(map(mul, a, rates)) - b
 
 
@@ -131,10 +139,10 @@ AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
     """A polyhedral rate region {R >= 0 : a_t . R >= b_t for all t}.
 
-    Its integer rows are derived once: ``q`` is the least common
-    denominator of the b_t, ``planes`` the constraint normals (integers, as
-    :class:`LinearInequality` checks) then :data:`AXES`, and ``scaled_b``
-    the q * b_t then 0 for each axis.
+    Its integer rows are derived once, reading each b_t once as integers:
+    ``q`` is the least common denominator of the b_t, ``planes`` the
+    constraint normals (integers, as :class:`LinearInequality` checks) then
+    :data:`AXES`, and ``scaled_b`` the q * b_t then 0 for each axis.
     """
 
     __setattr__ = __delattr__ = _read_only
@@ -144,12 +152,11 @@ class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
                 profile: EntropyProfile | None = None) -> RateRegion:
         constraints = tuple(constraints)
         planes = (*(c.a for c in constraints), *AXES)
-        b = [c.b if type(c.b) is Fraction else Fraction(c.b)
-             for c in constraints]
-        q = lcm(*(x.denominator for x in b))
+        b = [_rational(c.b).as_integer_ratio() for c in constraints]
+        q = lcm(*(d for _, d in b))
         self = super().__new__(cls, constraints, ordering, profile)
         self.__dict__.update(planes=planes, q=q, scaled_b=(
-            *(x.numerator * (q // x.denominator) for x in b), 0, 0, 0
+            *(n * (q // d) for n, d in b), 0, 0, 0
         ))
         return self
 
@@ -310,17 +317,17 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
 
 
 def contains(region: RateRegion, rates: Sequence) -> bool:
-    """Exact membership test (rates are parsed to rationals).
+    """Exact membership test (each rate coerced to a rational once).
 
     With ``R = n / p`` over the rates' common denominator ``p``, every
     integer row, coordinate planes included, must have q a . n >= p q b.
     """
-    r = tuple(map(Fraction, rates))
+    r = tuple(map(_rational, rates))
     if len(r) != 3:
         raise ValueError("expected 3 rates")
-    p = lcm(*(x.denominator for x in r))
-    q = region.q
-    n0, n1, n2 = (q * x.numerator * (p // x.denominator) for x in r)
+    (n0, d0), (n1, d1), (n2, d2) = [x.as_integer_ratio() for x in r]
+    p, q = lcm(d0, d1, d2), region.q
+    n0, n1, n2 = q * n0 * (p // d0), q * n1 * (p // d1), q * n2 * (p // d2)
     for (a1, a2, a3), b in zip(region.planes, region.scaled_b):
         if a1 * n0 + a2 * n1 + a3 * n2 < p * b:
             return False
@@ -348,7 +355,7 @@ def classify_slacks(
 
 def tight_constraints(region: RateRegion, rates: Sequence) -> tuple[str, ...]:
     """Tags of the constraints met with equality at the given point."""
-    r = tuple(map(Fraction, rates))
+    r = tuple(map(_rational, rates))
     return tuple(classify_slacks(region.constraints, r)[0])
 
 
@@ -356,13 +363,9 @@ def tight_constraints(region: RateRegion, rates: Sequence) -> tuple[str, ...]:
 # JSON serialization.
 # ---------------------------------------------------------------------------
 
-def _rat_str(x) -> str:
-    return str(x if type(x) is Fraction else Fraction(x))
-
-
 def corner_json_dict(corner: CornerPoint) -> dict:
     return {
-        "rates": [_rat_str(r) for r in corner.rates],
+        "rates": [str(_rational(r)) for r in corner.rates],
         "tight": list(corner.tight),
         "label": corner.label,
     }
@@ -381,7 +384,7 @@ def region_json_dict(
             else None
         )
     out["constraints"] = [
-        {"a": list(c.a), "b": _rat_str(c.b), "tag": c.tag}
+        {"a": list(c.a), "b": str(_rational(c.b)), "tag": c.tag}
         for c in region.constraints
     ]
     if corners is not None:

@@ -9,7 +9,8 @@ answer:
   ranker that counts, for each decoder, the decoders ranked ahead of it, and
   a second ranker that sorts the targets and checks the axioms itself;
 * the coefficient tables of the eleven region inequalities for each of the
-  eight orderings, expressed over the layer entropies (h_1, ..., h_7);
+  eight orderings, expressed over the layer entropies (h_1, ..., h_7), and
+  a row's slack at exact rates, summed term by term in ``Fraction``s;
 * closed-form corner coordinates for the three regimes of the first ordering;
 * an exact convex-hull membership oracle (V-representation to
   H-representation over integers) for rate-region containment checks;
@@ -240,6 +241,12 @@ P_TABLE = {
 }
 # Coefficient table of every ordering, keyed by index 1..8 (ORDERING_ROWS).
 TABLES = {1: Q_TABLE, **P_TABLE}
+
+
+def row_slack(a, b, rates) -> Fraction:
+    """a . rates - b, each entry made a ``Fraction`` and summed in turn."""
+    terms = (Fraction(x) * Fraction(r) for x, r in zip(a, rates))
+    return sum(terms, Fraction(0)) - Fraction(b)
 
 
 def _cum(h):

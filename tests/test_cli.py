@@ -675,13 +675,31 @@ def test_malformed_distortion_json_ends_in_a_documented_exit_code():
     ("check", "--rates", "1,1,1", "--tol", "abc"),
     ("check", "--rates", "1,4,7", "--h", "1,1,1,1,1,1,1", "--D", DYADIC,
      "--which", "inner"),
-], ids=["missing-flag", "unknown-subcommand", "bad-tol", "both-h-and-D"])
+    ("check", "--rates", "1,2.5,3", "--D", DYADIC, "--ordering", "9"),
+    ("check", "--rates", "1,2.5,3", "--D", DYADIC, "--ordering", "1"),
+    ("check", "--rates", "1,4,7", "--h", "1,1,1,1,1,1,1",
+     "--which", "parametric", "--tol", "5"),
+    ("check", "--rates", "1,4,7", "--h", "1,1,1,1,1,1,1", "--which", "outer"),
+    ("check", "--rates", "1,4,7", "--h", "1,1,1,1,1,1,1", "--d", MATCHED),
+    ("check", "--rates", "1,4,7", "--h", "1,1,1,1,1,1,1", "--tol", "1e-9"),
+    ("check", "--rates", "1,4,7", "--h", "1,1,1,1,1,1,1", "--tol", "-1"),
+], ids=["missing-flag", "unknown-subcommand", "bad-tol", "both-h-and-D",
+        "D-with-bad-ordering", "D-with-ordering", "h-with-which-and-tol",
+        "h-with-which", "h-with-d", "h-with-tol", "h-with-bad-tol"])
 def test_usage_errors_exit_2(argv):
     # argparse's own exit code, which shares 2 with an invalid ordering.
-    # check takes --h (exact region) or --D (bounds), never both.
+    # check takes --h (exact region) or --D (bounds), never both, and each
+    # mode refuses the other's flags, even at their default values.
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert "usage:" in err
+
+
+def test_check_parametric_without_noise_exits_1():
+    code, out, err = run_cli("check", "--rates", "1,2,3", "--D", DYADIC,
+                             "--which", "parametric")
+    assert (code, out) == (1, "")
+    assert err == "error: --which parametric requires --d\n"
 
 
 def test_output_is_byte_deterministic():

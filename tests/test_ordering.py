@@ -194,6 +194,12 @@ def test_json_bad_inputs():
             ordering_from_json(bad)
 
 
+def test_json_levels_that_are_not_an_object_are_not_bijective():
+    for levels in ([1, 2], list(range(1, 8)), "G1", 7):
+        with pytest.raises(NotBijective, match="'levels' must be an object"):
+            ordering_from_json({"levels": levels})
+
+
 def test_subset_helpers():
     assert union("G1", "G2") == "G12"
     assert union("G1", "G23") == "G123"

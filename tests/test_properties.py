@@ -2,10 +2,14 @@
 
 The exact region is checked against the frozen coefficient tables, with
 expected values from direct ``Fraction`` arithmetic on them; no library call
-enters them.  Its corners are checked against the closed-form L1 catalog and
-against the reference Cramer enumerator, on full and pruned regions, on
-profiles whose planes coincide and on directly built regions, and
-exact membership equals the verdict of the eleven constraint rows alone.
+enters them.  Its slacks, tight tags and membership verdicts are checked
+against the oracle's term-by-term slack at exact rates given as ints,
+``Fraction``s or a mix, in tuples and lists, and its integer rows against
+the tables' offsets.  Its corners are checked against the closed-form L1
+catalog and against the reference Cramer enumerator, on full and pruned
+regions, on profiles whose planes coincide and on directly built regions,
+and exact membership equals the verdict of the eleven constraint rows
+alone.
 Plan-based decode, on arrays and on packed bytes, is checked against the
 bit-level decoder on random hand-built schemes and random description bits,
 and every catalog template either round-trips a random bundle or refuses its
@@ -20,6 +24,7 @@ oracle's, or the same axiom error as ``validate_ordering`` gives.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +70,7 @@ from amld3 import (
     random_bundle,
     restrict,
     template_name_for_label,
+    tight_constraints,
     unpack_bits,
     validate_ordering,
 )
@@ -127,6 +133,89 @@ def test_offsets_and_slack_tags_match_oracle_tables(index, h, data):
         [t for t, s in zip(tags, slacks) if s == 0],
         [t for t, s in zip(tags, slacks) if s < 0],
     )
+
+
+@st.composite
+def exact_rates(draw, pool):
+    """Three exact rates, all ints, all ``Fraction``s or a mix, in a tuple
+    or a list; ``pool`` holds values that land on the rows' planes."""
+    ints = st.one_of(
+        st.sampled_from([int(x) for x in pool if x.denominator == 1] or [0]),
+        st.integers(-40, 40),
+        st.integers(2**62, 2**81),
+    )
+    fractions = st.one_of(
+        st.sampled_from(pool),
+        st.fractions(min_value=-(2**81), max_value=2**81),
+        st.builds(F, NUMERATORS, st.integers(1, 2**64)),
+    )
+    kind = draw(st.sampled_from(("ints", "fractions", "mix")))
+    if kind == "mix":
+        coords = draw(st.permutations(
+            [ints, fractions, st.one_of(ints, fractions)]))
+    else:
+        coords = [ints if kind == "ints" else fractions] * 3
+    rates = [draw(c) for c in coords]
+    return rates if draw(st.booleans()) else tuple(rates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(1, 8), h=profiles(), data=st.data())
+def test_exact_slack_and_membership_match_the_oracle_slack(index, h, data):
+    # The exact path reads each rational once as integers; every slack must
+    # still be the Fraction that term-by-term arithmetic gives.
+    table = _oracles.TABLES[index]
+    region = build_mld_region(
+        Ordering(_oracles.ORDERING_ROWS[index - 1]), EntropyProfile(h)
+    )
+    b = _expected_offsets(table, h)
+    pool = [F(0), *b, b[3] - b[0], b[3] - b[1], b[4] - b[2], b[5] - b[1]]
+    rates = data.draw(exact_rates(pool))
+    normals = [a for a, _ in table.values()]
+
+    def slacks(point):
+        return [_oracles.row_slack(a, bt, point) for a, bt in zip(normals, b)]
+
+    # Moved along (1, 1, 1) to where it first meets the region, the point
+    # lies on the boundary, with the denominators of rates and offsets mixed.
+    t = max(-s / sum(a) for a, s in zip(normals, slacks(rates)))
+    edge = type(rates)(r + t for r in rates)
+    below = type(rates)(r - F(1, 2**64 + 1) for r in edge)
+    for point in (rates, edge, below):
+        want = slacks(point)
+        got = [c.evaluate(point) for c in region.constraints]
+        assert got == want
+        assert all(type(s) is Fraction for s in got)
+        assert tight_constraints(region, point) == tuple(
+            tag for tag, s in zip(table, want) if s == 0
+        )
+        assert contains(region, point) == (
+            all(s >= 0 for s in want) and all(r >= 0 for r in point)
+        )
+    assert contains(region, edge) and not contains(region, below)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(1, 8), h=profiles())
+def test_region_integer_rows_match_the_oracle_offsets(index, h):
+    table = _oracles.TABLES[index]
+    region = build_mld_region(
+        Ordering(_oracles.ORDERING_ROWS[index - 1]), EntropyProfile(h)
+    )
+    rebuilt = RateRegion(region.constraints)
+    assert (region.q, region.scaled_b) == (rebuilt.q, rebuilt.scaled_b)
+    b = _expected_offsets(table, h)
+    q = math.lcm(*(x.denominator for x in b))
+    assert region.q == q
+    assert region.scaled_b == (*(int(x * q) for x in b), 0, 0, 0)
+    assert all(type(n) is int for n in region.scaled_b)
+    # Offsets given as ints where they are integral give the same rows.
+    mixed = RateRegion(
+        LinearInequality(c.a, int(c.b) if c.b.denominator == 1 else c.b,
+                         c.tag)
+        for c in region.constraints
+    )
+    assert (mixed.q, mixed.scaled_b) == (region.q, region.scaled_b)
 
 
 @settings(max_examples=300, deadline=None)

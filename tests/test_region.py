@@ -62,6 +62,37 @@ def test_profile_rejects_negative_and_wrong_arity():
         EntropyProfile([1, 1, 1])
 
 
+# One profile, (1/2, 3, 0, 7/4, 1, 1, 2), written in each input kind.
+PROFILE_KINDS = {
+    "ints-and-fractions": (F(1, 2), 3, 0, F(7, 4), 1, F(1), 2),
+    "fractions": (F(1, 2), F(3), F(0), F(7, 4), F(1), F(1), F(2)),
+    "floats": (0.5, 3.0, 0.0, 1.75, 1.0, 1.0, 2.0),
+    "strings": ("1/2", "3", "0", "7/4", "1", "1.0", " 2 "),
+    "all-kinds": ("1/2", 3, 0.0, F(7, 4), True, "1", 2.0),
+}
+
+
+@pytest.mark.parametrize("h", PROFILE_KINDS.values(), ids=PROFILE_KINDS)
+def test_profile_accepts_ints_fractions_floats_and_strings(h):
+    p = EntropyProfile(h)
+    assert p.h == (F(1, 2), F(3), F(0), F(7, 4), F(1), F(1), F(2))
+    assert all(type(x) is Fraction for x in p.h)
+    assert (p._L, p._hn, p._Hn) == (
+        4, (2, 12, 0, 7, 4, 4, 8), (2, 14, 14, 21, 25, 29, 37)
+    )
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (-1, "-1"), (F(-3, 4), "-3/4"), (-0.75, "-3/4"), ("-3/4", "-3/4"),
+    (F(-1, 2**70), f"-1/{2**70}"), (f"-1/{2**70}", f"-1/{2**70}"),
+], ids=["int", "fraction", "float", "string", "tiny", "tiny-string"])
+def test_negative_entropy_names_the_first_negative_layer(bad, shown):
+    h = [1, 0, 1, 1, bad, 1, -5]
+    with pytest.raises(NegativeEntropy) as e:
+        EntropyProfile(h)
+    assert str(e.value) == f"h_5 = {shown} is negative"
+
+
 def test_eleven_constraints_fixed_tag_order():
     region = build_mld_region(L1, ALL_ONES)
     assert tuple(c.tag for c in region.constraints) == Q_TAGS
@@ -131,6 +162,9 @@ def test_rates_of_the_wrong_length_are_refused(n, kind):
             classify_slacks(rows, rates)
     with pytest.raises(ValueError, match="expected 3 rates"):
         tight_constraints(region, rates)
+    for seq in (rates, list(rates)):
+        with pytest.raises(ValueError, match="expected 3 rates"):
+            contains(region, seq)
     with pytest.raises(ValueError, match="expected 3 rates"):
         md_contains(bound, rates)
 

@@ -1,0 +1,167 @@
+"""Time two checkouts' analysis ops against each other in one process.
+
+Usage, from anywhere::
+
+    python tests/tools/ab_ops.py BASE [CHANGE] [--seed N] [--ops N] [--rounds N]
+
+``BASE`` and ``CHANGE`` are source checkouts (``CHANGE`` defaults to the one
+holding this file).  Each one's ``src/amld3`` is loaded in this process
+under its own package name, ``amld3_base`` and ``amld3_change``.  The inputs
+come from ``perfbench/gen.AnalysisInputs(seed)`` of the checkout holding
+this file, imported read-only: ``--ops`` fresh inputs each for the ``check``,
+``corners``, ``contains`` and ``bounds`` ops that perfbench's ``analysis``
+workload times, built the same way.  Both sides must give equal outputs on
+every input (exact slacks, region documents, verdicts and float bounds are
+compared with ``==``); any difference is printed and the exit code is 1.
+Then each op kind is timed for ``--rounds`` rounds, the two sides
+alternating inside each round, and the best (least) of the per-round
+medians is reported per side, with the change in percent.
+
+Separate processes of one checkout can differ on the same op by more than
+a change does; alternating in one process takes that spread out of the
+comparison.  Only the standard library is used (``perfbench/gen.py`` brings
+numpy), and pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import sys
+import time
+from pathlib import Path
+from statistics import median
+
+ROOT = Path(__file__).resolve().parents[2]
+KINDS = ("check", "corners", "contains", "bounds")
+
+
+def load(checkout: Path, name: str):
+    """The checkout's ``src/amld3``, imported as the package ``name``."""
+    pkg = checkout / "src" / "amld3"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    if spec is None or not (pkg / "__init__.py").is_file():
+        raise SystemExit(f"no amld3 package under {checkout / 'src'}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def make_inputs(seed: int, n: int, m) -> dict:
+    """``n`` inputs per op kind, as perfbench's analysis workload draws
+    them.  ``m`` finds the corners that the contains queries surround."""
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests"),
+                    str(ROOT / "src")]
+    import gen
+
+    inp = gen.AnalysisInputs(seed)
+    orderings = m.enumerate_orderings()
+    out = {kind: [] for kind in KINDS}
+    for _ in range(n):
+        p = inp.profile("check")
+        out["check"].append((p.obj, p.h, inp.check_rates(p)))
+        p = inp.profile("corners")
+        out["corners"].append((p.ordering, p.h))
+        region = m.build_mld_region(orderings[p.ordering - 1],
+                                    m.EntropyProfile(p.h))
+        rates = [c.rates for c in m.enumerate_corners(region)]
+        out["contains"].append((p.ordering, p.h, inp.queries(rates, 1)[0]))
+        out["bounds"].append(inp.bounds_case())
+    return out
+
+
+def op_calls(m, inputs: dict) -> dict:
+    """``(function, args)`` per input of each op kind, over package ``m``;
+    each function returns plain data, so two packages' results compare."""
+    orderings = m.enumerate_orderings()
+
+    def check(obj, h, rates):
+        o = m.ordering_from_json(obj)
+        region = m.build_mld_region(o, m.EntropyProfile(h))
+        slacks = [c.evaluate(rates) for c in region.constraints]
+        return slacks, m.contains(region, rates)
+
+    def corners(index, h):
+        o = orderings[index - 1]
+        prof = m.EntropyProfile(h)
+        region = m.build_mld_region(o, prof)
+        found = m.enumerate_corners(region)
+        if o == m.L1:
+            found = m.label_corners(found, prof)
+        return m.region_json_dict(region, found)
+
+    def bounds(values, rates):
+        D = m.DistortionVector(values)
+        Dn = m.normalize_distortions(D)
+        o = m.induced_ordering(Dn)
+        rows = [m.inner_bound(D), m.outer_bound(D),
+                m.parametric_outer_bound(D, m.NoiseParams.matched(Dn, o))]
+        return (o.index, [[c.b for c in r.constraints] for r in rows],
+                m.facet_gap(D).as_dict(), m.md_contains(rows[1], rates))
+
+    def region(index, h):
+        return m.build_mld_region(orderings[index - 1], m.EntropyProfile(h))
+
+    return {
+        "check": [(check, x) for x in inputs["check"]],
+        "corners": [(corners, x) for x in inputs["corners"]],
+        "contains": [(m.contains, (region(i, h), q))
+                     for i, h, q in inputs["contains"]],
+        "bounds": [(bounds, (v, r)) for _, v, r in inputs["bounds"]],
+    }
+
+
+def timed_median(calls) -> float:
+    """Median wall time of one call, in microseconds."""
+    clock, times = time.perf_counter_ns, []
+    for f, args in calls:
+        t0 = clock()
+        f(*args)
+        times.append(clock() - t0)
+    return median(times) / 1e3
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path, nargs="?", default=ROOT)
+    parser.add_argument("--seed", type=int, default=1501)
+    parser.add_argument("--ops", type=int, default=300)
+    parser.add_argument("--rounds", type=int, default=7)
+    args = parser.parse_args(argv)
+
+    sides = {"base": load(args.base.resolve(), "amld3_base"),
+             "change": load(args.change.resolve(), "amld3_change")}
+    inputs = make_inputs(args.seed, args.ops, sides["change"])
+    calls = {side: op_calls(m, inputs) for side, m in sides.items()}
+
+    bad = 0
+    for kind in KINDS:
+        for i, ((f, x), (g, y)) in enumerate(zip(calls["base"][kind],
+                                                 calls["change"][kind])):
+            want, got = f(*x), g(*y)
+            if want != got:
+                bad += 1
+                print(f"{kind} input {i}: base {want!r} != change {got!r}")
+    print(f"outputs: {bad} of {len(KINDS) * args.ops} differ")
+
+    best = {side: {kind: float("inf") for kind in KINDS} for side in sides}
+    for r in range(args.rounds):
+        for kind in KINDS:
+            for side in (("base", "change") if r % 2 == 0
+                         else ("change", "base")):
+                t = timed_median(calls[side][kind])
+                best[side][kind] = min(best[side][kind], t)
+    print(f"best of {args.rounds} per-round medians, {args.ops} ops each, "
+          f"seed {args.seed} (us)")
+    for kind in KINDS:
+        a, b = best["base"][kind], best["change"][kind]
+        print(f"{kind:9s} base {a:9.2f}  change {b:9.2f}  "
+              f"{100 * (b - a) / a:+6.1f}%")
+    return int(bad > 0)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
