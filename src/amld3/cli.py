@@ -10,18 +10,19 @@ Subcommands::
     gap        normalized facet distances between inner and outer bounds
     check      membership of a rate triple (exact region or float bounds)
 
-Exit codes: 0 ok, 2 invalid ordering or an argparse usage error (a missing
-required flag, an unknown subcommand, a bad ``--tol`` literal, ``check``
-given both ``--h`` and ``--D``, or a flag of the other mode: ``--ordering``
-with ``--D``, ``--which``, ``--d`` or ``--tol`` with ``--h``), 3 negative
-entropy, 4 scheme/length regime mismatch or odd split, 5 bit-length
-mismatch, 6 out-of-range or non-finite float input (distortions, noise,
-rates, a negative --tol, and inputs that overflow a bound offset: a target
-below about 5.6e-309, noise of about 1e155 or more), 1 other errors
-(``check`` given neither ``--h`` nor ``--D``, JSON nested too deeply to
-parse, a JSON ``--D`` target that is not a number, ``"0.5"``, ``true`` and
-``null`` among them, and an exact number whose numerator or denominator, as
-written, has more digits than ``sys.get_int_max_str_digits()``).
+Exit codes: 0 ok, 2 invalid ordering (an empty or blank ``--ordering`` too)
+or an argparse usage error (a missing required flag, an unknown subcommand,
+a bad ``--tol`` literal, ``check`` given both ``--h`` and ``--D``, or a
+flag of the other mode: ``--ordering`` with ``--D``, ``--which``, ``--d``
+or ``--tol`` with ``--h``), 3 negative entropy, 4 scheme/length regime
+mismatch or odd split, 5 bit-length mismatch, 6 out-of-range or non-finite
+float input (distortions, noise, rates, a negative --tol, and inputs that
+overflow a bound offset: a target below about 5.6e-309, noise of about
+1e155 or more), 1 other errors (``check`` given neither ``--h`` nor
+``--D``, an empty or blank ``--D``, JSON nested too deeply to parse, a JSON
+``--D`` target that is not a number, ``"0.5"``, ``true`` and ``null`` among
+them, and an exact number whose numerator or denominator, as written, has
+more digits than ``sys.get_int_max_str_digits()``).
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.
@@ -90,6 +91,8 @@ def _json_arg(spec: str):
 
 
 def _parse_ordering(spec: str) -> ordering.Ordering:
+    if not spec.strip():  # else read as the path '', the working directory
+        raise ordering.OrderingError(f"empty --ordering value {spec!r}")
     spec = spec.strip()
     if spec.isdigit():
         return ordering.ordering_from_json({"ordering": int(spec)})
@@ -145,6 +148,8 @@ def _parse_rates_float(spec: str) -> tuple[float, ...]:
 def _parse_distortions(spec: str) -> gaussian_md.DistortionVector:
     """A comma list of floats when every item is one (like the ordering's
     digits-only shortcut), else JSON inline, from stdin or from a file."""
+    if not spec.strip():
+        raise ValueError(f"empty --D value {spec!r}")
     spec = spec.strip()
     if "," in spec:
         try:

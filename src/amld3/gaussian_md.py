@@ -20,11 +20,13 @@ with free noise parameters ``d_1 >= ... >= d_6 >= d_7 = 0`` is exposed as
 well; choosing ``d_i = D~`` of the level-i decoder makes it at least as
 tight as the fixed-slack bound everywhere.
 
-Each bound call normalizes and ranks the targets once, on tuples indexed by
-canonical subset position: the induced ordering is looked up among the eight
-admissible ones, and the eleven rows get the region's normals and tags fixed
-at import.  All arithmetic here is float64 with logs base 2; membership tests
-use an absolute tolerance of 1e-9.
+Each :class:`DistortionVector` normalizes its targets, ranks them and works
+out its inner offsets at most once, on the first call that needs each, and
+keeps them; the facts are tuples indexed by canonical subset position, the
+induced ordering is looked up among the eight admissible ones, and the
+eleven rows get the region's normals and tags fixed at import.  All
+arithmetic here is float64 with logs base 2; membership tests use an
+absolute tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .ordering import (
 from .rate_region import (
     CONSTRAINT_ROWS,
     LinearInequality,
+    _read_only,
     _rows,
     classify_slacks,
     constraint_offsets,
@@ -86,9 +89,13 @@ _RANKED = {
 
 
 class DistortionVector(namedtuple("DistortionVector", "values")):
-    """Distortion targets for the 7 decoders, in canonical subset order."""
+    """Distortion targets for the 7 decoders, in canonical subset order.
 
-    __slots__ = ()
+    What the bounds read off the targets is worked out on first use by
+    :meth:`__getattr__` and kept in the vector's ``__dict__``.
+    """
+
+    __setattr__ = __delattr__ = _read_only
 
     def __new__(cls, values) -> DistortionVector:
         if isinstance(values, Mapping):
@@ -105,6 +112,43 @@ class DistortionVector(namedtuple("DistortionVector", "values")):
                 raise DistortionRangeError(f"D_{s} = {v} is outside (0, 1]")
         return super().__new__(cls, vals)
 
+    def __getattr__(self, name: str):
+        """Work out one fact of the targets on first use, and keep it unless
+        that raises.  ``_norm`` is D~, by position the least target over
+        each subset's sub-subsets, as a vector, or None when that is this
+        vector (so none holds a reference to itself).  The others are facts
+        of D~: ``_ranked`` is (ordering, rank of each position), from the
+        positions stable-sorted by descending target, so ties keep canonical
+        order (a sequence that is none of the eight orderings breaks an
+        axiom, and :func:`~.ordering.validate_ordering` raises its error);
+        ``_inner`` is the inner offsets, the region's generator at
+        r(S) = (1/2) log2(1/D~_S), checked finite (it returns twice the
+        offsets, so it is fed r(S) / 2)."""
+        t = self.values
+        if name == "_norm":
+            n, value = tuple([min(get(t)) for get in _SUB_GETTERS]), None
+            if n != t:
+                value = DistortionVector._make((n,))
+                value.__dict__["_norm"] = None  # normalizing is idempotent
+        elif name not in ("_ranked", "_inner"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        elif self._norm is not None:
+            value = getattr(self._norm, name)
+        elif name == "_ranked":
+            seq = tuple(sorted(range(7), key=t.__getitem__, reverse=True))
+            value = _RANKED.get(seq)
+            if value is None:
+                validate_ordering({SUBSETS[j]: k
+                                   for k, j in enumerate(seq, 1)})
+        else:
+            self._ranked  # an ordering's error comes before an offset's
+            r = [0.25 * math.log2(1.0 / x) for x in t]
+            value = _finite(constraint_offsets(dict(zip(SUBSETS, r))),
+                            "a target below ~5.6e-309")
+        self.__dict__[name] = value
+        return value
+
     def __getitem__(self, subset: str) -> float:
         try:
             return self.values[_POSITION[subset]]
@@ -115,14 +159,10 @@ class DistortionVector(namedtuple("DistortionVector", "values")):
         return {s: v for s, v in zip(SUBSETS, self.values)}
 
 
-def _normalized(v: tuple) -> tuple:
-    """D~ by position: the least target over each subset's sub-subsets."""
-    return tuple([min(get(v)) for get in _SUB_GETTERS])
-
-
 def normalize_distortions(D: DistortionVector) -> DistortionVector:
-    """Effective targets: D~_S = min over nonempty T <= S of D_T."""
-    return DistortionVector._make((_normalized(D.values),))  # checked floats
+    """Effective targets: D~_S = min over nonempty T <= S of D_T (``D``
+    itself when it is normalized)."""
+    return D._norm or D
 
 
 def induced_ordering(Dn: DistortionVector) -> Ordering:
@@ -135,27 +175,12 @@ def induced_ordering(Dn: DistortionVector) -> Ordering:
     are not sorted (D_G1 >= D_G2 >= D_G3 is required; relabeling
     descriptions is the caller's business).
     """
-    t = Dn.values
-    if t != _normalized(t):
+    if Dn._norm is not None:
         raise NotNormalized(
             "distortion targets must be normalized first "
             "(see normalize_distortions)"
         )
-    return _ranked_ordering(t)[0]
-
-
-def _ranked_ordering(t: tuple) -> tuple[Ordering, tuple[int, ...]]:
-    """(ordering, rank of each position) of normalized targets ``t``.
-
-    The positions are stable-sorted by descending target, so ties keep
-    canonical order.  A sequence that is none of the eight orderings breaks
-    an axiom, and :func:`~.ordering.validate_ordering` raises its error.
-    """
-    seq = tuple(sorted(range(7), key=t.__getitem__, reverse=True))
-    found = _RANKED.get(seq)
-    if found is None:
-        validate_ordering({SUBSETS[j]: k for k, j in enumerate(seq, 1)})
-    return found
+    return Dn._ranked[0]
 
 
 def sr_layer_rates(
@@ -207,9 +232,9 @@ _TAGS = {
 }
 
 
-def _bound(kind: str, prefix: str, offsets, o, t: tuple) -> BoundSet:
-    return BoundSet(kind, _rows(offsets, _TAGS[prefix]), o,
-                    DistortionVector._make((t,)))
+def _bound(kind: str, prefix: str, offsets, D: DistortionVector) -> BoundSet:
+    return BoundSet(kind, _rows(offsets, _TAGS[prefix]), D._ranked[0],
+                    normalize_distortions(D))
 
 
 def _finite(offsets, why: str):
@@ -218,26 +243,14 @@ def _finite(offsets, why: str):
     raise InvalidFloatInput(f"a bound offset is not finite: {why}")
 
 
-def _inner_offsets(D: DistortionVector):
-    """Normalized targets by position, their ordering, and the inner offsets:
-    the region's generator at r(S) = (1/2) log2(1/D~_S), checked finite.
-    The generator returns twice the offsets, so it is fed r(S) / 2."""
-    t = _normalized(D.values)
-    o = _ranked_ordering(t)[0]
-    r = dict(zip(SUBSETS, [0.25 * math.log2(1.0 / x) for x in t]))
-    return t, o, _finite(constraint_offsets(r), "a target below ~5.6e-309")
-
-
 def inner_bound(D: DistortionVector) -> BoundSet:
     """Achievable-side bounds (distortions are normalized internally)."""
-    t, o, offsets = _inner_offsets(D)
-    return _bound("inner", "I", offsets, o, t)
+    return _bound("inner", "I", D._inner, D)
 
 
 def outer_bound(D: DistortionVector) -> BoundSet:
     """Converse-side bounds: the inner b's minus fixed per-row slacks."""
-    t, o, offsets = _inner_offsets(D)
-    return _bound("outer", "O", map(sub, offsets, _SLACK), o, t)
+    return _bound("outer", "O", map(sub, D._inner, _SLACK), D)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +303,9 @@ def parametric_outer_bound(
     row-by-row.  Noise near 1e155 overflows a pair step's products, and an
     offset that is not finite raises :class:`InvalidFloatInput`.
     """
-    t = _normalized(D.values)
-    o, lv = _ranked_ordering(t)  # by position: ranks, targets and noise
-    d = noise.d                  # 0-based too: d_k is d[k - 1]
+    lv = D._ranked[1]           # by position: ranks, targets and noise
+    t = normalize_distortions(D).values
+    d = noise.d                 # 0-based too: d_k is d[k - 1]
     lg = math.log2
 
     def single_factor(i: int, k: int) -> float:
@@ -333,7 +346,7 @@ def parametric_outer_bound(
         + 0.5 * tail(6, lv[2])
     )
     offsets = _finite(offsets, "the targets or noise overflow")
-    return _bound("parametric", "PO", offsets, o, t)
+    return _bound("parametric", "PO", offsets, D)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +392,7 @@ _NORMS = tuple(math.sqrt(sum(x * x for x in a)) for _, a in CONSTRAINT_ROWS)
 
 def facet_gap(D: DistortionVector) -> GapReport:
     """Distances between matching inner and outer planes (see GapReport)."""
-    _, _, offsets = _inner_offsets(D)
+    offsets = D._inner
     # b - (b - s), not s: the distance to the outer offset as rounded.
     gap = [(b - (b - s)) / n for b, s, n in zip(offsets, _SLACK, _NORMS)]
     return GapReport(max(gap[0:3]), max(gap[3:6]), max(gap[6:9]),

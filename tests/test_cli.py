@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from amld3 import SUBSETS, pack_bits, unpack_bits
+from amld3 import SUBSETS, OrderingError, pack_bits, unpack_bits
 
 DYADIC = "0.5,0.25,0.125,0.0625,0.03125,0.015625,0.0078125"
 MATCHED = "0.5,0.25,0.125,0.0625,0.03125,0.015625"
@@ -693,6 +693,43 @@ def test_usage_errors_exit_2(argv):
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert "usage:" in err
+
+
+H1 = "1,1,1,1,1,1,1"
+
+
+@pytest.mark.parametrize("value", ["", "   ", "\t\n"],
+                         ids=["empty", "spaces", "tab-newline"])
+@pytest.mark.parametrize("argv, code, flag", [
+    (("region", "--h", H1, "--ordering"), 2, "--ordering"),
+    (("corners", "--h", H1, "--ordering"), 2, "--ordering"),
+    (("check", "--rates", "1,1,1", "--h", H1, "--ordering"), 2, "--ordering"),
+    (("md-bounds", "--D"), 1, "--D"),
+    (("gap", "--D"), 1, "--D"),
+    (("check", "--rates", "1,1,1", "--D"), 1, "--D"),
+], ids=["region", "corners", "check-h", "md-bounds", "gap", "check-D"])
+def test_empty_ordering_or_distortions_name_the_flag(capsys, argv, code,
+                                                     flag, value):
+    # An empty or blank value was read as the path '', the working
+    # directory, and exited 1 with "[Errno 21] Is a directory: '.'".
+    from amld3 import cli
+
+    assert cli.main([*argv, value]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: empty {flag} value {value!r}\n"
+
+
+def test_empty_ordering_is_an_ordering_error_in_a_child_process():
+    from amld3 import cli
+
+    with pytest.raises(OrderingError, match="empty --ordering value ''"):
+        cli._parse_ordering("")
+    for argv, code in ((("region", "--h", H1, "--ordering", ""), 2),
+                       (("gap", "--D", ""), 1)):
+        got, out, err = run_cli(*argv)
+        assert (got, out) == (code, ""), argv
+        assert err.startswith("error: empty --") and "Traceback" not in err
 
 
 def test_check_parametric_without_noise_exits_1():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amld3 import (
     BoundSet,
@@ -618,3 +622,145 @@ def test_distortions_from_json():
                                          "G13": bad}})
     with pytest.raises(DistortionRangeError):
         distortions_from_json({"D": dict.fromkeys(SUBSETS, 10**400)})
+
+
+# ---------------------------------------------------------------------------
+# Facts kept in the vector.
+# ---------------------------------------------------------------------------
+
+def _matched(D):
+    Dn = normalize_distortions(D)
+    return NoiseParams.matched(Dn, induced_ordering(Dn))
+
+
+# Every public call that reads a vector's kept facts, by name.
+CALLS = {
+    "normalize": normalize_distortions,
+    "induced": lambda D: induced_ordering(normalize_distortions(D)),
+    "inner": inner_bound,
+    "outer": outer_bound,
+    "parametric": lambda D: parametric_outer_bound(D, _matched(D)),
+    "gap": facet_gap,
+}
+
+
+@st.composite
+def kept_fact_targets(draw):
+    """Targets non-increasing along one of the 8 orderings, with ties and
+    with steps of 1e-160 (two of them overflow an inner offset), with some
+    pair and triple targets raised (so not normalized) in some draws, and
+    with the singles swapped out of order in others."""
+    o = draw(st.sampled_from(enumerate_orderings()))
+    v, vals = draw(st.sampled_from((1.0, 0.75))), {}
+    for level in range(1, 8):
+        v *= draw(st.sampled_from((1.0, 0.5, 0.9, 1e-6, 1e-160)))
+        v = max(v, 5e-324)
+        vals[o.inverse_level(level)] = v
+    for s in SUBSETS[3:]:
+        if draw(st.booleans()):
+            vals[s] = draw(st.floats(vals[s], 1.0))
+    if draw(st.integers(0, 7)) == 0:
+        vals["G1"], vals["G3"] = vals["G3"], vals["G1"]
+    return [vals[s] for s in SUBSETS]
+
+
+def _outcome(call, D):
+    """A call's result, or its exception's type and message."""
+    try:
+        return call(D)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=kept_fact_targets(),
+       order=st.permutations(sorted(CALLS)), repeats=st.integers(1, 2))
+def test_kept_facts_change_no_result(values, order, repeats):
+    shared = DistortionVector(values)
+    for name in order * repeats:
+        got = _outcome(CALLS[name], shared)
+        want = _outcome(CALLS[name], DistortionVector(values))
+        assert got == want and repr(got) == repr(want), name
+    assert shared == DistortionVector(values)
+
+
+@pytest.mark.parametrize("singles, levels", [((0.3, 0.5, 0.25), "2, 1, 3"),
+                                             ((0.5, 0.25, 0.3), "1, 3, 2")])
+def test_singles_out_of_order_raise_on_every_call(singles, levels):
+    D = DistortionVector([*singles, 0.2, 0.2, 0.2, 0.1])
+    want = ("single-description levels must satisfy L(G1) < L(G2) < L(G3), "
+            f"got {levels}")
+    for _ in range(3):
+        for name in sorted(set(CALLS) - {"normalize"}):
+            with pytest.raises(SinglesOutOfOrder) as e:
+                CALLS[name](D)
+            assert str(e.value) == want, name
+    assert normalize_distortions(D) is D
+    assert "_ranked" not in D.__dict__ and "_inner" not in D.__dict__
+
+
+def test_tiny_targets_raise_on_every_call():
+    D = DistortionVector([*DYADIC.values[:6], 1e-320])
+    for _ in range(3):
+        for bound in (inner_bound, facet_gap, outer_bound):
+            with pytest.raises(InvalidFloatInput) as e:
+                bound(D)
+            assert str(e.value) == (
+                "a bound offset is not finite: a target below ~5.6e-309")
+    assert "_inner" not in D.__dict__
+    assert induced_ordering(D) == L1  # the ordering was fine, and is kept
+
+
+def test_induced_ordering_still_refuses_a_vector_normalized_before():
+    D = DistortionVector([0.5, 0.4, 0.3, 0.45, 0.2, 0.2, 0.1])
+    Dn = normalize_distortions(D)
+    assert Dn != D and normalize_distortions(D) is Dn
+    for _ in range(2):
+        with pytest.raises(NotNormalized, match="must be normalized first"):
+            induced_ordering(D)
+    assert induced_ordering(Dn) == inner_bound(D).ordering
+
+
+def test_a_normalized_vector_is_its_own_normal_form():
+    D = DistortionVector([0.5, 0.4, 0.3, 0.45, 0.2, 0.2, 0.1])
+    Dn = normalize_distortions(D)
+    for v in (Dn, DistortionVector(Dn.values), DYADIC):
+        assert normalize_distortions(v) is v
+        assert normalize_distortions(normalize_distortions(v)) is v
+    for bound in (inner_bound(D), outer_bound(D), parametric_outer_bound(
+            D, _matched(D))):
+        assert bound.distortions is Dn
+    assert inner_bound(DYADIC).distortions is DYADIC
+
+
+def test_kept_facts_leave_identity_copies_and_pickles_alone():
+    values = [0.5, 0.4, 0.3, 0.45, 0.2, 0.2, 0.1]
+    fresh, used = DistortionVector(values), DistortionVector(values)
+    for call in CALLS.values():
+        call(used)
+    assert used.__dict__ and not fresh.__dict__
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == (
+        "DistortionVector(values=(0.5, 0.4, 0.3, 0.45, 0.2, 0.2, 0.1))")
+    for other in (copy.copy(used), pickle.loads(pickle.dumps(used)),
+                  copy.deepcopy(used)):
+        assert other == fresh and hash(other) == hash(fresh)
+        assert repr(other) == repr(fresh)
+        for call in CALLS.values():
+            assert call(other) == call(fresh)
+    with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+        used.missing
+    with pytest.raises(AttributeError, match="cannot assign"):
+        used._norm = None
+
+
+def test_no_vector_keeps_a_reference_to_itself():
+    D = DistortionVector([0.5, 0.4, 0.3, 0.45, 0.2, 0.2, 0.1])
+    for call in CALLS.values():
+        call(D)
+    Dn = normalize_distortions(D)
+    for v in (D, Dn, DYADIC):
+        for call in CALLS.values():
+            call(v)
+        assert not any(x is v for x in gc.get_referents(v.__dict__))
+    assert Dn.__dict__["_norm"] is None and D.__dict__["_norm"] is Dn

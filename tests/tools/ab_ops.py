@@ -11,7 +11,8 @@ come from ``perfbench/gen.AnalysisInputs(seed)`` of the checkout holding
 this file, imported read-only: ``--ops`` fresh inputs each for the ``check``,
 ``corners``, ``contains`` and ``bounds`` ops that perfbench's ``analysis``
 workload times, built the same way.  Both sides must give equal outputs on
-every input (exact slacks, region documents, verdicts and float bounds are
+every input (exact slacks, region documents, verdicts and float bounds,
+with each bound's ordering index, normalized targets and row tags, are
 compared with ``==``); any difference is printed and the exit code is 1.
 Then each op kind is timed for ``--rounds`` rounds, the two sides
 alternating inside each round, and the best (least) of the per-round
@@ -98,7 +99,11 @@ def op_calls(m, inputs: dict) -> dict:
         o = m.induced_ordering(Dn)
         rows = [m.inner_bound(D), m.outer_bound(D),
                 m.parametric_outer_bound(D, m.NoiseParams.matched(Dn, o))]
-        return (o.index, [[c.b for c in r.constraints] for r in rows],
+        # Each bound's ordering, targets and tags too, so that a bound
+        # handed another vector's facts shows as a differing output.
+        return (o.index, [(r.ordering.index, r.distortions.values,
+                           [(c.tag, c.b) for c in r.constraints])
+                          for r in rows],
                 m.facet_gap(D).as_dict(), m.md_contains(rows[1], rates))
 
     def region(index, h):
