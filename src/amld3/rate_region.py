@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -139,10 +139,12 @@ AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
     """A polyhedral rate region {R >= 0 : a_t . R >= b_t for all t}.
 
-    Its integer rows are derived once, reading each b_t once as integers:
-    ``q`` is the least common denominator of the b_t, ``planes`` the
-    constraint normals (integers, as :class:`LinearInequality` checks) then
-    :data:`AXES`, and ``scaled_b`` the q * b_t then 0 for each axis.
+    Its integer rows: ``q`` is the least common denominator of the b_t,
+    ``planes`` the constraint normals (integers, as :class:`LinearInequality`
+    checks) then :data:`AXES`, and ``scaled_b`` the q * b_t then 0 for each
+    axis.  The constructor derives them, reading each b_t once as integers;
+    :func:`build_mld_region` hands its own to :meth:`_with_rows`, the one
+    place that stores them.
     """
 
     __setattr__ = __delattr__ = _read_only
@@ -151,13 +153,17 @@ class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
                 ordering: Ordering | None = None,
                 profile: EntropyProfile | None = None) -> RateRegion:
         constraints = tuple(constraints)
-        planes = (*(c.a for c in constraints), *AXES)
         b = [_rational(c.b).as_integer_ratio() for c in constraints]
         q = lcm(*(d for _, d in b))
+        return cls._with_rows(constraints, ordering, profile, q,
+                              [n * (q // d) for n, d in b])
+
+    @classmethod
+    def _with_rows(cls, constraints, ordering, profile, q, scaled_b):
+        """The region of these rows, given their q and q * b_t."""
         self = super().__new__(cls, constraints, ordering, profile)
-        self.__dict__.update(planes=planes, q=q, scaled_b=(
-            *(n * (q // d) for n, d in b), 0, 0, 0
-        ))
+        self.__dict__.update(planes=(*(c.a for c in constraints), *AXES),
+                             q=q, scaled_b=(*scaled_b, 0, 0, 0))
         return self
 
 
@@ -210,16 +216,16 @@ def build_mld_region(ordering: Ordering, profile: EntropyProfile) -> RateRegion:
     redundant for the given profile.  Tags are Q1..Q11 when ``ordering`` is
     L1 and P1.1..P5 otherwise, in the same fixed emission order.  The
     offsets are summed as integers over 2L (see :class:`EntropyProfile`)
-    and each becomes one ``Fraction``.
+    and each becomes one ``Fraction``; with g the gcd of 2L and the offsets,
+    the region is handed q = 2L / g and the offsets / g as its integer rows.
     """
     d = 2 * profile._L
     offsets = constraint_offsets(dict(zip(ordering.by_level, profile._Hn)))
-    return RateRegion(
+    g = gcd(d, *offsets)
+    return RateRegion._with_rows(
         _rows([Fraction(b, d) for b in offsets],
               Q_TAGS if ordering == L1 else P_TAGS),
-        ordering,
-        profile,
-    )
+        ordering, profile, d // g, [b // g for b in offsets])
 
 
 def classify_regime(profile: EntropyProfile) -> str:
@@ -249,12 +255,15 @@ def _vertex_solvers(planes) -> tuple[int, tuple, tuple]:
     """``(D, groups, solvers)`` of a set of planes, computed once per process.
 
     ``groups`` holds the plane indices of each distinct normal; ``solvers``
-    ``(i, j, k, cols, slacks)`` for each nonsingular triple of them.  With
-    offsets b the triple meets in ``n / D``, ``n = b_i cols[0] + b_j cols[1]
-    + b_k cols[2]``: ``cols`` are the adjugate's columns (cross products of
-    the normals) times D / det, so that every vertex has the one denominator
-    D, the lcm of the determinants.  Each other normal t has ``(t, *(a_t . c
-    for c in cols))`` in ``slacks``, ``a_t . n`` as a form on the offsets.
+    ``(i, j, k, cols, slacks, hint)`` for each nonsingular triple of them.
+    With offsets b the triple meets in ``n / D``, ``n = b_i cols[0] + b_j
+    cols[1] + b_k cols[2]``: ``cols`` are the adjugate's columns (cross
+    products of the normals) times D / det, so that every vertex has the one
+    denominator D, the lcm of the determinants.  Each other normal t has
+    ``(t, *(a_t . c for c in cols))`` in ``slacks``, ``a_t . n`` as a form on
+    the offsets.  ``hint``, a one-item list, holds the form that last cut
+    the triple off (at first plane i's own, which never cuts); it only
+    orders the tests and never gives a verdict, so all callers share it.
     """
     normals = tuple(dict.fromkeys(planes))
     triples = []
@@ -267,10 +276,9 @@ def _vertex_solvers(planes) -> tuple[int, tuple, tuple]:
     solvers = []
     for i, j, k, det, cols in triples:
         cols = tuple(tuple(D // det * x for x in c) for c in cols)
-        solvers.append((i, j, k, cols, tuple(
-            (t, *(sum(map(mul, a, c)) for c in cols))
-            for t, a in enumerate(normals) if t not in (i, j, k)
-        )))
+        slacks = tuple((t, *(sum(map(mul, a, c)) for c in cols))
+                       for t, a in enumerate(normals) if t not in (i, j, k))
+        solvers.append((i, j, k, cols, slacks, [(i, D, 0, 0)]))
     return D, tuple(
         tuple(t for t, a in enumerate(planes) if a == n) for n in normals
     ), tuple(solvers)
@@ -282,22 +290,29 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
     Of the planes (constraints, then the coordinate planes) that share a
     normal, only the one with the largest q b can be tight in the region.
     So a triple of distinct normals meets there in ``n / (q D)``, a vertex
-    when the other normals' slack forms (:func:`_vertex_solvers`) are at
-    least D q b; ``n`` is formed only then.  Over the one denominator q D,
-    the integer ``n`` tells vertices apart and orders them, and the
-    constraints with ``a . n = D q b`` are a vertex's tight tags.  Corners
-    come sorted by rates, without labels (see
-    :func:`~.catalog.label_corners`).
+    when the other normals' slack forms (:func:`_vertex_solvers`) are all at
+    least D q b; ``n`` is formed only then.  The form that last cut the
+    triple off, its hint, is tested first (most triples are cut by the same
+    form region after region), but a triple the hint passes is still tested
+    on every form.  Over the one denominator q D, the integer ``n`` tells
+    vertices apart and orders them, and the constraints with ``a . n = D q
+    b`` are a vertex's tight tags.  Corners come sorted by rates, without
+    labels (see :func:`~.catalog.label_corners`).
     """
     planes, bs, q = region.planes, region.scaled_b, region.q
     D, groups, solvers = _vertex_solvers(planes)
     kb = [max([bs[t] for t in g]) for g in groups]
     lb = [D * b for b in kb]
     found = set()
-    for i, j, k, cols, slacks in solvers:
+    for i, j, k, cols, slacks, hint in solvers:
         bi, bj, bk = kb[i], kb[j], kb[k]
-        for t, ci, cj, ck in slacks:
+        t, ci, cj, ck = hint[0]
+        if ci * bi + cj * bj + ck * bk < lb[t]:
+            continue
+        for form in slacks:
+            t, ci, cj, ck = form
             if ci * bi + cj * bj + ck * bk < lb[t]:
+                hint[0] = form
                 break
         else:
             found.add(tuple(

@@ -76,6 +76,7 @@ from amld3 import (
 )
 from amld3.codec import decode_plan
 from amld3.ordering import SUBSETS, subset_members
+from amld3.rate_region import _vertex_solvers
 
 F = Fraction
 # Numerators above 2**62 leave the int64 range of the hull oracle's fast path.
@@ -356,6 +357,44 @@ def test_enumerate_corners_of_directly_built_regions(rows):
     assert [(c.rates, c.tight) for c in enumerate_corners(region)] == (
         _oracles.reference_corners(rows)
     )
+
+
+def _built_region(index, h):
+    return build_mld_region(
+        Ordering(_oracles.ORDERING_ROWS[index - 1]), EntropyProfile(h)
+    )
+
+
+def _direct_region(rows):
+    return RateRegion(
+        LinearInequality(a, b, f"T{t}") for t, (a, b) in enumerate(rows)
+    )
+
+
+REGIONS = st.one_of(
+    st.builds(_built_region, st.integers(1, 8), profiles()),
+    st.builds(_direct_region, integer_rows()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regions=st.lists(REGIONS, min_size=2, max_size=8), data=st.data())
+def test_vertex_hints_never_decide_a_result(regions, data):
+    # Each triple's hint is the slack form that last cut it off, whichever
+    # region that was.  All built regions share one solver entry, and each
+    # set of direct rows has its own, so in a shuffled run hints carry over
+    # between orderings, profiles and shapes; they may only order the
+    # tests.  The second pass starts from fresh tables.
+    want = [
+        _oracles.reference_corners((c.a, c.b, c.tag) for c in r.constraints)
+        for r in regions
+    ]
+    for fresh in (False, True):
+        if fresh:
+            _vertex_solvers.cache_clear()
+        for t in data.draw(st.permutations(range(len(regions)))):
+            got = [(c.rates, c.tight) for c in enumerate_corners(regions[t])]
+            assert got == want[t]
 
 
 # ---------------------------------------------------------------------------

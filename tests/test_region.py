@@ -258,6 +258,68 @@ def test_zero_profile_collapses_to_origin():
     assert set(corners[0].tight) == set(Q_TAGS)
 
 
+# Correct regions with fewer than three vertices: at every ordering, h1
+# alone or h2 alone gives one point and h6 alone a segment.
+@pytest.mark.parametrize("h, rates", [
+    ((1, 0, 0, 0, 0, 0, 0), (1, 1, 1)),
+    ((0, 4, 0, 0, 0, 0, 0), (0, 4, 4)),
+    ((0,) * 7, (0, 0, 0)),
+])
+def test_one_vertex_regions(h, rates):
+    for order in enumerate_orderings():
+        region = build_mld_region(order, EntropyProfile(h))
+        got = [(c.rates, c.tight) for c in enumerate_corners(region)]
+        assert got == _oracles.reference_corners(
+            (c.a, c.b, c.tag) for c in region.constraints
+        )
+        assert got == [(rates, tuple(c.tag for c in region.constraints))]
+
+
+def test_two_vertex_regions():
+    profile = EntropyProfile((0, 0, 0, 0, 0, 1, 0))
+    for order in enumerate_orderings():
+        region = build_mld_region(order, profile)
+        got = [(c.rates, c.tight) for c in enumerate_corners(region)]
+        assert len(got) == 2
+        assert got == _oracles.reference_corners(
+            (c.a, c.b, c.tag) for c in region.constraints
+        )
+    second = build_mld_region(enumerate_orderings()[1], profile)
+    assert [c.rates for c in enumerate_corners(second)] == [
+        (0, 0, 1), (1, 0, 0)
+    ]
+
+
+EDGE_PROFILES = {
+    "all zero": (0,) * 7,
+    # L = 3 and every offset even over 2L = 6, so q = 3.
+    "q below 2L": (F(2, 3), F(4, 3), 2, F(2, 3), 0, F(8, 3), 2),
+    "numerators past 2**80": (F(2**80 + 1, 3), 2**81, F(3 * 2**80, 7),
+                              2**80, F(2**80 - 1, 9), 5, F(2**82, 11)),
+    "every numerator a multiple of 2**80": tuple(
+        k * 2**80 for k in (3, 6, 9, 3, 12, 3, 6)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_PROFILES)
+def test_handed_over_integer_rows_equal_the_derived_ones(name):
+    # build_mld_region hands the region q and q * b from its integer
+    # offsets; the constructor derives them from the rows' Fractions.
+    profile = EntropyProfile(EDGE_PROFILES[name])
+    for order in enumerate_orderings():
+        region = build_mld_region(order, profile)
+        derived = RateRegion(region.constraints)
+        assert (region.q, region.scaled_b) == (derived.q, derived.scaled_b)
+        assert region.planes == derived.planes
+        assert all(type(n) is int for n in (region.q, *region.scaled_b))
+        assert all(type(c.b) is Fraction for c in region.constraints)
+        if name == "q below 2L":
+            assert region.q == 3 < 2 * profile._L
+        if name == "all zero":
+            assert region.q == 1 and not any(region.scaled_b)
+
+
 def test_corner_scaling_is_homogeneous():
     lam = F(3, 2)
     base = EntropyProfile(_oracles.REP_PROFILES["I"])
