@@ -262,8 +262,8 @@ def _vertex_solvers(planes) -> tuple[int, tuple, tuple]:
     denominator D, the lcm of the determinants.  Each other normal t has
     ``(t, *(a_t . c for c in cols))`` in ``slacks``, ``a_t . n`` as a form on
     the offsets.  ``hint``, a one-item list, holds the form that last cut
-    the triple off (at first plane i's own, which never cuts); it only
-    orders the tests and never gives a verdict, so all callers share it.
+    the triple off (at first plane i's own, which never cuts): always one
+    of the triple's own constraints, so all callers can share it.
     """
     normals = tuple(dict.fromkeys(planes))
     triples = []
@@ -291,13 +291,14 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
     normal, only the one with the largest q b can be tight in the region.
     So a triple of distinct normals meets there in ``n / (q D)``, a vertex
     when the other normals' slack forms (:func:`_vertex_solvers`) are all at
-    least D q b; ``n`` is formed only then.  The form that last cut the
-    triple off, its hint, is tested first (most triples are cut by the same
-    form region after region), but a triple the hint passes is still tested
-    on every form.  Over the one denominator q D, the integer ``n`` tells
-    vertices apart and orders them, and the constraints with ``a . n = D q
-    b`` are a vertex's tight tags.  Corners come sorted by rates, without
-    labels (see :func:`~.catalog.label_corners`).
+    least D q b; ``n`` is formed only then.  The triple's hint, the form
+    that last cut it off, is tested first: being one of the triple's own
+    constraints, it can reject the triple alone but never accept it, so a
+    triple it passes is still tested on every form.  Over the one
+    denominator q D, the integer ``n`` tells vertices apart and orders them,
+    and the constraints with ``a . n = D q b`` are a vertex's tight tags.
+    Corners come sorted by rates, without labels (see
+    :func:`~.catalog.label_corners`).
     """
     planes, bs, q = region.planes, region.scaled_b, region.q
     D, groups, solvers = _vertex_solvers(planes)

@@ -251,11 +251,17 @@ def test_all_ones_merges_coinciding_corners():
 
 def test_zero_profile_collapses_to_origin():
     profile = EntropyProfile([0] * 7)
-    region = build_mld_region(L1, profile)
-    corners = enumerate_corners(region)
-    assert len(corners) == 1
-    assert corners[0].rates == (0, 0, 0)
-    assert set(corners[0].tight) == set(Q_TAGS)
+    for order in enumerate_orderings():
+        region = build_mld_region(order, profile)
+        corners = enumerate_corners(region)
+        assert len(corners) == 1
+        assert corners[0].rates == (0, 0, 0)
+        assert set(corners[0].tight) == set(Q_TAGS if order == L1 else P_TAGS)
+        assert [(c.rates, c.tight) for c in corners] == (
+            _oracles.reference_corners(
+                (c.a, c.b, c.tag) for c in region.constraints
+            )
+        )
 
 
 # Correct regions with fewer than three vertices: at every ordering, h1
@@ -263,7 +269,6 @@ def test_zero_profile_collapses_to_origin():
 @pytest.mark.parametrize("h, rates", [
     ((1, 0, 0, 0, 0, 0, 0), (1, 1, 1)),
     ((0, 4, 0, 0, 0, 0, 0), (0, 4, 4)),
-    ((0,) * 7, (0, 0, 0)),
 ])
 def test_one_vertex_regions(h, rates):
     for order in enumerate_orderings():

@@ -3,7 +3,6 @@
 Usage, from anywhere::
 
     python tests/tools/ab_ops.py BASE [CHANGE] [--seed N] [--ops N] [--rounds N]
-                                 [--kinds K,...]
 
 ``BASE`` and ``CHANGE`` are source checkouts (``CHANGE`` defaults to the one
 holding this file).  Each one's ``src/amld3`` is loaded in this process
@@ -15,10 +14,9 @@ workload times, built the same way.  Both sides must give equal outputs on
 every input (exact slacks, region documents, verdicts and float bounds,
 with each bound's ordering index, normalized targets and row tags, are
 compared with ``==``); any difference is printed and the exit code is 1.
-Then each op kind named by ``--kinds`` (all four by default, outputs of
-all four being compared either way) is timed for ``--rounds`` rounds, the
-two sides alternating inside each round, and the best (least) of the
-per-round medians is reported per side, with the change in percent.
+Then each op kind is timed for ``--rounds`` rounds, the two sides
+alternating inside each round, and the best (least) of the per-round
+medians is reported per side, with the change in percent.
 
 Separate processes of one checkout can differ on the same op by more than
 a change does; alternating in one process takes that spread out of the
@@ -137,12 +135,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=1501)
     parser.add_argument("--ops", type=int, default=300)
     parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--kinds", default=",".join(KINDS),
-                        help="op kinds to time, comma-separated")
     args = parser.parse_args(argv)
-    timed = tuple(dict.fromkeys(args.kinds.split(",")))
-    if not set(timed) <= set(KINDS):
-        parser.error(f"--kinds takes a comma-separated subset of {KINDS}")
 
     sides = {"base": load(args.base.resolve(), "amld3_base"),
              "change": load(args.change.resolve(), "amld3_change")}
@@ -159,16 +152,16 @@ def main(argv: list[str]) -> int:
                 print(f"{kind} input {i}: base {want!r} != change {got!r}")
     print(f"outputs: {bad} of {len(KINDS) * args.ops} differ")
 
-    best = {side: {kind: float("inf") for kind in timed} for side in sides}
+    best = {side: {kind: float("inf") for kind in KINDS} for side in sides}
     for r in range(args.rounds):
-        for kind in timed:
+        for kind in KINDS:
             for side in (("base", "change") if r % 2 == 0
                          else ("change", "base")):
                 t = timed_median(calls[side][kind])
                 best[side][kind] = min(best[side][kind], t)
     print(f"best of {args.rounds} per-round medians, {args.ops} ops each, "
           f"seed {args.seed} (us)")
-    for kind in timed:
+    for kind in KINDS:
         a, b = best["base"][kind], best["change"][kind]
         print(f"{kind:9s} base {a:9.2f}  change {b:9.2f}  "
               f"{100 * (b - a) / a:+6.1f}%")
