@@ -65,15 +65,27 @@ class NonIntegralSplit(ValueError):
 # ---------------------------------------------------------------------------
 
 def as_bit_array(bits) -> np.ndarray:
-    """Validate and convert to a uint8 array of 0/1 values."""
+    """``bits`` as a flat uint8 array; ``ValueError`` unless each value, as
+    given and before any cast, is exactly 0 or 1 (257, 0.5 and ``"1"`` are
+    not).  A uint8 array costs one ``max()`` scan and is not copied."""
     import numpy as np
 
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
+    if (arr.size and arr.max() > 1 if arr.dtype == np.uint8
+            else not ((arr == 0) | (arr == 1)).all()):
+        raise ValueError("bit arrays must contain only 0 and 1")
+    arr = arr.astype(np.uint8, copy=False)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit arrays must contain only 0 and 1")
     return arr
+
+
+def _bit_count(n) -> int:
+    """``n`` as an int; ``ValueError`` unless it is a whole number >= 0."""
+    k = int(n)
+    if k != n or k < 0:
+        raise ValueError(f"bit counts must be whole and non-negative, got {n}")
+    return k
 
 
 def pack_bits(bits: np.ndarray) -> bytes:
@@ -84,8 +96,9 @@ def pack_bits(bits: np.ndarray) -> bytes:
 
 
 def check_packed(data: bytes, nbits: int) -> None:
-    """Raise :class:`LengthMismatch` unless ``data`` has ceil(n/8) bytes."""
-    expected = (nbits + 7) // 8
+    """Raise :class:`LengthMismatch` unless ``data`` has ceil(n/8) bytes
+    (``ValueError`` unless ``nbits`` is a whole number >= 0)."""
+    expected = (_bit_count(nbits) + 7) // 8
     if len(data) != expected:
         raise LengthMismatch(
             f"expected {expected} bytes for {nbits} bits, got {len(data)}"
@@ -133,12 +146,12 @@ class SourceBundle(namedtuple("SourceBundle", "streams")):
 def random_bundle(
     lengths: Sequence[int], rng: np.random.Generator
 ) -> SourceBundle:
-    """Uniformly random bundle with the given stream lengths."""
+    """Uniformly random bundle with the given stream lengths, each a whole
+    number >= 0 (``ValueError`` otherwise)."""
     import numpy as np
 
-    return SourceBundle(
-        [rng.integers(0, 2, size=int(n), dtype=np.uint8) for n in lengths]
-    )
+    return SourceBundle([rng.integers(0, 2, size=_bit_count(n), dtype=np.uint8)
+                         for n in lengths])
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +206,14 @@ def instantiate_scheme(
 ) -> DescriptionScheme:
     """Bind a template to stream lengths, resolving pieces to bit ranges.
 
-    Raises :class:`RegimeMismatch` if any piece length comes out negative
-    (the lengths sit in the wrong regime for this template) and
+    Raises ``ValueError`` unless the seven lengths are whole numbers >= 0,
+    :class:`RegimeMismatch` if any piece length comes out negative (the
+    lengths sit in the wrong regime for this template) and
     :class:`OddSplit` if a half-split is not integral.
     """
-    lengths = tuple(int(x) for x in lengths)
-    if len(lengths) != 7 or any(x < 0 for x in lengths):
-        raise ValueError(f"need 7 non-negative stream lengths, got {lengths}")
+    lengths = tuple(map(_bit_count, lengths))
+    if len(lengths) != 7:
+        raise ValueError(f"need 7 stream lengths, got {lengths}")
     return DescriptionScheme(
         template.name, lengths, _place(template, lengths, (0,) * 7), template
     )

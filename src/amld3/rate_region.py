@@ -72,9 +72,6 @@ class EntropyProfile(namedtuple("EntropyProfile", "h")):
         return tuple(Fraction(n, self._L) for n in self._Hn)
 
 
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
 class LinearInequality(namedtuple("LinearInequality", "a b tag")):
     """One constraint a . (R1,R2,R3) >= b with a stable tag; the normal
     ``a``, three integers (``ValueError`` otherwise), is kept as ints."""
@@ -94,25 +91,23 @@ class LinearInequality(namedtuple("LinearInequality", "a b tag")):
         return super().__new__(cls, ints, b, tag)
 
     def evaluate(self, rates: Sequence) -> object:
-        """Slack a . rates - b.
+        """Slack a . rates - b; the type of ``b`` picks the arithmetic.
 
-        When ``b`` and the rates are all ints or ``Fraction``s (the normal
-        is ints), each is read once as a numerator and denominator; with
-        ``R = n / p`` over the rates' common denominator p, the slack is the
-        single ``Fraction`` ``((a . n) b_den - b_num p) / (p b_den)``.
-        Otherwise (float rows or float rates) it is ``sum(a_i R_i) - b`` in
-        the fields' own arithmetic.  Rates not 3 long are a ``ValueError``.
+        On an exact row (``b`` an int or ``Fraction``) each rate is read as
+        :func:`contains` reads it, at its exact value (NaN or inf raises),
+        then once as integers: with ``R = n / p`` over the rates' common
+        denominator p, the slack is the single ``Fraction``
+        ``((a . n) b_den - b_num p) / (p b_den)``.  On a float row it is
+        ``sum(a_i R_i) - b`` in floats.  Rates not 3 long are a ValueError.
         """
         if len(rates) != 3:
             raise ValueError("expected 3 rates")
         a, b = self.a, self.b
-        if type(b) in _EXACT_TYPES and _EXACT_TYPES.issuperset(
-            map(type, rates)
-        ):
+        if type(b) in (int, Fraction):
             (a1, a2, a3), (r1, r2, r3) = a, rates
-            n1, d1 = r1.as_integer_ratio()
-            n2, d2 = r2.as_integer_ratio()
-            n3, d3 = r3.as_integer_ratio()
+            n1, d1 = _rational(r1).as_integer_ratio()
+            n2, d2 = _rational(r2).as_integer_ratio()
+            n3, d3 = _rational(r3).as_integer_ratio()
             bn, bd = b.as_integer_ratio()
             p = lcm(d1, d2, d3)
             an = a1 * n1 * (p // d1) + a2 * n2 * (p // d2) + a3 * n3 * (p // d3)
@@ -139,10 +134,11 @@ AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
     """A polyhedral rate region {R >= 0 : a_t . R >= b_t for all t}.
 
-    Its integer rows: ``q`` is the least common denominator of the b_t,
-    ``planes`` the constraint normals (integers, as :class:`LinearInequality`
-    checks) then :data:`AXES`, and ``scaled_b`` the q * b_t then 0 for each
-    axis.  The constructor derives them, reading each b_t once as integers;
+    Its rows keep each b_t as a ``Fraction``, and its integer rows are: ``q``
+    the least common denominator of the b_t, ``planes`` the constraint
+    normals (integers, as :class:`LinearInequality` checks) then
+    :data:`AXES`, and ``scaled_b`` the q * b_t then 0 for each axis.  The
+    constructor coerces each b_t once and derives them;
     :func:`build_mld_region` hands its own to :meth:`_with_rows`, the one
     place that stores them.
     """
@@ -152,8 +148,8 @@ class RateRegion(namedtuple("RateRegion", "constraints ordering profile")):
     def __new__(cls, constraints: Iterable[LinearInequality],
                 ordering: Ordering | None = None,
                 profile: EntropyProfile | None = None) -> RateRegion:
-        constraints = tuple(constraints)
-        b = [_rational(c.b).as_integer_ratio() for c in constraints]
+        constraints = tuple(c._replace(b=_rational(c.b)) for c in constraints)
+        b = [c.b.as_integer_ratio() for c in constraints]
         q = lcm(*(d for _, d in b))
         return cls._with_rows(constraints, ordering, profile, q,
                               [n * (q // d) for n, d in b])
@@ -356,8 +352,9 @@ def classify_slacks(
     """Tags of the constraints tight at ``rates`` and of those violated.
 
     A constraint is tight when ``abs(slack) <= tol`` and violated when not
-    ``slack >= -tol``, so a NaN slack counts as violated.  ``tol`` is 0 for
-    exact arithmetic.
+    ``slack >= -tol``; ``tol`` is 0 for exact rows.  On a float row a NaN
+    slack counts as violated; on an exact row a NaN rate raises (see
+    :meth:`LinearInequality.evaluate`).
     """
     tight, violated = [], []
     for c in constraints:
@@ -370,9 +367,8 @@ def classify_slacks(
 
 
 def tight_constraints(region: RateRegion, rates: Sequence) -> tuple[str, ...]:
-    """Tags of the constraints met with equality at the given point."""
-    r = tuple(map(_rational, rates))
-    return tuple(classify_slacks(region.constraints, r)[0])
+    """Tags of the constraints met with equality at ``rates``, read exactly."""
+    return tuple(classify_slacks(region.constraints, rates)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +396,7 @@ def region_json_dict(
             else None
         )
     out["constraints"] = [
-        {"a": list(c.a), "b": str(_rational(c.b)), "tag": c.tag}
+        {"a": list(c.a), "b": str(c.b), "tag": c.tag}
         for c in region.constraints
     ]
     if corners is not None:

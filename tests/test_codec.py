@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from amld3 import (
     template_name_for_label,
     unpack_bits,
 )
-from amld3.codec import decode_plan, encode_plan
+from amld3.codec import check_packed, decode_plan, encode_plan
 from amld3.ordering import SUBSETS, L1, subset_members
 
 # Stream-length pools, one list per regime; every entry is strictly (or
@@ -110,6 +111,49 @@ def test_unpack_ignores_padding_bits():
 def test_bit_arrays_must_be_binary():
     with pytest.raises(ValueError):
         pack_bits([0, 2, 1])
+
+
+@pytest.mark.parametrize("bits", [
+    np.array([257, 0]), [256, 1], [0.5, 1.0], np.array([257] * 8),
+    [-1, 0], [math.nan, 0], ["1", "0"],
+], ids=["257", "256", "0.5", "257x8", "-1", "nan", "str"])
+def test_bit_values_are_read_before_any_cast(bits):
+    # Cast to uint8 first, 257 and 256 would wrap to 1 and 0 and 0.5 would
+    # truncate to 0; every reader of bit arrays refuses them instead.
+    readers = [
+        pack_bits,
+        lambda b: SourceBundle([b] + [[0]] * 6),
+        lambda b: EncodedDescriptions([b, None, None]),
+        lambda b: decode(_scheme("X1", (1,) * 7), "G1", {1: b}),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            read(bits)
+
+
+def test_bit_arrays_are_flattened_and_uint8_kept():
+    assert pack_bits([[1, 0, 1], [1, 1, 1]]) == bytes([0b10111100])
+    assert pack_bits([True, 0.0, 1]) == bytes([0b10100000])
+    bits = np.array([1, 0, 1], dtype=np.uint8)
+    assert SourceBundle([bits] * 7).streams[0] is bits
+
+
+def test_bit_counts_must_be_whole_and_non_negative():
+    rng = np.random.default_rng(0)
+    for lengths in ((1.5, 1, 1, 1, 1, 1, 1), (1, -1, 1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="whole and non-negative"):
+            instantiate_scheme(TEMPLATES["X1"], lengths)
+        with pytest.raises(ValueError, match="whole and non-negative"):
+            random_bundle(lengths, rng)
+    for nbits in (-5, 1.5):
+        with pytest.raises(ValueError, match="whole and non-negative"):
+            check_packed(b"", nbits)
+        with pytest.raises(ValueError, match="whole and non-negative"):
+            unpack_bits(b"", nbits)
+    # Ints, bools, numpy ints and integral floats are still read as ints.
+    lengths = (np.int64(1), True, 1.0, 1, 1, 1, 1)
+    assert instantiate_scheme(TEMPLATES["X1"], lengths).lengths == (1,) * 7
+    assert random_bundle(lengths, rng).lengths == (1,) * 7
 
 
 def test_bundle_packed_roundtrip():

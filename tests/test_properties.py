@@ -5,7 +5,9 @@ expected values from direct ``Fraction`` arithmetic on them; no library call
 enters them.  Its slacks, tight tags and membership verdicts are checked
 against the oracle's term-by-term slack at exact rates given as ints,
 ``Fraction``s or a mix, in tuples and lists, and its integer rows against
-the tables' offsets.  Its corners are checked against the closed-form L1
+the tables' offsets.  On built regions and on regions given int,
+``Fraction``, float or ``"a/b"`` offsets, rates of all four types are read
+exactly by every reader of the rows, which also raise alike on NaN and inf.  Its corners are checked against the closed-form L1
 catalog and against the reference Cramer enumerator, on full and pruned
 regions, on profiles whose planes coincide and on directly built regions,
 and exact membership equals the verdict of the eleven constraint rows
@@ -76,7 +78,7 @@ from amld3 import (
 )
 from amld3.codec import decode_plan
 from amld3.ordering import SUBSETS, subset_members
-from amld3.rate_region import _vertex_solvers
+from amld3.rate_region import AXES, _vertex_solvers
 
 F = Fraction
 # Numerators above 2**62 leave the int64 range of the hull oracle's fast path.
@@ -395,6 +397,80 @@ def test_vertex_hints_never_decide_a_result(regions, data):
         for t in data.draw(st.permutations(range(len(regions)))):
             got = [(c.rates, c.tight) for c in enumerate_corners(regions[t])]
             assert got == want[t]
+
+
+FORMS = st.sampled_from(("int", "fraction", "float", "string"))
+
+
+def _written(value, form):
+    """``value`` as an int (its floor), a ``Fraction``, the nearest float or
+    an ``"a/b"`` string."""
+    return {"int": math.floor, "fraction": F, "float": float,
+            "string": str}[form](value)
+
+
+@st.composite
+def regions_and_offsets(draw):
+    """A region and the offsets its rows were given: built for any of the
+    eight orderings, or direct with ints, Fractions, floats and strings."""
+    if draw(st.booleans()):
+        region = _built_region(draw(st.integers(1, 8)), draw(profiles()))
+        return region, [c.b for c in region.constraints]
+    rows = [(a, _written(b, draw(FORMS))) for a, b in draw(integer_rows())]
+    return _direct_region(rows), [b for _, b in rows]
+
+
+AXIS_ROWS = tuple(LinearInequality(a, 0, f"R{i}")
+                  for i, a in enumerate(AXES, start=1))
+
+
+def _raised(f, *args):
+    """The type of what ``f(*args)`` raises, or None."""
+    try:
+        f(*args)
+    except Exception as e:
+        return type(e)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=regions_and_offsets(), data=st.data())
+def test_one_exactness_rule_for_every_reader_of_the_rows(case, data):
+    # A region keeps each offset as a Fraction, so its rows are exact, and
+    # every reader takes each rate at its exact value, whatever its type:
+    # slacks, tight tags and membership all agree with the oracle's slack.
+    region, given = case
+    b = [c.b for c in region.constraints]
+    value = st.one_of(
+        st.sampled_from([F(0), *b, *(-x for x in b)]),
+        st.fractions(min_value=-(2**70), max_value=2**70),
+        st.floats(min_value=-1e6, max_value=1e6),
+    )
+    rates = tuple(_written(data.draw(value), data.draw(FORMS))
+                  for _ in range(3))
+    slacks = [_oracles.row_slack(c.a, g, rates)
+              for c, g in zip(region.constraints, given)]
+    got = [c.evaluate(rates) for c in region.constraints]
+    assert got == slacks
+    assert all(type(s) is Fraction for s in got)
+    tags = [c.tag for c in region.constraints]
+    tight, violated = classify_slacks(region.constraints, rates)
+    assert tight == [t for t, s in zip(tags, slacks) if s == 0]
+    assert violated == [t for t, s in zip(tags, slacks) if s < 0]
+    assert tight_constraints(region, rates) == tuple(tight)
+    assert contains(region, rates) == (
+        not classify_slacks((*region.constraints, *AXIS_ROWS), rates)[1]
+    )
+    for bad in (math.nan, math.inf, -math.inf):
+        point = list(rates)
+        point[data.draw(st.integers(0, 2))] = bad
+        raised = {
+            _raised(contains, region, point),
+            _raised(tight_constraints, region, point),
+            _raised(classify_slacks, region.constraints, point),
+            *(_raised(c.evaluate, point) for c in region.constraints),
+        }
+        assert len(raised) == 1 and None not in raised, raised
 
 
 # ---------------------------------------------------------------------------

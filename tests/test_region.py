@@ -363,6 +363,23 @@ def test_region_refuses_non_integer_normals(normal):
     assert region.planes[0] == (2, 1, 0)
 
 
+def test_float_rates_and_offsets_are_read_exactly():
+    # As binary floats, 0.3 lies below 3/10 and 0.1 above 1/10, so both
+    # points are outside, and every reader of the rows must say so.
+    region = build_mld_region(L1, EntropyProfile([F(3, 10)] + [1] * 6))
+    rates = (0.3, 100, 100)
+    assert not contains(region, rates)
+    assert classify_slacks(region.constraints, rates) == ([], ["Q1"])
+    assert tight_constraints(region, rates) == ()
+    region = RateRegion((LinearInequality((1, 0, 0), 0.1, "A"),))
+    assert region.constraints[0].b == F(0.1)
+    assert type(region.constraints[0].b) is Fraction
+    point = (F(1, 10), 0, 0)
+    assert not contains(region, point)
+    assert classify_slacks(region.constraints, point) == ([], ["A"])
+    assert tight_constraints(region, point) == ()
+
+
 def test_region_refuses_unhashable_normal_entries():
     # Normals are checked when a row is built; an entry that cannot be
     # hashed is refused like any other non-integer.

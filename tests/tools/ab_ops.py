@@ -14,14 +14,20 @@ workload times, built the same way.  Both sides must give equal outputs on
 every input (exact slacks, region documents, verdicts and float bounds,
 with each bound's ordering index, normalized targets and row tags, are
 compared with ``==``); any difference is printed and the exit code is 1.
-Then each op kind is timed for ``--rounds`` rounds, the two sides
-alternating inside each round, and the best (least) of the per-round
-medians is reported per side, with the change in percent.
+Then each op kind is timed for ``--rounds`` rounds (at least 2).  Inside a
+round the two sides run each input back to back, call by call, the side
+that goes first alternating from one input to the next and from one round
+to the next; the round gives each side its median call time, and the
+change/base ratio of the two.  Reported per op kind: the median of each
+side's per-round medians, and the median and interquartile range of the
+per-round ratios, as a change in percent.
 
 Separate processes of one checkout can differ on the same op by more than
-a change does; alternating in one process takes that spread out of the
-comparison.  Only the standard library is used (``perfbench/gen.py`` brings
-numpy), and pytest does not collect this file.
+a change does, and other load on the machine drifts over seconds; pairing
+the two sides call by call in one process leaves both drifts in the ratio
+of each round alike, and the IQR of the ratios shows what remains.  Only
+the standard library is used (``perfbench/gen.py`` brings numpy), and
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import importlib.util
 import sys
 import time
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[2]
 KINDS = ("check", "corners", "contains", "bounds")
@@ -118,14 +124,18 @@ def op_calls(m, inputs: dict) -> dict:
     }
 
 
-def timed_median(calls) -> float:
-    """Median wall time of one call, in microseconds."""
-    clock, times = time.perf_counter_ns, []
-    for f, args in calls:
-        t0 = clock()
-        f(*args)
-        times.append(clock() - t0)
-    return median(times) / 1e3
+def timed_pairs(base, change, first: int) -> tuple[float, float]:
+    """Median wall time of one call on each side, in microseconds.  Each
+    input runs on both sides back to back; the base goes first on the
+    inputs whose index has the parity of ``first``."""
+    clock, times = time.perf_counter_ns, ([], [])
+    for i, pair in enumerate(zip(base, change)):
+        for side in ((0, 1) if (i + first) % 2 == 0 else (1, 0)):
+            f, args = pair[side]
+            t0 = clock()
+            f(*args)
+            times[side].append(clock() - t0)
+    return median(times[0]) / 1e3, median(times[1]) / 1e3
 
 
 def main(argv: list[str]) -> int:
@@ -136,6 +146,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--ops", type=int, default=300)
     parser.add_argument("--rounds", type=int, default=7)
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
 
     sides = {"base": load(args.base.resolve(), "amld3_base"),
              "change": load(args.change.resolve(), "amld3_change")}
@@ -152,19 +164,20 @@ def main(argv: list[str]) -> int:
                 print(f"{kind} input {i}: base {want!r} != change {got!r}")
     print(f"outputs: {bad} of {len(KINDS) * args.ops} differ")
 
-    best = {side: {kind: float("inf") for kind in KINDS} for side in sides}
+    rounds = {kind: [] for kind in KINDS}
     for r in range(args.rounds):
         for kind in KINDS:
-            for side in (("base", "change") if r % 2 == 0
-                         else ("change", "base")):
-                t = timed_median(calls[side][kind])
-                best[side][kind] = min(best[side][kind], t)
-    print(f"best of {args.rounds} per-round medians, {args.ops} ops each, "
-          f"seed {args.seed} (us)")
+            rounds[kind].append(timed_pairs(calls["base"][kind],
+                                            calls["change"][kind], r))
+    print(f"{args.rounds} rounds of {args.ops} paired ops each, seed "
+          f"{args.seed}: median per-round medians (us), and the median "
+          "[IQR] of the per-round change/base ratios")
     for kind in KINDS:
-        a, b = best["base"][kind], best["change"][kind]
+        a, b = (median(side) for side in zip(*rounds[kind]))
+        ratios = [100 * (y / x - 1) for x, y in rounds[kind]]
+        q1, mid, q3 = quantiles(ratios, n=4, method="inclusive")
         print(f"{kind:9s} base {a:9.2f}  change {b:9.2f}  "
-              f"{100 * (b - a) / a:+6.1f}%")
+              f"{mid:+6.1f}% [{q1:+.1f}%, {q3:+.1f}%]")
     return int(bad > 0)
 
 
