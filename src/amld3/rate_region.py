@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ordering import L1, Ordering
@@ -247,21 +247,25 @@ def _cross(u, v) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=32)
-def _vertex_solvers(planes) -> tuple[int, tuple, tuple]:
-    """``(D, groups, solvers)`` of a set of planes, computed once per process.
+def _vertex_solvers(planes) -> tuple[int, object, tuple, tuple, tuple, list]:
+    """``(D, heads, rest, owner, solvers, types)`` of a set of planes,
+    computed once per process.
 
-    ``groups`` holds the plane indices of each distinct normal; ``solvers``
-    ``(i, j, k, cols, slacks, hint)`` for each nonsingular triple of them.
-    With offsets b the triple meets in ``n / D``, ``n = b_i cols[0] + b_j
-    cols[1] + b_k cols[2]``: ``cols`` are the adjugate's columns (cross
-    products of the normals) times D / det, so that every vertex has the one
-    denominator D, the lcm of the determinants.  Each other normal t has
-    ``(t, *(a_t . c for c in cols))`` in ``slacks``, ``a_t . n`` as a form on
-    the offsets.  ``hint``, a one-item list, holds the form that last cut
-    the triple off (at first plane i's own, which never cuts): always one
-    of the triple's own constraints, so all callers can share it.
+    ``owner[t]`` is the index of plane t's normal among the distinct
+    normals; the itemgetter ``heads`` picks each normal's first plane, and
+    ``rest`` holds ``(t, owner[t])`` for every other plane.  ``solvers``
+    holds ``(i, j, k, cols, slacks)`` for each nonsingular triple of
+    normals.  With offsets b the triple meets in ``n / D``, ``n = b_i
+    cols[0] + b_j cols[1] + b_k cols[2]``: ``cols`` are the adjugate's
+    columns (cross products of the normals) times D / det, so that every
+    vertex has the one denominator D, the lcm of the determinants.  Each
+    other normal t has ``(t, *(a_t . c for c in cols))`` in ``slacks``,
+    ``a_t . n`` as a form on the offsets.  ``types`` lists the vertex types
+    that :func:`enumerate_corners` has found for these planes, most
+    recently used first; all callers share it.
     """
     normals = tuple(dict.fromkeys(planes))
+    owner = tuple(map(normals.index, planes))
     triples = []
     for i, j, k in combinations(range(len(normals)), 3):
         u, v, w = normals[i], normals[j], normals[k]
@@ -274,10 +278,37 @@ def _vertex_solvers(planes) -> tuple[int, tuple, tuple]:
         cols = tuple(tuple(D // det * x for x in c) for c in cols)
         slacks = tuple((t, *(sum(map(mul, a, c)) for c in cols))
                        for t, a in enumerate(normals) if t not in (i, j, k))
-        solvers.append((i, j, k, cols, slacks, [(i, D, 0, 0)]))
-    return D, tuple(
-        tuple(t for t, a in enumerate(planes) if a == n) for n in normals
-    ), tuple(solvers)
+        solvers.append((i, j, k, cols, slacks))
+    heads = [planes.index(a) for a in normals]
+    rest = tuple((t, u) for t, u in enumerate(owner) if t not in heads)
+    return D, itemgetter(*heads), rest, owner, tuple(solvers), []
+
+
+_KEPT_TYPES = 64
+"""The most vertex types kept per planes: the least recently used go."""
+
+
+def _vertex(solver, kb, lb, need):
+    """``(n, tight)`` for the point of ``solver``'s triple at the normals'
+    offsets ``kb`` (``lb`` = D ``kb``), or None.
+
+    ``tight`` lists the triple's normals, then every other normal tight at
+    the point.  None when a slack form falls below its D q b, so the point
+    is outside the region, or when a normal of ``need`` is not tight.
+    """
+    i, j, k, ((x0, x1, x2), (y0, y1, y2), (z0, z1, z2)), slacks = solver
+    bi, bj, bk = kb[i], kb[j], kb[k]
+    tight = [i, j, k]
+    for t, ci, cj, ck in slacks:
+        s = ci * bi + cj * bj + ck * bk - lb[t]
+        if s < 0:
+            return None
+        if not s:
+            tight.append(t)
+    if need and not need.issubset(tight):
+        return None
+    return (bi * x0 + bj * y0 + bk * z0, bi * x1 + bj * y1 + bk * z1,
+            bi * x2 + bj * y2 + bk * z2), tight
 
 
 def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
@@ -287,45 +318,66 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
     normal, only the one with the largest q b can be tight in the region.
     So a triple of distinct normals meets there in ``n / (q D)``, a vertex
     when the other normals' slack forms (:func:`_vertex_solvers`) are all at
-    least D q b; ``n`` is formed only then.  The triple's hint, the form
-    that last cut it off, is tested first: being one of the triple's own
-    constraints, it can reject the triple alone but never accept it, so a
-    triple it passes is still tested on every form.  Over the one
-    denominator q D, the integer ``n`` tells vertices apart and orders them,
-    and the constraints with ``a . n = D q b`` are a vertex's tight tags.
-    Corners come sorted by rates, without labels (see
-    :func:`~.catalog.label_corners`).
+    least D q b.  Over the one denominator q D, the integer ``n`` tells
+    vertices apart and orders them.  A constraint is tight at a vertex when
+    its normal is and its q b is its normal's largest.  Corners come sorted
+    by rates, without labels (see :func:`~.catalog.label_corners`).
+
+    A region's type lists, for each of its vertices, one triple meeting
+    there and the normals tight there.  The types kept for these planes
+    are tried first, most recently used first.  A type is taken when each
+    of its triples meets in a point of the region at which its recorded
+    normals are tight again, and the points taken, merged where they
+    coincide, are then exactly the vertices.  Each is a vertex: three
+    independent planes are tight there.  And each vertex v is taken.  The
+    type's own region was not empty, so the cones spanned by the tight
+    normals of its vertices cover every c whose minimum over it exists:
+    the dual of its recession cone, which depends on the normals alone.  So
+    one of these cones meets the open normal cone of v, at some c.  The
+    point taken for that cone is in the region and tight on every normal
+    of the cone, so it minimises c there, and v is the one point that does.
+    When no type is taken, every triple is searched, and a region with a
+    vertex leaves its type for later calls (an empty type would be taken
+    for any region).  The types only order the work: the check above
+    decides every result.
     """
     planes, bs, q = region.planes, region.scaled_b, region.q
-    D, groups, solvers = _vertex_solvers(planes)
-    kb = [max([bs[t] for t in g]) for g in groups]
+    D, heads, rest, owner, solvers, types = _vertex_solvers(planes)
+    kb = list(heads(bs))
+    for t, u in rest:
+        if bs[t] > kb[u]:
+            kb[u] = bs[t]
     lb = [D * b for b in kb]
-    found = set()
-    for i, j, k, cols, slacks, hint in solvers:
-        bi, bj, bk = kb[i], kb[j], kb[k]
-        t, ci, cj, ck = hint[0]
-        if ci * bi + cj * bj + ck * bk < lb[t]:
-            continue
-        for form in slacks:
-            t, ci, cj, ck = form
-            if ci * bi + cj * bj + ck * bk < lb[t]:
-                hint[0] = form
+    for u, kept in enumerate(types):
+        found = {}
+        for solver, need in kept:
+            if not (v := _vertex(solver, kb, lb, need)):
                 break
+            found[v[0]] = solver, v[1]
         else:
-            found.add(tuple(
-                bi * x + bj * y + bk * z for x, y, z in zip(*cols)
+            if u:
+                types.insert(0, types.pop(u))
+            break
+    else:
+        found = {}
+        for solver in solvers:
+            if v := _vertex(solver, kb, lb, ()):
+                found.setdefault(v[0], (solver, v[1]))
+        if found:
+            types.insert(0, tuple(
+                (solver, frozenset(tight[3:])) for solver, tight in found.values()
             ))
-    tags = [c.tag for c in region.constraints]
-    rows = [(tag, a, D * b) for tag, a, b in zip(tags, planes, bs)]
+            del types[_KEPT_TYPES:]
+    rows = [(c.tag, u) for c, u, b in zip(region.constraints, owner, bs)
+            if b == kb[u]]
     d = q * D
-    return tuple(
+    return tuple([
         CornerPoint(
             (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d)),
-            tuple(tag for tag, (a1, a2, a3), b in rows
-                  if a1 * n0 + a2 * n1 + a3 * n2 == b),
+            tuple([tag for tag, u in rows if u in tight]),
         )
-        for n0, n1, n2 in sorted(found)
-    )
+        for (n0, n1, n2), (_, tight) in sorted(found.items())
+    ])
 
 
 def contains(region: RateRegion, rates: Sequence) -> bool:

@@ -149,6 +149,12 @@ def test_dir_lists_the_codec_names_before_they_load():
     )
 
 
+def test_dir_is_sorted_and_names_every_lazy_module_and_name():
+    listed = dir(amld3)
+    assert listed == sorted(set(listed))
+    assert {*amld3.__all__, "codec", "catalog", "__version__"} <= set(listed)
+
+
 def test_every_public_name_resolves():
     for name in amld3.__all__:
         assert getattr(amld3, name) is not None, name

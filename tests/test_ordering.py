@@ -161,6 +161,13 @@ def test_ordering_value_object_semantics():
         a.by_level = ()  # frozen
 
 
+def test_ordering_prints_its_subsets_by_level():
+    assert str(L1) == "<G1, G2, G3, G12, G13, G23, G123>"
+    assert [str(o).strip("<>").split(", ") for o in enumerate_orderings()] == [
+        list(o.by_level) for o in enumerate_orderings()
+    ]
+
+
 def test_json_levels_form():
     o = ordering_from_json(
         {"levels": {s: i + 1 for i, s in enumerate(L1.by_level)}}

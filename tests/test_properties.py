@@ -373,20 +373,35 @@ def _direct_region(rows):
     )
 
 
+@st.composite
+def direct_families(draw):
+    """Direct regions over one list of normals, the zero normal among them,
+    at other offsets: a region whose zero-normal offset is positive is
+    empty, and all of them share one solver entry."""
+    normals = [*draw(st.lists(NORMALS, min_size=1, max_size=5)), (0, 0, 0)]
+    return [
+        _direct_region([(a, draw(OFFSETS)) for a in normals])
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+
+
 REGIONS = st.one_of(
-    st.builds(_built_region, st.integers(1, 8), profiles()),
-    st.builds(_direct_region, integer_rows()),
+    st.builds(_built_region, st.integers(1, 8), profiles()).map(lambda r: [r]),
+    st.builds(_direct_region, integer_rows()).map(lambda r: [r]),
+    direct_families(),
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(regions=st.lists(REGIONS, min_size=2, max_size=8), data=st.data())
-def test_vertex_hints_never_decide_a_result(regions, data):
-    # Each triple's hint is the slack form that last cut it off, whichever
-    # region that was.  All built regions share one solver entry, and each
-    # set of direct rows has its own, so in a shuffled run hints carry over
-    # between orderings, profiles and shapes; they may only order the
-    # tests.  The second pass starts from fresh tables.
+@given(groups=st.lists(REGIONS, min_size=2, max_size=6), data=st.data())
+def test_vertex_types_never_decide_a_result(groups, data):
+    # A type found for one region is tried first on the next region of the
+    # same planes.  All built regions share one solver entry, and so do the
+    # regions of one direct family, empty ones among them, so in a shuffled
+    # run types carry over between orderings, profiles, shapes and empty
+    # regions; they may only order the work.  The second pass starts from
+    # fresh tables.
+    regions = [r for group in groups for r in group]
     want = [
         _oracles.reference_corners((c.a, c.b, c.tag) for c in r.constraints)
         for r in regions

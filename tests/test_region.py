@@ -398,22 +398,56 @@ def test_row_normal_is_three_ints():
     assert [type(x) for x in row.a] == [int, int, int]
 
 
+BUILT_FAMILIES = [*_oracles.REP_PROFILES.values(),
+                  (1, 1, 3, 2, 1, 1, 1),  # h3 = h4 + h5
+                  (1, 1, 2, 2, 1, 1, 1),  # h3 = h4
+                  (1, 2, 3, 3, 1, 2, 1)]  # h3 = h4: rows 4 and 5 tie
+
+
 def test_corner_tables_are_shared_by_all_built_regions():
     # Every build_mld_region region has the same planes, so the vertex
     # solver tables are computed once: a key that varied per region would
     # recompute them on every enumerate_corners call.
-    families = [*_oracles.REP_PROFILES.values(),
-                (1, 1, 3, 2, 1, 1, 1),  # h3 = h4 + h5
-                (1, 1, 2, 2, 1, 1, 1),  # h3 = h4
-                (1, 2, 3, 3, 1, 2, 1)]  # h3 = h4: rows 4 and 5 tie
     before = _vertex_solvers.cache_info()
     for order in enumerate_orderings():
-        for h in families:
+        for h in BUILT_FAMILIES:
             enumerate_corners(build_mld_region(order, EntropyProfile(h)))
     after = _vertex_solvers.cache_info()
     assert after.currsize - before.currsize <= 1
     assert after.misses - before.misses <= 1
-    assert after.hits - before.hits >= 8 * len(families) - 1
+    assert after.hits - before.hits >= 8 * len(BUILT_FAMILIES) - 1
+
+
+def test_a_second_pass_over_built_regions_runs_no_search():
+    # Each search of a nonempty region keeps a new type in the shared list,
+    # so a list holding the same types after the second pass shows that
+    # every region of that pass was served by a kept type.
+    regions = [build_mld_region(order, EntropyProfile(h))
+               for order in enumerate_orderings() for h in BUILT_FAMILIES]
+    types = _vertex_solvers(regions[0].planes)[-1]
+    first = [enumerate_corners(r) for r in regions]
+    kept = list(types)
+    assert kept
+    assert [enumerate_corners(r) for r in regions] == first
+    assert sorted(map(id, types)) == sorted(map(id, kept))
+
+
+def test_an_empty_region_leaves_no_type_behind():
+    # An empty region has no vertex, so its type would be empty and would
+    # pass for every later region of the same planes.
+    def region(*offsets):
+        return RateRegion(LinearInequality(a, b, f"T{t}") for t, (a, b) in
+                          enumerate(zip(normals, offsets)))
+
+    normals = ((0, 1, 0), (1, 1, 0), (1, 1, 1), (0, 0, 0))
+    _vertex_solvers.cache_clear()
+    assert enumerate_corners(region(0, 0, 0, 1)) == ()
+    later = region(3, 2, 3, 0)
+    got = [(c.rates, c.tight) for c in enumerate_corners(later)]
+    assert got == [((0, 3, 0), ("T0", "T2", "T3"))]
+    assert got == _oracles.reference_corners(
+        (c.a, c.b, c.tag) for c in later.constraints
+    )
 
 
 def test_corner_oracle_formulas_match_library_on_random_profiles():
