@@ -515,10 +515,6 @@ def minimal_hitting_patterns(level_seq):
     return out
 
 
-def _pattern_cost(pattern, count):
-    return tuple(count if pattern & (1 << d) else 0 for d in range(3))
-
-
 def concat_feasible(level_seq, lengths, budgets):
     """True iff some concatenation-only scheme meets all 7 decoders with the
     given per-description bit budgets.  Exhaustive over distributions of each

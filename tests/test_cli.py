@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles
 from amld3 import SUBSETS, OrderingError, pack_bits, unpack_bits
@@ -620,6 +623,85 @@ def test_mutated_codec_files_end_in_a_documented_exit_code(bundle_dir,
         path.write_bytes(clean[path])
     # The mutations reach the ok path, malformed input and wrong lengths.
     assert {0, 1, 5} <= codes
+
+
+# Negative, non-finite, unparsable, overflowing, over-long, blank,
+# underscored and full-width number literals.
+HOSTILE = ("-1", "nan", "inf", "-inf", "1/0", "1e400", "1e999999", "9" * 5000,
+           "", "   ", "1_000", "\uff11\uff12")
+
+
+def _values(n, good):
+    """A valid list of ``n`` values (half of the draws, so that most argvs
+    get past their first value), a hostile token alone, or ``n - 1`` to
+    ``n + 1`` values, each a good one or a hostile token."""
+    valid = st.just(",".join((good * n)[:n]))
+    item = st.sampled_from(good) | st.sampled_from(HOSTILE)
+    return (valid | valid | st.sampled_from(HOSTILE)
+            | st.integers(n - 1, n + 1).flatmap(
+                lambda k: st.lists(item, min_size=k, max_size=k)
+            ).map(",".join))
+
+
+H_VALUES = _values(7, ("1", "2", "0", "1/2", "3"))
+D_VALUES = _values(7, ("0.5", "0.25", "0.125", "0.9", "1"))
+NOISE = _values(6, ("0.5", "0.25", "0.1"))
+
+
+def _choice(good, bad):
+    """A good value half of the time, else a bad one or a hostile token."""
+    return st.sampled_from(good) | st.sampled_from((*bad, *HOSTILE))
+
+
+ORDERINGS = _choice(("1", "8"), ("0", "9", "{}", '{"ordering": 9}', "[1]"))
+WHICH = _choice(("inner", "outer", "parametric"), ("both",))
+TOL = _choice(("1e-9", "0"), ("abc",))
+
+
+@st.composite
+def analysis_argvs(draw):
+    def opt(flag, values):
+        return draw(st.just([]) | values.map(lambda v: [flag, v]))
+
+    kind = draw(st.sampled_from(("check", "check", "region", "corners",
+                                 "md-bounds", "gap")))
+    if kind == "check":
+        h = ["--h", draw(H_VALUES), *opt("--ordering", ORDERINGS)]
+        D = ["--D", draw(D_VALUES), *opt("--which", WHICH),
+             *opt("--d", NOISE), *opt("--tol", TOL)]
+        # Mostly one mode with its own flags; also both modes, neither, or
+        # one mode with the other's flags.
+        return ["check", "--rates", draw(_values(3, ("1", "2.5", "0"))),
+                *draw(st.sampled_from((h, h, h, D, D, D, h + D,
+                                       h[2:] + D[2:], h + D[2:],
+                                       D + h[2:])))]
+    emit = opt("--emit", st.sampled_from(("json", "csv", "xml")))
+    if kind in ("region", "corners"):
+        return [kind, "--h", draw(H_VALUES), *opt("--ordering", ORDERINGS),
+                *emit]
+    if kind == "md-bounds":
+        return [kind, "--D", draw(D_VALUES), *opt("--d", NOISE), *emit]
+    return [kind, "--D", draw(D_VALUES), *emit]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=analysis_argvs())
+def test_hostile_analysis_arguments_end_in_a_documented_exit_code(argv):
+    # Every analysis argv ends in one of the exit codes 0-6, argparse's
+    # usage errors among them, with nothing on stdout unless it is 0.
+    from amld3 import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in range(7), (argv, code, err.getvalue())
+    if code:
+        assert out.getvalue() == "", argv
+    elif "csv" not in argv:
+        json.loads(out.getvalue())
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,8 +10,9 @@ the tables' offsets.  On built regions and on regions given int,
 exactly by every reader of the rows, which also raise alike on NaN and inf.  Its corners are checked against the closed-form L1
 catalog and against the reference Cramer enumerator, on full and pruned
 regions, on profiles whose planes coincide and on directly built regions,
-and exact membership equals the verdict of the eleven constraint rows
-alone.
+each test clearing the vertex tables first so that a failing example
+replays alike, and exact membership equals the verdict of the eleven
+constraint rows alone.
 Plan-based decode, on arrays and on packed bytes, is checked against the
 bit-level decoder on random hand-built schemes and random description bits,
 and every catalog template either round-trips a random bundle or refuses its
@@ -249,6 +250,7 @@ def _catalog_order(label):
 @settings(max_examples=300, deadline=None)
 @given(h=profiles())
 def test_l1_corners_are_the_closed_form_catalog(h):
+    _vertex_solvers.cache_clear()
     profile = EntropyProfile(h)
     region = build_mld_region(L1, profile)
     got = label_corners(enumerate_corners(region), profile)
@@ -284,6 +286,7 @@ def test_l1_corners_are_the_closed_form_catalog(h):
     drop=st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, 10))),
 )
 def test_enumerate_corners_equals_reference_enumerator(index, h, drop):
+    _vertex_solvers.cache_clear()
     full = build_mld_region(
         Ordering(_oracles.ORDERING_ROWS[index - 1]), EntropyProfile(h)
     )
@@ -307,6 +310,7 @@ TIE_PROFILES = ((1, 2, 3, 3, 1, 2, 1), (0, 2, 3, 1, 1, 2, 1),
 @pytest.mark.parametrize("h", TIE_PROFILES)
 @pytest.mark.parametrize("index", range(1, 9))
 def test_enumerate_corners_on_coinciding_planes(index, h):
+    _vertex_solvers.cache_clear()
     region = build_mld_region(
         Ordering(_oracles.ORDERING_ROWS[index - 1]), EntropyProfile(h)
     )
@@ -354,6 +358,7 @@ def integer_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(rows=integer_rows())
 def test_enumerate_corners_of_directly_built_regions(rows):
+    _vertex_solvers.cache_clear()
     rows = [(a, b, f"T{t}") for t, (a, b) in enumerate(rows)]
     region = RateRegion(LinearInequality(*row) for row in rows)
     assert [(c.rates, c.tight) for c in enumerate_corners(region)] == (
@@ -399,19 +404,19 @@ def test_vertex_types_never_decide_a_result(groups, data):
     # same planes.  All built regions share one solver entry, and so do the
     # regions of one direct family, empty ones among them, so in a shuffled
     # run types carry over between orderings, profiles, shapes and empty
-    # regions; they may only order the work.  The second pass starts from
-    # fresh tables.
+    # regions; they may only order the work.  Both passes start from fresh
+    # tables, in orders of their own.
+    _vertex_solvers.cache_clear()
     regions = [r for group in groups for r in group]
     want = [
         _oracles.reference_corners((c.a, c.b, c.tag) for c in r.constraints)
         for r in regions
     ]
-    for fresh in (False, True):
-        if fresh:
-            _vertex_solvers.cache_clear()
+    for _ in range(2):
         for t in data.draw(st.permutations(range(len(regions)))):
             got = [(c.rates, c.tight) for c in enumerate_corners(regions[t])]
             assert got == want[t]
+        _vertex_solvers.cache_clear()
 
 
 FORMS = st.sampled_from(("int", "fraction", "float", "string"))

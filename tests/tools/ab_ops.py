@@ -6,21 +6,26 @@ Usage, from anywhere::
 
 ``BASE`` and ``CHANGE`` are source checkouts (``CHANGE`` defaults to the one
 holding this file).  Each one's ``src/amld3`` is loaded in this process
-under its own package name, ``amld3_base`` and ``amld3_change``.  The inputs
-come from ``perfbench/gen.AnalysisInputs(seed)`` of the checkout holding
-this file, imported read-only: ``--ops`` fresh inputs each for the ``check``,
-``corners``, ``contains`` and ``bounds`` ops that perfbench's ``analysis``
-workload times, built the same way.  Both sides must give equal outputs on
-every input (exact slacks, region documents, verdicts and float bounds,
-with each bound's ordering index, normalized targets and row tags, are
-compared with ``==``); any difference is printed and the exit code is 1.
-Then each op kind is timed for ``--rounds`` rounds (at least 2).  Inside a
-round the two sides run each input back to back, call by call, the side
-that goes first alternating from one input to the next and from one round
-to the next; the round gives each side its median call time, and the
-change/base ratio of the two.  Reported per op kind: the median of each
-side's per-round medians, and the median and interquartile range of the
-per-round ratios, as a change in percent.
+under its own package name, ``amld3_base`` and ``amld3_change``, the base
+first on an even ``--seed`` and the change first on an odd one.  The ops
+and inputs come from the ``perfbench/`` of the checkout holding this file,
+imported read-only.  ``check``, ``corners`` and ``bounds`` run perfbench's
+own ``work_analysis.op_check``, ``op_corners`` and ``op_bounds``, rebuilt for
+each side with every name they read from ``amld3`` (``amld3`` itself too)
+bound to that side's package, and called with a ``spans.Tracer`` that does
+not record, as untraced perfbench runs do; ``contains`` is the direct
+``contains(region, q)`` call that perfbench times.  ``--ops`` fresh inputs
+per op kind come from ``gen.AnalysisInputs(seed)``, drawn as the
+``analysis`` workload draws them.  Both sides must return equal outputs on
+every input (regions, corners, region documents, bound sets, gap reports
+and verdicts, compared with ``==``); any difference is printed and the exit
+code is 1.  Then each op kind is timed for ``--rounds`` rounds (at least
+2).  Inside a round the two sides run each input back to back, call by
+call, the side that goes first alternating from one input to the next and
+from one round to the next; the round gives each side its median call
+time, and the change/base ratio of the two.  Reported per op kind: the
+median of each side's per-round medians, and the median and interquartile
+range of the per-round ratios, as a change in percent.
 
 Separate processes of one checkout can differ on the same op by more than
 a change does, and other load on the machine drifts over seconds; pairing
@@ -36,6 +41,7 @@ import argparse
 import importlib.util
 import sys
 import time
+import types
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -59,8 +65,6 @@ def load(checkout: Path, name: str):
 def make_inputs(seed: int, n: int, m) -> dict:
     """``n`` inputs per op kind, as perfbench's analysis workload draws
     them.  ``m`` finds the corners that the contains queries surround."""
-    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests"),
-                    str(ROOT / "src")]
     import gen
 
     inp = gen.AnalysisInputs(seed)
@@ -79,48 +83,38 @@ def make_inputs(seed: int, n: int, m) -> dict:
     return out
 
 
+def rebound(module, m) -> dict:
+    """``module``'s globals, with ``amld3`` and every name taken from it
+    bound to package ``m``, and ``module``'s own functions rebuilt to read
+    these globals."""
+    scope = dict(vars(module), amld3=m)
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", "").split(".")[0] == "amld3":
+            scope[name] = getattr(m, name)
+        elif getattr(value, "__globals__", None) is vars(module):
+            scope[name] = types.FunctionType(value.__code__, scope, name)
+    return scope
+
+
 def op_calls(m, inputs: dict) -> dict:
-    """``(function, args)`` per input of each op kind, over package ``m``;
-    each function returns plain data, so two packages' results compare."""
+    """``(function, args)`` per input of each op kind, over package ``m``."""
+    import spans
+    import work_analysis
+
+    ops, T = rebound(work_analysis, m), spans.Tracer()
     orderings = m.enumerate_orderings()
-
-    def check(obj, h, rates):
-        o = m.ordering_from_json(obj)
-        region = m.build_mld_region(o, m.EntropyProfile(h))
-        slacks = [c.evaluate(rates) for c in region.constraints]
-        return slacks, m.contains(region, rates)
-
-    def corners(index, h):
-        o = orderings[index - 1]
-        prof = m.EntropyProfile(h)
-        region = m.build_mld_region(o, prof)
-        found = m.enumerate_corners(region)
-        if o == m.L1:
-            found = m.label_corners(found, prof)
-        return m.region_json_dict(region, found)
-
-    def bounds(values, rates):
-        D = m.DistortionVector(values)
-        Dn = m.normalize_distortions(D)
-        o = m.induced_ordering(Dn)
-        rows = [m.inner_bound(D), m.outer_bound(D),
-                m.parametric_outer_bound(D, m.NoiseParams.matched(Dn, o))]
-        # Each bound's ordering, targets and tags too, so that a bound
-        # handed another vector's facts shows as a differing output.
-        return (o.index, [(r.ordering.index, r.distortions.values,
-                           [(c.tag, c.b) for c in r.constraints])
-                          for r in rows],
-                m.facet_gap(D).as_dict(), m.md_contains(rows[1], rates))
 
     def region(index, h):
         return m.build_mld_region(orderings[index - 1], m.EntropyProfile(h))
 
     return {
-        "check": [(check, x) for x in inputs["check"]],
-        "corners": [(corners, x) for x in inputs["corners"]],
+        "check": [(ops["op_check"], (T, *x)) for x in inputs["check"]],
+        "corners": [(ops["op_corners"], (T, orderings[i - 1], h))
+                    for i, h in inputs["corners"]],
         "contains": [(m.contains, (region(i, h), q))
                      for i, h, q in inputs["contains"]],
-        "bounds": [(bounds, (v, r)) for _, v, r in inputs["bounds"]],
+        "bounds": [(ops["op_bounds"], (T, v, r))
+                   for _, v, r in inputs["bounds"]],
     }
 
 
@@ -149,8 +143,11 @@ def main(argv: list[str]) -> int:
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
 
-    sides = {"base": load(args.base.resolve(), "amld3_base"),
-             "change": load(args.change.resolve(), "amld3_change")}
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests"),
+                    str(ROOT / "src")]
+    order = ("base", "change") if args.seed % 2 == 0 else ("change", "base")
+    sides = {side: load(getattr(args, side).resolve(), f"amld3_{side}")
+             for side in order}
     inputs = make_inputs(args.seed, args.ops, sides["change"])
     calls = {side: op_calls(m, inputs) for side, m in sides.items()}
 
