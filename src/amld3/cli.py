@@ -19,7 +19,9 @@ mismatch or odd split, 5 bit-length mismatch, 6 out-of-range or non-finite
 float input (distortions, noise, rates, a negative --tol, and inputs that
 overflow a bound offset: a target below about 5.6e-309, noise of about
 1e155 or more), 1 other errors (``check`` given neither ``--h`` nor
-``--D``, an empty or blank ``--D``, JSON nested too deeply to parse, a JSON
+``--D``, an empty or blank ``--D``, a number literal in ``--h``,
+``--rates``, a comma ``--D`` or ``--d``, or exiting 2 in ``--tol``, with a
+``_`` or a character that is not ASCII, JSON nested too deeply to parse, a JSON
 ``--D`` target that is not a number, ``"0.5"``, ``true`` and ``null`` among
 them, and an exact number whose numerator or denominator, as written, has
 more digits than ``sys.get_int_max_str_digits()``).
@@ -99,30 +101,39 @@ def _parse_ordering(spec: str) -> ordering.Ordering:
     return ordering.ordering_from_json(_json_arg(spec))
 
 
-_DECIMAL = re.compile(
-    r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*"
-)
+def _number(literal: str, kind: type = float):
+    """``kind(literal)``, refused for a ``_`` or a non-ASCII character,
+    which ``float`` and ``Fraction`` would read as part of a number."""
+    if literal.isascii() and "_" not in literal:
+        return kind(literal)
+    raise ValueError(f"{literal!r} is not an ASCII number literal")
+
+
+_number.__name__ = "float"  # the type argparse names for a bad --tol
+
+
+_DECIMAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*")
 
 
 def _fraction(literal: str) -> Fraction:
     """``Fraction(literal)``, refusing first a decimal literal whose
     numerator or denominator, as written, has more digits than Python's
     int/str conversion limit (0, or no such limit in the interpreter, lifts
-    the check)."""
+    the check), then as :func:`_number` does."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     m = _DECIMAL.fullmatch(literal)
     if limit and m:
-        whole, decimals, exp = (g.replace("_", "") for g in m.groups(""))
+        whole, decimals, exp = m.groups("")
         e = int(exp or 0)
         num = len((whole + decimals).lstrip("0") or "0") + max(e, 0)
         if max(num, 1 + len(decimals) - min(e, 0)) > limit:
             raise ValueError(f"{literal!r} needs more than {limit} digits")
-    return Fraction(literal)
+    return _number(literal, Fraction)
 
 
 def _fractions(spec: str) -> list[Fraction]:
     try:
-        return [_fraction(p.strip()) for p in spec.split(",")]
+        return [_fraction(p) for p in spec.split(",")]
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {spec!r}") from None
 
@@ -135,13 +146,12 @@ def _parse_rates_exact(spec: str) -> tuple[Fraction, ...]:
 
 
 def _parse_rates_float(spec: str) -> tuple[float, ...]:
-    vals = tuple(float(p.strip()) for p in spec.split(","))
+    vals = tuple(map(_number, spec.split(",")))
     if len(vals) != 3:
         raise ValueError(f"expected 3 rates, got {len(vals)}")
     if not all(map(math.isfinite, vals)):
         raise gaussian_md.InvalidFloatInput(
-            f"rates must be finite, got {vals}"
-        )
+            f"rates must be finite, got {vals}")
     return vals
 
 
@@ -153,7 +163,7 @@ def _parse_distortions(spec: str) -> gaussian_md.DistortionVector:
     spec = spec.strip()
     if "," in spec:
         try:
-            vals = [float(p) for p in spec.split(",")]
+            vals = [_number(p) for p in spec.split(",")]
         except ValueError:
             pass
         else:
@@ -162,7 +172,7 @@ def _parse_distortions(spec: str) -> gaussian_md.DistortionVector:
 
 
 def _parse_noise(spec: str) -> gaussian_md.NoiseParams:
-    return gaussian_md.NoiseParams([float(p.strip()) for p in spec.split(",")])
+    return gaussian_md.NoiseParams(list(map(_number, spec.split(","))))
 
 
 def _region(args) -> rate_region.RateRegion:
@@ -487,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which bound set to check against (with --D; default outer)",
     )
     p.add_argument("--d", help="noise parameters for --which parametric")
-    p.add_argument("--tol", type=float, help="slack tolerance (with --D)")
+    p.add_argument("--tol", type=_number, help="slack tolerance (with --D)")
     p.set_defaults(func=cmd_check, usage_error=p.error)
     return parser
 

@@ -24,7 +24,8 @@ Each :class:`DistortionVector` normalizes its targets, ranks them and works
 out its inner offsets at most once, on the first call that needs each, and
 keeps them; the facts are tuples indexed by canonical subset position, the
 induced ordering is looked up among the eight admissible ones, and the
-eleven rows get the region's normals and tags fixed at import.  All
+eleven rows get the region's normals and tags fixed at import.  So does
+the plan of noise ranks that the parametric bound reads per ordering.  All
 arithmetic here is float64 with logs base 2; membership tests use an
 absolute tolerance of 1e-9.
 """
@@ -79,11 +80,30 @@ _SUB_POSITIONS = tuple(
 # Per subset, a getter of its own target and then its sub-subsets' targets
 # (own position first, so even a single returns a tuple to take min of).
 _SUB_GETTERS = tuple(itemgetter(i, *p) for i, p in enumerate(_SUB_POSITIONS))
+
+
+def _parametric_plan(lv) -> tuple:
+    """``(p, k)`` of each single factor and tail (the pair step from rank k
+    to rank 6, where d_7 = 0), and ``(p, hi, lo)`` of each pair step, that
+    :func:`parametric_outer_bound` reads when position p is at 0-based level
+    (noise rank) ``lv[p]``; positions 0-6 are G1 G2 G3 G12 G13 G23 G123."""
+    k1, k2, k3, k12, k13, k23, _ = lv
+    m12, m13, m23, m4 = max(k1, k2), max(k1, k3), max(k2, k3), min(k12, k3)
+    alpha = k3 if k3 > k12 else min(k12, k13, k23)
+    return (
+        ((0, k1), (1, k2), (2, k3), (2, m4)),
+        ((3, m12), (4, m13), (5, m23), (6, max(k12, k13)),
+         (6, max(k12, k23)), (6, max(k13, k23)), (6, m4), (6, k3)),
+        ((3, k12, m12), (4, k13, m13), (5, k23, m23),
+         (3, m4, k2), (3, alpha, k2), (4, alpha, k3), (5, alpha, k3)),
+    )
+
+
 # The eight admissible orderings by level sequence of positions, each with
-# the 0-based level (rank) of every position.
+# its parametric plan, fixed here for the ordering's ranks.
 _RANKED = {
     tuple(map(_POSITION.get, o.by_level)):
-        (o, tuple(map(o.by_level.index, SUBSETS)))
+        (o, _parametric_plan(tuple(map(o.by_level.index, SUBSETS))))
     for o in enumerate_orderings()
 }
 
@@ -104,20 +124,20 @@ class DistortionVector(namedtuple("DistortionVector", "values")):
                 raise KeyError(f"missing distortion targets for {missing}")
             vals = tuple(float(values[s]) for s in SUBSETS)
         else:
-            vals = tuple(float(v) for v in values)
+            vals = tuple(map(float, values))
             if len(vals) != 7:
                 raise ValueError(f"expected 7 targets, got {len(vals)}")
         for s, v in zip(SUBSETS, vals):
             if not 0.0 < v <= 1.0:
                 raise DistortionRangeError(f"D_{s} = {v} is outside (0, 1]")
-        return super().__new__(cls, vals)
+        return tuple.__new__(cls, (vals,))
 
     def __getattr__(self, name: str):
         """Work out one fact of the targets on first use, and keep it unless
         that raises.  ``_norm`` is D~, by position the least target over
         each subset's sub-subsets, as a vector, or None when that is this
         vector (so none holds a reference to itself).  The others are facts
-        of D~: ``_ranked`` is (ordering, rank of each position), from the
+        of D~: ``_ranked`` is (ordering, its parametric plan), from the
         positions stable-sorted by descending target, so ties keep canonical
         order (a sequence that is none of the eight orderings breaks an
         axiom, and :func:`~.ordering.validate_ordering` raises its error);
@@ -233,8 +253,8 @@ _TAGS = {
 
 
 def _bound(kind: str, prefix: str, offsets, D: DistortionVector) -> BoundSet:
-    return BoundSet(kind, _rows(offsets, _TAGS[prefix]), D._ranked[0],
-                    normalize_distortions(D))
+    return tuple.__new__(BoundSet, (kind, _rows(offsets, _TAGS[prefix]),
+                                    D._ranked[0], normalize_distortions(D)))
 
 
 def _finite(offsets, why: str):
@@ -279,7 +299,7 @@ class NoiseParams(namedtuple("NoiseParams", "d")):
             raise NonMonotoneNoise(
                 f"noise parameters must be non-increasing, got {vals}"
             )
-        return super().__new__(cls, vals)
+        return tuple.__new__(cls, (vals,))
 
     @classmethod
     def matched(cls, Dn: DistortionVector, ordering: Ordering) -> NoiseParams:
@@ -303,47 +323,26 @@ def parametric_outer_bound(
     row-by-row.  Noise near 1e155 overflows a pair step's products, and an
     offset that is not finite raises :class:`InvalidFloatInput`.
     """
-    lv = D._ranked[1]           # by position: ranks, targets and noise
+    singles, tails, steps = D._ranked[1]
     t = normalize_distortions(D).values
-    d = noise.d                 # 0-based too: d_k is d[k - 1]
+    d = noise.d                 # 0-based, as the ranks: d_k is d[k - 1]
     lg = math.log2
-
-    def single_factor(i: int, k: int) -> float:
-        return lg((1.0 + d[k]) / (t[i] + d[k]))
-
-    def pair_step(p: int, hi: int, lo: int) -> float:
-        # Rate carried by decoder p between noise ranks lo and hi.
-        return lg(
-            (1.0 + d[hi]) * (t[p] + d[lo]) / ((1.0 + d[lo]) * (t[p] + d[hi]))
-        )
-
-    def tail(p: int, k: int) -> float:  # pair_step(p, 6, k), as d_7 = 0
-        return lg((t[p] + d[k]) / ((1.0 + d[k]) * t[p]))
-
-    # Positions: G1 G2 G3 = 0 1 2, G12 G13 G23 = 3 4 5, G123 = 6.
-    sf = [single_factor(i, lv[i]) for i in range(3)]
-    offsets = [0.5 * lg(1.0 / t[i]) for i in range(3)]
-    for i, j, ij in ((0, 1, 3), (0, 2, 4), (1, 2, 5)):
-        offsets.append(0.5 * (sf[i] + sf[j] + tail(ij, max(lv[i], lv[j]))))
-    for i, j, k, ij, ik in ((0, 1, 2, 3, 4), (1, 0, 2, 3, 5), (2, 0, 1, 4, 5)):
-        offsets.append(0.5 * (
-            2.0 * sf[i] + sf[j] + sf[k]
-            + pair_step(ij, lv[ij], max(lv[i], lv[j]))
-            + pair_step(ik, lv[ik], max(lv[i], lv[k]))
-            + tail(6, max(lv[ij], lv[ik]))
-        ))
-    m4 = min(lv[3], lv[2])
-    offsets.append(0.5 * (
-        sf[0] + sf[1] + single_factor(2, m4) + pair_step(3, m4, lv[1])
-        + tail(6, m4)
-    ))
-    alpha = lv[2] if lv[2] > lv[3] else min(lv[3], lv[4], lv[5])
-    offsets.append(
-        0.5 * (sf[0] + sf[1] + sf[2])
-        + 0.25 * pair_step(3, alpha, lv[1])
-        + 0.25 * pair_step(4, alpha, lv[2])
-        + 0.25 * pair_step(5, alpha, lv[2])
-        + 0.5 * tail(6, lv[2])
+    s1, s2, s3, s4 = [lg((1.0 + d[k]) / (t[p] + d[k])) for p, k in singles]
+    w12, w13, w23, w1, w2, w3, w4, w5 = [
+        lg((t[p] + d[k]) / ((1.0 + d[k]) * t[p])) for p, k in tails]
+    # Rate carried by decoder p between noise ranks lo and hi.
+    u12, u13, u23, u4, f12, f13, f23 = [
+        lg((1.0 + d[hi]) * (t[p] + d[lo]) / ((1.0 + d[lo]) * (t[p] + d[hi])))
+        for p, hi, lo in steps]
+    offsets = (
+        0.5 * lg(1.0 / t[0]), 0.5 * lg(1.0 / t[1]), 0.5 * lg(1.0 / t[2]),
+        0.5 * (s1 + s2 + w12), 0.5 * (s1 + s3 + w13), 0.5 * (s2 + s3 + w23),
+        0.5 * (2.0 * s1 + s2 + s3 + u12 + u13 + w1),
+        0.5 * (2.0 * s2 + s1 + s3 + u12 + u23 + w2),
+        0.5 * (2.0 * s3 + s1 + s2 + u13 + u23 + w3),
+        0.5 * (s1 + s2 + s4 + u4 + w4),
+        0.5 * (s1 + s2 + s3) + 0.25 * f12 + 0.25 * f13 + 0.25 * f23
+        + 0.5 * w5,
     )
     offsets = _finite(offsets, "the targets or noise overflow")
     return _bound("parametric", "PO", offsets, D)

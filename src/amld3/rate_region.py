@@ -103,7 +103,7 @@ class LinearInequality(namedtuple("LinearInequality", "a b tag")):
         if len(rates) != 3:
             raise ValueError("expected 3 rates")
         a, b = self.a, self.b
-        if type(b) in (int, Fraction):
+        if type(b) is not float and type(b) in (int, Fraction):
             (a1, a2, a3), (r1, r2, r3) = a, rates
             n1, d1 = _rational(r1).as_integer_ratio()
             n2, d2 = _rational(r2).as_integer_ratio()
@@ -201,8 +201,9 @@ def constraint_offsets(r: Mapping[str, object]) -> tuple:
 
 
 def _rows(offsets: Iterable, tags: Sequence[str]) -> tuple:
-    """The eleven rows: the fixed normals with these offsets and tags."""
-    return tuple(map(LinearInequality._make, zip(_NORMALS, offsets, tags)))
+    """The eleven rows: the fixed int normals with these offsets and tags."""
+    return tuple([tuple.__new__(LinearInequality, row)
+                  for row in zip(_NORMALS, offsets, tags)])
 
 
 def build_mld_region(ordering: Ordering, profile: EntropyProfile) -> RateRegion:

@@ -814,6 +814,46 @@ def test_empty_ordering_is_an_ordering_error_in_a_child_process():
         assert err.startswith("error: empty --") and "Traceback" not in err
 
 
+# Literals that Python's float and Fraction read as their ASCII twins: a
+# ``_`` between digits, a fullwidth and an Arabic-Indic digit, and a
+# no-break space.
+ASCII_TWINS = {"0_1": "01", "\uff11": "1", "\u0661": "1", "1\u00a0": "1 "}
+
+
+@pytest.mark.parametrize("literal", ASCII_TWINS,
+                         ids=["underscore", "fullwidth", "arabic-indic",
+                              "no-break-space"])
+@pytest.mark.parametrize("argv, code", [
+    (("corners", "--h", "{x},1,1,1,1,1,1"), 1),
+    (("check", "--rates", "1,{x},1", "--h", H1), 1),
+    (("check", "--rates", "1,{x},1", "--D", DYADIC), 1),
+    (("md-bounds", "--D", "{x}," + DYADIC.split(",", 1)[1]), 1),
+    (("md-bounds", "--D", DYADIC, "--d", "{x},0.5,0.4,0.3,0.2,0.1"), 1),
+    (("check", "--rates", "1,1,1", "--D", DYADIC, "--tol", "{x}"), 2),
+], ids=["h", "rates-exact", "rates-float", "D", "d", "tol"])
+def test_number_literals_are_ascii_only(capsys, argv, code, literal):
+    # Each flag reads the ASCII twin, and refuses the literal itself with
+    # the exit code of a malformed literal: `corners --h 1_0,...` used to
+    # read h_1 = 10.
+    from amld3 import cli
+
+    def run(x):
+        try:
+            return cli.main([a.format(x=x) for a in argv])
+        except SystemExit as e:
+            return e.code
+
+    assert run(ASCII_TWINS[literal]) == 0
+    capsys.readouterr()
+    assert run(literal) == code
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    if code == 2:
+        assert f"invalid float value: {literal!r}" in err
+    elif argv[1] != "--D":  # a comma --D that is no list is read as a path
+        assert err == f"error: {literal!r} is not an ASCII number literal\n"
+
+
 def test_check_parametric_without_noise_exits_1():
     code, out, err = run_cli("check", "--rates", "1,2,3", "--D", DYADIC,
                              "--which", "parametric")

@@ -475,21 +475,24 @@ def _reference_parametric_offsets(Dn, lv, d):
 
 
 def test_parametric_bound_matches_reference_transcription():
+    # Every ordering's plan, at matched noise and at free monotone noise
+    # (uniform, or log-uniform over 1e-12..1e2), bit for bit.
     rng = random.Random(2026)
-    for _ in range(20):
-        D = _random_l1_targets(rng)
-        o = induced_ordering(D)
-        if rng.random() < 0.5:
-            noise = NoiseParams.matched(D, o)
-        else:
-            raw = sorted((rng.uniform(0.0, 1.0) for _ in range(6)), reverse=True)
-            noise = NoiseParams(raw)
-        bound = parametric_outer_bound(D, noise)
-        Dn = {s: D[s] for s in SUBSETS}
-        d = {i + 1: noise.d[i] for i in range(7)}
-        ref = _reference_parametric_offsets(Dn, induced_ordering(D).levels, d)
-        for c in bound.constraints:
-            assert c.b == pytest.approx(ref[c.tag], abs=1e-12), c.tag
+    seen = set()
+    for D in _digest_targets(400, 2026):
+        Dn = normalize_distortions(D)
+        o = induced_ordering(Dn)
+        free = sorted((rng.uniform(0.0, 1.0) if rng.random() < 0.5
+                       else 10.0 ** rng.uniform(-12.0, 2.0)
+                       for _ in range(6)), reverse=True)
+        for kind, noise in (("matched", NoiseParams.matched(Dn, o)),
+                            ("free", NoiseParams(free))):
+            ref = _reference_parametric_offsets(
+                Dn.as_dict(), o.levels, dict(enumerate(noise.d, 1)))
+            for c in parametric_outer_bound(D, noise).constraints:
+                assert repr(c.b) == repr(ref[c.tag]), (D, noise, c.tag)
+            seen.add((o.index, kind))
+    assert seen == {(i, k) for i in range(1, 9) for k in ("matched", "free")}
 
 
 def test_parametric_dominates_fixed_outer_at_matched_noise():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -146,6 +148,31 @@ def test_evaluate_slack():
     c = LinearInequality((1, 1, 0), F(5), "P2.12")
     assert c.evaluate((F(2), F(3), F(9))) == 0
     assert c.evaluate((2, 4, 0)) == 1
+
+
+def test_float_row_slack_is_the_float_sum_bit_for_bit():
+    # A float b picks sum(map(mul, a, rates)) - b, compared by repr so that
+    # the sign of zero counts, for float, int and Fraction rates alike; an
+    # unrolled a1 r1 + a2 r2 + a3 r3 - b differs from it at -0.0.  An int or
+    # Fraction b keeps the exact slack, and refuses NaN and inf.
+    values = (0.0, -0.0, 2.5, 3, -1, F(1, 3), math.inf, -math.inf, math.nan)
+    normals = ((1, 0, 0), (0, 1, 1), (2, 1, 1), (-1, 0, 2))
+    for a in normals:
+        for b in (0.0, -0.0, 0.75, -1e300, math.inf, math.nan):
+            row = LinearInequality(a, b, "t")
+            for rates in itertools.product(values, repeat=3):
+                want = sum(map(mul, a, rates)) - b
+                assert repr(row.evaluate(rates)) == repr(want), (a, b, rates)
+        for b in (0, 3, F(-5, 2)):
+            row = LinearInequality(a, b, "t")
+            for rates in itertools.product(values, repeat=3):
+                if all(map(math.isfinite, rates)):
+                    got = row.evaluate(rates)
+                    assert type(got) is F
+                    assert got == sum(map(mul, a, map(F, rates))) - b
+                else:
+                    with pytest.raises((ValueError, OverflowError)):
+                        row.evaluate(rates)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4])
