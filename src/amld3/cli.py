@@ -20,11 +20,14 @@ float input (distortions, noise, rates, a negative --tol, and inputs that
 overflow a bound offset: a target below about 5.6e-309, noise of about
 1e155 or more), 1 other errors (``check`` given neither ``--h`` nor
 ``--D``, an empty or blank ``--D``, a number literal in ``--h``,
-``--rates``, a comma ``--D`` or ``--d``, or exiting 2 in ``--tol``, with a
-``_`` or a character that is not ASCII, JSON nested too deeply to parse, a JSON
-``--D`` target that is not a number, ``"0.5"``, ``true`` and ``null`` among
-them, and an exact number whose numerator or denominator, as written, has
-more digits than ``sys.get_int_max_str_digits()``).
+``--rates``, a comma ``--D``, ``--d`` or an ``--ordering`` id, or exiting 2
+in ``--tol``, with a ``_`` or a character that is not ASCII, a comma ``--D``
+with a bad literal that is neither inline JSON nor an existing path, JSON
+nested too deeply to parse, a JSON ``--D`` target that is not a number,
+``"0.5"``, ``true`` and ``null`` among them, and an exact number whose
+numerator or denominator, as written, has more digits than
+``sys.get_int_max_str_digits()``).  ``check`` reads ``--d`` whenever it is
+given, as ``md-bounds`` does.
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.
@@ -45,6 +48,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -70,7 +74,7 @@ def _emit_json(obj) -> None:
 def _emit_csv(rows) -> None:
     # Built whole first, so that a value that cannot be printed leaves
     # stdout empty.
-    print("\n".join(",".join(str(x) for x in row) for row in rows))
+    print("\n".join(",".join(map(str, row)) for row in _quantize(rows)))
 
 
 def _loads(text: str):
@@ -93,93 +97,80 @@ def _json_arg(spec: str):
 
 
 def _parse_ordering(spec: str) -> ordering.Ordering:
-    if not spec.strip():  # else read as the path '', the working directory
+    """An ordering id read as a number literal, else JSON inline, from stdin
+    or from a file."""
+    text = spec.strip()
+    if not text:  # else read as the path '', the working directory
         raise ordering.OrderingError(f"empty --ordering value {spec!r}")
-    spec = spec.strip()
-    if spec.isdigit():
-        return ordering.ordering_from_json({"ordering": int(spec)})
-    return ordering.ordering_from_json(_json_arg(spec))
-
-
-def _number(literal: str, kind: type = float):
-    """``kind(literal)``, refused for a ``_`` or a non-ASCII character,
-    which ``float`` and ``Fraction`` would read as part of a number."""
-    if literal.isascii() and "_" not in literal:
-        return kind(literal)
-    raise ValueError(f"{literal!r} is not an ASCII number literal")
-
-
-_number.__name__ = "float"  # the type argparse names for a bad --tol
+    if text.replace("_", "").isdigit():
+        return ordering.ordering_from_json({"ordering": _number(spec, int)})
+    return ordering.ordering_from_json(_json_arg(text))
 
 
 _DECIMAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*")
 
 
-def _fraction(literal: str) -> Fraction:
-    """``Fraction(literal)``, refusing first a decimal literal whose
-    numerator or denominator, as written, has more digits than Python's
+def _number(literal: str, kind: type = float):
+    """``kind(literal)``, refused for a ``_`` or a non-ASCII character, which
+    ``int``, ``float`` and ``Fraction`` would read as part of a number.
+
+    A ``Fraction`` is refused too for a zero denominator, and for a decimal
+    numerator or denominator that, as written, has more digits than Python's
     int/str conversion limit (0, or no such limit in the interpreter, lifts
-    the check), then as :func:`_number` does."""
+    the check).
+    """
+    if not literal.isascii() or "_" in literal:
+        raise ValueError(f"{literal!r} is not an ASCII number literal")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    m = _DECIMAL.fullmatch(literal)
-    if limit and m:
+    m = kind is Fraction and limit and _DECIMAL.fullmatch(literal)
+    if m:
         whole, decimals, exp = m.groups("")
         e = int(exp or 0)
         num = len((whole + decimals).lstrip("0") or "0") + max(e, 0)
         if max(num, 1 + len(decimals) - min(e, 0)) > limit:
             raise ValueError(f"{literal!r} needs more than {limit} digits")
-    return _number(literal, Fraction)
-
-
-def _fractions(spec: str) -> list[Fraction]:
     try:
-        return [_fraction(p) for p in spec.split(",")]
+        return kind(literal)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {spec!r}") from None
+        raise ValueError(f"zero denominator in {literal!r}") from None
 
 
-def _parse_rates_exact(spec: str) -> tuple[Fraction, ...]:
-    vals = tuple(_fractions(spec))
-    if len(vals) != 3:
-        raise ValueError(f"expected 3 rates, got {len(vals)}")
-    return vals
+_number.__name__ = "float"  # the type argparse names for a bad --tol
 
 
-def _parse_rates_float(spec: str) -> tuple[float, ...]:
-    vals = tuple(map(_number, spec.split(",")))
-    if len(vals) != 3:
-        raise ValueError(f"expected 3 rates, got {len(vals)}")
-    if not all(map(math.isfinite, vals)):
-        raise gaussian_md.InvalidFloatInput(
-            f"rates must be finite, got {vals}")
+def _numbers(spec: str, kind: type = float, count: int = 0) -> list:
+    """The comma list ``spec`` read by :func:`_number`, ``count`` long
+    unless ``count`` is 0."""
+    vals = [_number(p, kind) for p in spec.split(",")]
+    if count and len(vals) != count:
+        raise ValueError(f"expected {count} numbers in {spec!r}, "
+                         f"got {len(vals)}")
     return vals
 
 
 def _parse_distortions(spec: str) -> gaussian_md.DistortionVector:
-    """A comma list of floats when every item is one (like the ordering's
-    digits-only shortcut), else JSON inline, from stdin or from a file."""
-    if not spec.strip():
+    """A comma list of float literals, else JSON inline, from stdin or from a
+    file; a comma list with a bad literal is JSON only if it starts with
+    ``{`` and a path only if that path exists."""
+    text = spec.strip()
+    if not text:
         raise ValueError(f"empty --D value {spec!r}")
-    spec = spec.strip()
     if "," in spec:
         try:
-            vals = [_number(p) for p in spec.split(",")]
+            vals = _numbers(spec)
         except ValueError:
-            pass
+            if not text.startswith("{") and not os.path.exists(text):
+                raise
         else:
             return gaussian_md.DistortionVector(vals)
-    return gaussian_md.distortions_from_json(_json_arg(spec))
-
-
-def _parse_noise(spec: str) -> gaussian_md.NoiseParams:
-    return gaussian_md.NoiseParams(list(map(_number, spec.split(","))))
+    return gaussian_md.distortions_from_json(_json_arg(text))
 
 
 def _region(args) -> rate_region.RateRegion:
     """The region of ``--ordering`` and ``--h``, parsed in that order, so
     that a bad ordering exits 2 before a bad profile can exit 3."""
     o = _parse_ordering(args.ordering)
-    profile = rate_region.EntropyProfile(_fractions(args.h))
+    profile = rate_region.EntropyProfile(_numbers(args.h, Fraction))
     return rate_region.build_mld_region(o, profile)
 
 
@@ -288,7 +279,7 @@ def cmd_encode(args) -> None:
         "bits": list(scheme.description_lengths),
         "files": list(DESCRIPTION_FILES),
     }
-    text = json.dumps(_quantize(sidecar), indent=2)
+    text = json.dumps(sidecar, indent=2)
     (outdir / "sidecar.json").write_text(text + "\n")
     print(text)
 
@@ -336,46 +327,32 @@ def cmd_decode(args) -> None:
     )
 
 
-def _bound_rows(tag, bound):
-    return [
-        (tag, c.tag, *(_quantize(float(x)) for x in c.a), _quantize(float(c.b)))
-        for c in bound.constraints
-    ]
-
-
 def cmd_md_bounds(args) -> None:
     D = _parse_distortions(args.D)
-    inner = gaussian_md.inner_bound(D)
-    outer = gaussian_md.outer_bound(D)
-    parametric = None
+    bounds = {"inner": gaussian_md.inner_bound(D),
+              "outer": gaussian_md.outer_bound(D), "parametric": None}
     if args.d is not None:
-        parametric = gaussian_md.parametric_outer_bound(D, _parse_noise(args.d))
+        noise = gaussian_md.NoiseParams(_numbers(args.d))
+        bounds["parametric"] = gaussian_md.parametric_outer_bound(D, noise)
     if args.emit == "csv":
-        rows = [("set", "tag", "a1", "a2", "a3", "b")]
-        rows += _bound_rows("inner", inner)
-        rows += _bound_rows("outer", outer)
-        if parametric is not None:
-            rows += _bound_rows("parametric", parametric)
-        _emit_csv(rows)
+        _emit_csv([("set", "tag", "a1", "a2", "a3", "b"),
+                   *((name, c.tag, *map(float, c.a), float(c.b))
+                     for name, bound in bounds.items() if bound is not None
+                     for c in bound.constraints)])
         return
-    out = {
-        "normalized": {"D": inner.distortions.as_dict()},
-        "ordering": inner.ordering.index,
-        "inner": gaussian_md.bound_json_dict(inner),
-        "outer": gaussian_md.bound_json_dict(outer),
-        "parametric": (
-            None if parametric is None
-            else gaussian_md.bound_json_dict(parametric)
-        ),
-    }
-    _emit_json(out)
+    _emit_json({
+        "normalized": {"D": bounds["inner"].distortions.as_dict()},
+        "ordering": bounds["inner"].ordering.index,
+        **{name: None if bound is None else gaussian_md.bound_json_dict(bound)
+           for name, bound in bounds.items()},
+    })
 
 
 def cmd_gap(args) -> None:
     report = gaussian_md.facet_gap(_parse_distortions(args.D))
     if args.emit == "csv":
         rows = [("family", "gap")]
-        for key, gap in _quantize(report.as_dict()).items():
+        for key, gap in report.as_dict().items():
             rows.append((key, *gap) if type(gap) is list else (key, gap))
         _emit_csv(rows)
         return
@@ -397,22 +374,27 @@ def cmd_check(args) -> None:
         # Rows 1.1-1.3 (R_i >= H >= 0) imply the axes contains() adds.
         args.ordering = "1" if args.ordering is None else args.ordering
         rows = _region(args).constraints
-        rates, tol = _parse_rates_exact(args.rates), 0
+        rates, tol = _numbers(args.rates, Fraction, 3), 0
     elif args.D is None:
         raise ValueError("check needs either --h (exact region) or --D (bounds)")
     else:
         D = _parse_distortions(args.D)
+        # Read even where --which does not use it, as md-bounds reads it.
+        noise = None if args.d is None else gaussian_md.NoiseParams(
+            _numbers(args.d))
         if args.which == "inner":
             bound = gaussian_md.inner_bound(D)
         elif args.which in (None, "outer"):
             bound = gaussian_md.outer_bound(D)
-        elif args.d is None:
+        elif noise is None:
             raise ValueError("--which parametric requires --d")
         else:
-            noise = _parse_noise(args.d)
             bound = gaussian_md.parametric_outer_bound(D, noise)
         rows = bound.constraints
-        rates = _parse_rates_float(args.rates)
+        rates = _numbers(args.rates, float, 3)
+        if not all(map(math.isfinite, rates)):
+            raise gaussian_md.InvalidFloatInput(
+                f"rates must be finite, got {rates}")
     tight, violated = rate_region.classify_slacks(rows, rates, tol)
     _emit_json({"inside": not violated, "tight": tight, "violated": violated})
 
@@ -502,9 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(err: BaseException, code: int) -> int:
-    print(f"error: {err}", file=sys.stderr)
-    return code
+# (exception types, exit code), the first match winning; any other error
+# that main catches exits 1.
+_EXIT_CODES = (
+    (ordering.OrderingError, 2),
+    (rate_region.NegativeEntropy, 3),
+    ((gaussian_md.DistortionRangeError, gaussian_md.NotNormalized,
+      gaussian_md.NonMonotoneNoise, gaussian_md.InvalidFloatInput), 6),
+)
 
 
 def main(argv=None) -> int:
@@ -512,25 +499,16 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except ordering.OrderingError as e:
-        return _fail(e, 2)
-    except rate_region.NegativeEntropy as e:
-        return _fail(e, 3)
-    except (
-        gaussian_md.DistortionRangeError,
-        gaussian_md.NotNormalized,
-        gaussian_md.NonMonotoneNoise,
-        gaussian_md.InvalidFloatInput,
-    ) as e:
-        return _fail(e, 6)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError) as err:
+        table = _EXIT_CODES
         # The codec's errors are ValueErrors; only encode and decode load it.
         codec = sys.modules.get(f"{__package__}.codec")
-        if codec and isinstance(e, (codec.RegimeMismatch, codec.OddSplit)):
-            return _fail(e, 4)
-        if codec and isinstance(e, codec.LengthMismatch):
-            return _fail(e, 5)
-        return _fail(e, 1)
+        if codec:
+            table += (((codec.RegimeMismatch, codec.OddSplit), 4),
+                      (codec.LengthMismatch, 5))
+        print(f"error: {err}", file=sys.stderr)
+        return next((code for types, code in table
+                     if isinstance(err, types)), 1)
 
 
 if __name__ == "__main__":

@@ -626,9 +626,9 @@ def test_mutated_codec_files_end_in_a_documented_exit_code(bundle_dir,
 
 
 # Negative, non-finite, unparsable, overflowing, over-long, blank,
-# underscored and full-width number literals.
+# underscored, full-width and no-break-space-padded number literals.
 HOSTILE = ("-1", "nan", "inf", "-inf", "1/0", "1e400", "1e999999", "9" * 5000,
-           "", "   ", "1_000", "\uff11\uff12")
+           "", "   ", "1_000", "\uff11\uff12", "\uff11", "1\u00a0", "\u00a01")
 
 
 def _values(n, good):
@@ -653,7 +653,8 @@ def _choice(good, bad):
     return st.sampled_from(good) | st.sampled_from((*bad, *HOSTILE))
 
 
-ORDERINGS = _choice(("1", "8"), ("0", "9", "{}", '{"ordering": 9}', "[1]"))
+ORDERINGS = _choice(("1", "8"), ("0", "9", "{}", '{"ordering": 9}', "[1]",
+                                "\uff11", "1\u00a0", "\u00a01"))
 WHICH = _choice(("inner", "outer", "parametric"), ("both",))
 TOL = _choice(("1e-9", "0"), ("abc",))
 
@@ -702,6 +703,11 @@ def test_hostile_analysis_arguments_end_in_a_documented_exit_code(argv):
         assert out.getvalue() == "", argv
     elif "csv" not in argv:
         json.loads(out.getvalue())
+    # A number value with a `_` or a non-ASCII character is never read.
+    numeric = {"--h", "--rates", "--D", "--d", "--tol", "--ordering"}
+    if any(flag in numeric and (not value.isascii() or "_" in value)
+           for flag, value in zip(argv, argv[1:])):
+        assert code != 0, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -830,7 +836,8 @@ ASCII_TWINS = {"0_1": "01", "\uff11": "1", "\u0661": "1", "1\u00a0": "1 "}
     (("md-bounds", "--D", "{x}," + DYADIC.split(",", 1)[1]), 1),
     (("md-bounds", "--D", DYADIC, "--d", "{x},0.5,0.4,0.3,0.2,0.1"), 1),
     (("check", "--rates", "1,1,1", "--D", DYADIC, "--tol", "{x}"), 2),
-], ids=["h", "rates-exact", "rates-float", "D", "d", "tol"])
+    (("corners", "--ordering", "{x}", "--h", H1), 1),
+], ids=["h", "rates-exact", "rates-float", "D", "d", "tol", "ordering"])
 def test_number_literals_are_ascii_only(capsys, argv, code, literal):
     # Each flag reads the ASCII twin, and refuses the literal itself with
     # the exit code of a malformed literal: `corners --h 1_0,...` used to
@@ -850,8 +857,57 @@ def test_number_literals_are_ascii_only(capsys, argv, code, literal):
     assert out == "" and "Traceback" not in err
     if code == 2:
         assert f"invalid float value: {literal!r}" in err
-    elif argv[1] != "--D":  # a comma --D that is no list is read as a path
+    else:
         assert err == f"error: {literal!r} is not an ASCII number literal\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("corners", "--h", H1, "--ordering", "{}1"),
+    ("corners", "--h", H1, "--ordering", "1{}"),
+    ("gap", "--D", "{}" + DYADIC),
+    ("gap", "--D", DYADIC + "{}"),
+], ids=["ordering-before", "ordering-after", "D-before", "D-after"])
+def test_no_break_space_at_either_end_is_refused(capsys, argv):
+    # The --ordering id and a comma --D were stripped of Unicode whitespace
+    # before they were read, so a no-break space at either end was dropped
+    # and the value exited 0; inside --rates it exited 1.
+    from amld3 import cli
+
+    assert cli.main([a.format(" ") for a in argv]) == 0
+    capsys.readouterr()
+    assert cli.main([a.format("\u00a0") for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "is not an ASCII number literal" in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "0_1", "1/2"])
+@pytest.mark.parametrize("command", [
+    ("md-bounds",), ("gap",), ("check", "--rates", "1,1,1"),
+], ids=["md-bounds", "gap", "check"])
+def test_comma_distortions_name_the_bad_literal(capsys, command, bad):
+    # A comma --D with an item that is not a float was read as a path, and
+    # exited 1 with "No such file or directory", naming no item.
+    from amld3 import cli
+
+    D = f"0.5,{bad},0.1,0.1,0.1,0.1,0.1"
+    assert cli.main([*command, "--D", D]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"{bad!r}" in err and "No such file" not in err
+
+
+@pytest.mark.parametrize("which", [[], ["--which", "inner"],
+                                   ["--which", "outer"]],
+                         ids=["default", "inner", "outer"])
+def test_check_reads_noise_whatever_the_bound(capsys, which):
+    # --d was read only for --which parametric, so a malformed --d beside
+    # another bound exited 0.
+    from amld3 import cli
+
+    argv = ["check", "--rates", "1,2.5,3", "--D", DYADIC, *which, "--d"]
+    assert cli.main([*argv, MATCHED]) == 0
+    assert cli.main([*argv, "0_5" + MATCHED[3:]]) == 1
+    assert cli.main([*argv, "0.1,0.5,0.4,0.3,0.2,0.1"]) == 6
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_check_parametric_without_noise_exits_1():
