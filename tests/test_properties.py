@@ -585,6 +585,20 @@ def test_decode_equals_bit_level_oracle(scheme, data):
 
 
 @settings(max_examples=300, deadline=None)
+@given(scheme=hand_built_schemes(), seed=st.integers(0, 2**32 - 1),
+       padding=st.booleans())
+def test_encode_packed_equals_packed_encode_on_hand_built_schemes(
+        scheme, seed, padding):
+    bundle = random_bundle(scheme.lengths, np.random.default_rng(seed))
+    blob = bytearray(bundle.to_packed())
+    pad = -sum(scheme.lengths) % 8
+    if padding and pad:  # set the padding bits, which are to be ignored
+        blob[-1] |= (1 << pad) - 1
+    assert encode_packed(scheme, bytes(blob)) == tuple(
+        map(pack_bits, encode(scheme, bundle).bits))
+
+
+@settings(max_examples=300, deadline=None)
 @given(scheme=hand_built_schemes())
 def test_pruned_plan_touches_only_the_reverse_closure(scheme):
     for subset in SUBSETS:
