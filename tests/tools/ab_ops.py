@@ -1,4 +1,4 @@
-"""Time two checkouts' analysis ops against each other in one process.
+"""Time two checkouts' analysis and codec ops against each other in one process.
 
 Usage, from anywhere::
 
@@ -16,23 +16,28 @@ bound to that side's package, and called with a ``spans.Tracer`` that does
 not record, as untraced perfbench runs do; ``contains`` is the direct
 ``contains(region, q)`` call that perfbench times.  ``--ops`` fresh inputs
 per op kind come from ``gen.AnalysisInputs(seed)``, drawn as the
-``analysis`` workload draws them.  Both sides must return equal outputs on
-every input (regions, corners, region documents, bound sets, gap reports
-and verdicts, compared with ``==``); any difference is printed and the exit
-code is 1.  Then each op kind is timed for ``--rounds`` rounds (at least
-2).  Inside a round the two sides run each input back to back, call by
-call, the side that goes first alternating from one input to the next and
-from one round to the next; the round gives each side its median call
-time, and the change/base ratio of the two.  Reported per op kind: the
-median of each side's per-round medians, and the median and interquartile
-range of the per-round ratios, as a change in percent.
+``analysis`` workload draws them.  The codec kinds are ``encode`` and one
+``decode.<subset>`` per decoder subset, each called once per bundle of
+``gen.bulk_bundles(seed)``, the four 9 Mbit bundles of the ``codec-bulk``
+workload; each side decodes the same descriptions, encoded once.  Both
+sides must return equal outputs on every input (regions, corners, region
+documents, bound sets, gap reports and verdicts, compared with ``==``;
+descriptions and streams with ``numpy.array_equal``); any difference is
+printed and the exit code is 1.  Then each op kind is timed for
+``--rounds`` rounds (at least 2).  Inside a round the two sides run each
+input back to back, call by call, the side that goes first alternating
+from one input to the next and from one round to the next; the round
+gives each side its median call time, and the change/base ratio of the
+two.  Reported per op kind: the median of each side's per-round medians,
+and the median and interquartile range of the per-round ratios, as a
+change in percent.
 
 Separate processes of one checkout can differ on the same op by more than
 a change does, and other load on the machine drifts over seconds; pairing
 the two sides call by call in one process leaves both drifts in the ratio
 of each round alike, and the IQR of the ratios shows what remains.  Only
-the standard library is used (``perfbench/gen.py`` brings numpy), and
-pytest does not collect this file.
+the standard library and numpy are used, and pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -118,6 +123,43 @@ def op_calls(m, inputs: dict) -> dict:
     }
 
 
+def codec_inputs(seed: int, m) -> list:
+    """``(label, lengths, streams, descriptions)`` per bundle of the
+    codec-bulk workload, the descriptions encoded by package ``m``."""
+    import gen
+
+    return [(label, lengths, streams,
+             m.encode(m.instantiate_scheme(m.TEMPLATES[label], lengths),
+                      m.SourceBundle(streams)).bits)
+            for label, lengths, streams in gen.bulk_bundles(seed)]
+
+
+def codec_calls(m, bundles: list) -> dict:
+    """``(function, args)`` per bundle of each codec kind, over package
+    ``m``: ``encode``, and ``decode.<subset>`` of the bundle's descriptions
+    at each decoder subset."""
+    from gen import SUBSETS
+
+    calls = {"encode": [], **{f"decode.{s}": [] for s in SUBSETS}}
+    for label, lengths, streams, bits in bundles:
+        scheme = m.instantiate_scheme(m.TEMPLATES[label], lengths)
+        calls["encode"].append((m.encode, (scheme, m.SourceBundle(streams))))
+        enc = m.EncodedDescriptions(bits)
+        for s in SUBSETS:
+            calls[f"decode.{s}"].append(
+                (m.decode, (scheme, s, m.restrict(enc, s))))
+    return calls
+
+
+def same_arrays(want, got) -> bool:
+    """Two codec outputs, description triples or stream tuples, compared
+    array by array."""
+    import numpy as np
+
+    want, got = (getattr(x, "bits", x) for x in (want, got))
+    return len(want) == len(got) and all(map(np.array_equal, want, got))
+
+
 def timed_pairs(base, change, first: int) -> tuple[float, float]:
     """Median wall time of one call on each side, in microseconds.  Each
     input runs on both sides back to back; the base goes first on the
@@ -149,31 +191,37 @@ def main(argv: list[str]) -> int:
     sides = {side: load(getattr(args, side).resolve(), f"amld3_{side}")
              for side in order}
     inputs = make_inputs(args.seed, args.ops, sides["change"])
-    calls = {side: op_calls(m, inputs) for side, m in sides.items()}
+    bundles = codec_inputs(args.seed, sides["change"])
+    calls = {side: {**op_calls(m, inputs), **codec_calls(m, bundles)}
+             for side, m in sides.items()}
+    kinds = list(calls["change"])
 
-    bad = 0
-    for kind in KINDS:
+    bad = total = 0
+    for kind in kinds:
         for i, ((f, x), (g, y)) in enumerate(zip(calls["base"][kind],
                                                  calls["change"][kind])):
             want, got = f(*x), g(*y)
-            if want != got:
+            total += 1
+            if not (want == got if kind in KINDS
+                    else same_arrays(want, got)):
                 bad += 1
                 print(f"{kind} input {i}: base {want!r} != change {got!r}")
-    print(f"outputs: {bad} of {len(KINDS) * args.ops} differ")
+    print(f"outputs: {bad} of {total} differ")
 
-    rounds = {kind: [] for kind in KINDS}
+    rounds = {kind: [] for kind in kinds}
     for r in range(args.rounds):
-        for kind in KINDS:
+        for kind in kinds:
             rounds[kind].append(timed_pairs(calls["base"][kind],
                                             calls["change"][kind], r))
-    print(f"{args.rounds} rounds of {args.ops} paired ops each, seed "
-          f"{args.seed}: median per-round medians (us), and the median "
-          "[IQR] of the per-round change/base ratios")
-    for kind in KINDS:
+    print(f"{args.rounds} rounds of {args.ops} paired ops per analysis kind "
+          f"and {len(bundles)} per codec kind, seed {args.seed}: median "
+          "per-round medians (us), and the median [IQR] of the per-round "
+          "change/base ratios")
+    for kind in kinds:
         a, b = (median(side) for side in zip(*rounds[kind]))
         ratios = [100 * (y / x - 1) for x, y in rounds[kind]]
         q1, mid, q3 = quantiles(ratios, n=4, method="inclusive")
-        print(f"{kind:9s} base {a:9.2f}  change {b:9.2f}  "
+        print(f"{kind:11s} base {a:9.2f}  change {b:9.2f}  "
               f"{mid:+6.1f}% [{q1:+.1f}%, {q3:+.1f}%]")
     return int(bad > 0)
 
