@@ -28,9 +28,13 @@ printed and the exit code is 1.  Then each op kind is timed for
 input back to back, call by call, the side that goes first alternating
 from one input to the next and from one round to the next; the round
 gives each side its median call time, and the change/base ratio of the
-two.  Reported per op kind: the median of each side's per-round medians,
-and the median and interquartile range of the per-round ratios, as a
-change in percent.
+two.  A codec kind runs its bundles twice in a round, each side going
+first on each bundle once, and takes each side's total time: the first
+call on a 9 Mbit bundle reads it from memory and the second from cache,
+so a side that went first on more bundles would read ~15% slower.
+Reported per op kind: the median of each side's per-round medians (or
+totals), and the median and interquartile range of the per-round ratios,
+as a change in percent.
 
 Separate processes of one checkout can differ on the same op by more than
 a change does, and other load on the machine drifts over seconds; pairing
@@ -160,10 +164,10 @@ def same_arrays(want, got) -> bool:
     return len(want) == len(got) and all(map(np.array_equal, want, got))
 
 
-def timed_pairs(base, change, first: int) -> tuple[float, float]:
-    """Median wall time of one call on each side, in microseconds.  Each
-    input runs on both sides back to back; the base goes first on the
-    inputs whose index has the parity of ``first``."""
+def timed_pairs(base, change, first: int) -> tuple[list, list]:
+    """Wall time of each call on each side, in microseconds.  Each input
+    runs on both sides back to back; the base goes first on the inputs
+    whose index has the parity of ``first``."""
     clock, times = time.perf_counter_ns, ([], [])
     for i, pair in enumerate(zip(base, change)):
         for side in ((0, 1) if (i + first) % 2 == 0 else (1, 0)):
@@ -171,7 +175,7 @@ def timed_pairs(base, change, first: int) -> tuple[float, float]:
             t0 = clock()
             f(*args)
             times[side].append(clock() - t0)
-    return median(times[0]) / 1e3, median(times[1]) / 1e3
+    return tuple([t / 1e3 for t in side] for side in times)
 
 
 def main(argv: list[str]) -> int:
@@ -211,12 +215,16 @@ def main(argv: list[str]) -> int:
     rounds = {kind: [] for kind in kinds}
     for r in range(args.rounds):
         for kind in kinds:
-            rounds[kind].append(timed_pairs(calls["base"][kind],
-                                            calls["change"][kind], r))
+            pairs = calls["base"][kind], calls["change"][kind]
+            if kind in KINDS:
+                rounds[kind].append(tuple(map(median, timed_pairs(*pairs, r))))
+            else:
+                (a, b), (c, d) = (timed_pairs(*pairs, r + k) for k in (0, 1))
+                rounds[kind].append((sum(a + c), sum(b + d)))
     print(f"{args.rounds} rounds of {args.ops} paired ops per analysis kind "
-          f"and {len(bundles)} per codec kind, seed {args.seed}: median "
-          "per-round medians (us), and the median [IQR] of the per-round "
-          "change/base ratios")
+          f"and 2 x {len(bundles)} per codec kind, seed {args.seed}: median "
+          "per-round medians (analysis) or totals (codec) in us, and the "
+          "median [IQR] of the per-round change/base ratios")
     for kind in kinds:
         a, b = (median(side) for side in zip(*rounds[kind]))
         ratios = [100 * (y / x - 1) for x, y in rounds[kind]]
