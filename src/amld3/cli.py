@@ -91,20 +91,26 @@ def _read_text(spec: str) -> str:
     return Path(spec).read_text()
 
 
+# The whitespace that json.loads skips, and all that is stripped from a value
+# read as inline JSON or a path: a no-break space there is refused.
+_JSON_SPACE = " \t\n\r"
+
+
 def _json_arg(spec: str):
-    """Inline JSON if ``spec`` starts with ``{``, else stdin's or a file's."""
+    """Inline JSON if ``spec`` starts with ``{``, else stdin's or a file's,
+    ``spec`` stripped of :data:`_JSON_SPACE` first."""
+    spec = spec.strip(_JSON_SPACE)
     return _loads(spec if spec.startswith("{") else _read_text(spec))
 
 
 def _parse_ordering(spec: str) -> ordering.Ordering:
     """An ordering id read as a number literal, else JSON inline, from stdin
     or from a file."""
-    text = spec.strip()
-    if not text:  # else read as the path '', the working directory
+    if not spec.strip():  # else read as the path '', the working directory
         raise ordering.OrderingError(f"empty --ordering value {spec!r}")
-    if text.replace("_", "").isdigit():
+    if spec.strip().replace("_", "").isdigit():
         return ordering.ordering_from_json({"ordering": _number(spec, int)})
-    return ordering.ordering_from_json(_json_arg(text))
+    return ordering.ordering_from_json(_json_arg(spec))
 
 
 _DECIMAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*")
@@ -152,18 +158,18 @@ def _parse_distortions(spec: str) -> gaussian_md.DistortionVector:
     """A comma list of float literals, else JSON inline, from stdin or from a
     file; a comma list with a bad literal is JSON only if it starts with
     ``{`` and a path only if that path exists."""
-    text = spec.strip()
-    if not text:
+    if not spec.strip():
         raise ValueError(f"empty --D value {spec!r}")
     if "," in spec:
         try:
             vals = _numbers(spec)
         except ValueError:
+            text = spec.strip(_JSON_SPACE)
             if not text.startswith("{") and not os.path.exists(text):
                 raise
         else:
             return gaussian_md.DistortionVector(vals)
-    return gaussian_md.distortions_from_json(_json_arg(text))
+    return gaussian_md.distortions_from_json(_json_arg(spec))
 
 
 def _region(args) -> rate_region.RateRegion:

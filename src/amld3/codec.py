@@ -7,25 +7,15 @@ concatenation of segments, each a verbatim copy of a piece or the bitwise
 XOR of two equal-length operand concatenations — the network-coding
 segments that let a corner point beat every concatenation-only layout.
 
-Encoding and decoding are each compiled into a plan on each call, and each
-plan has two replays, picked by the form of the input.  :func:`encode_plan`
-walks the segments: each description is a list of aligned *runs*, a slice of
-one stream copied or XORed with a slice of another.  :func:`decode_plan` cuts
-the streams into *atoms* — at every piece boundary, carried across each XOR
-run's alignment until no new cut appears — so that every bit of an atom is
-known or none is.  It marks the atoms the copy runs reveal (the last copy of
-an atom wins), then passes over the XOR segments in order, each filling its
-second operand from its first and then its first from its second, until a
-pass fills nothing.  Last, one reverse pass from the atoms of ``V1..Vk``
-drops every copy and step that feeds none of them, so a decoder does only
-what its level needs.  The plan reads no description bits, so its result
-equals a bit-by-bit fixed point for any description content.
-
-The array replays (:func:`encode`, :func:`decode`, on 0/1 uint8 arrays) are
-the only code here that imports numpy.  The packed replays
-(:func:`encode_packed`, :func:`decode_packed`) read packed ``.bits`` blobs
-into Python ints, replay the same plans with shifts, masks and ``^``, and
-return packed bytes.
+Encoding and decoding are each compiled, on each call, into *runs* of one
+format (:data:`Run`): n output bits written as a copy of one slice or as
+the XOR of two.  :func:`encode_plan` reads the streams, :func:`decode_plan`
+the descriptions and the stream bits it has already recovered.  Each bit
+form has one replay, which serves both plans: :func:`encode` and
+:func:`decode` replay runs on 0/1 uint8 arrays, and are the only code here
+that imports numpy; :func:`encode_packed` and :func:`decode_packed` read
+packed ``.bits`` blobs into Python ints, replay the same runs with shifts,
+masks and ``^``, and return packed bytes.
 """
 
 from __future__ import annotations
@@ -196,9 +186,7 @@ class DescriptionScheme(NamedTuple):
     @property
     def description_lengths(self) -> tuple[int, int, int]:
         """Bit length of each of the three descriptions."""
-        return tuple(
-            sum(s.size for s in segs) for segs in self.segments
-        )
+        return tuple(sum(s.size for s in segs) for segs in self.segments)
 
 
 def instantiate_scheme(
@@ -266,28 +254,21 @@ class EncodedDescriptions(namedtuple("EncodedDescriptions", "bits")):
     __slots__ = ()
 
     def __new__(cls, bits: Sequence) -> EncodedDescriptions:
-        vals = tuple(
-            None if b is None else as_bit_array(b) for b in bits
-        )
+        vals = tuple(None if b is None else as_bit_array(b) for b in bits)
         if len(vals) != 3:
             raise ValueError("expected 3 descriptions")
         return super().__new__(cls, vals)
 
     @property
     def lengths(self) -> tuple:
-        return tuple(
-            None if b is None else int(b.size) for b in self.bits
-        )
+        return tuple(None if b is None else int(b.size) for b in self.bits)
 
 
 def restrict(enc: EncodedDescriptions, subset: str) -> EncodedDescriptions:
     """Keep only the descriptions a decoder subset receives."""
     members = subset_members(subset)
     return EncodedDescriptions(
-        [
-            enc.bits[i - 1] if i in members else None
-            for i in (1, 2, 3)
-        ]
+        [b if i in members else None for i, b in enumerate(enc.bits, 1)]
     )
 
 
@@ -296,9 +277,11 @@ def restrict(enc: EncodedDescriptions, subset: str) -> EncodedDescriptions:
 # ---------------------------------------------------------------------------
 
 Run = tuple[int, tuple[int, int], tuple[int, int] | None, int]
-"""``(offset, (stream, start), (stream, start) | None, n)``: the ``n``
-description bits from ``offset`` on are the ``n`` stream bits from the first
-position, XORed with those from the second if there is one."""
+"""``(offset, (source, start), (source, start) | None, n)``: the ``n``
+output bits from ``offset`` on are the ``n`` bits of the first source from
+its start, XORed with those of the second if there is one.  Source k >= 1
+is input k, stream Vk of an encode or description k of a decode; source 0
+is the output itself, read only where an earlier run wrote it."""
 
 
 def _source(lengths: Sequence[int], p: Piece) -> tuple[int, int]:
@@ -357,20 +340,19 @@ def encode_plan(
 class DecodePlan(NamedTuple):
     """What one decoder subset does under one scheme, for any description bits.
 
-    The concatenation V1..V7 is cut into *atoms*, atom ``i`` being the bit
-    range ``[bounds[i], bounds[i + 1])``; every bit of an atom is recovered
-    or none is.  ``copies`` maps each atom taken from a copy run to the
-    ``(description, offset)`` of its last copy.  ``steps`` are the XOR fills
-    ``(target atom, source atom, description, offset)`` in the order they
-    happen: the target is the source XOR the description bits at the offset.
-    Only the copies and steps that feed an atom of V1..V_level are kept.
+    The output is V1..V7 back to back, stream k from ``offsets[k - 1]``,
+    cut into *atoms*, atom ``i`` being the bit range
+    ``[bounds[i], bounds[i + 1])``; every bit of an atom is recovered or
+    none is.  Each of the ``runs`` (see :data:`Run`) writes one whole atom
+    that no other run writes: first the copies, then the XOR fills in the
+    order they happen, each an atom already written XORed with description
+    bits.  Only the runs that feed an atom of V1..V_level are kept.
     """
 
     level: int
     offsets: tuple[int, ...]
     bounds: tuple[int, ...]
-    copies: Mapping[int, tuple[int, int]]
-    steps: tuple[tuple[int, int, int, int], ...]
+    runs: tuple[Run, ...]
 
 
 def decode_plan(scheme: DescriptionScheme, subset: str) -> DecodePlan:
@@ -379,11 +361,12 @@ def decode_plan(scheme: DescriptionScheme, subset: str) -> DecodePlan:
     Raises :class:`Unresolvable` if the subset's descriptions cannot
     determine some stream it must recover.  The plan does not look at
     description bits, so a plan proves decodability for every bundle of
-    the scheme's stream lengths.
+    the scheme's stream lengths, and its result equals that of the
+    bit-by-bit fixed point (copies, then XOR cancellation until nothing
+    changes) for any description bits.
     """
     level = L1.level_of(subset)
-    lengths = scheme.lengths
-    offsets = (0, *accumulate(lengths))
+    offsets = (0, *accumulate(scheme.lengths))
     layout = encode_plan(scheme)
     copied, rules = [], []
     for d in subset_members(subset):
@@ -417,18 +400,13 @@ def decode_plan(scheme: DescriptionScheme, subset: str) -> DecodePlan:
     bounds = tuple(sorted(cuts))
     atom = {c: i for i, c in enumerate(bounds)}
 
-    copies = {}
+    copies = {}  # the last copy of an atom wins
     for start, n, d, o in copied:
         for i in range(atom[start], atom[start + n]):
             copies[i] = (d, o + bounds[i] - start)
-    pairs = [
-        [
-            (i, atom[b + bounds[i] - a], d, o + bounds[i] - a)
-            for a, b, n, d, o in rule
-            for i in range(atom[a], atom[a + n])
-        ]
-        for rule in rules
-    ]
+    pairs = [[(i, atom[b + bounds[i] - a], d, o + bounds[i] - a)
+              for a, b, n, d, o in rule for i in range(atom[a], atom[a + n])]
+             for rule in rules]
 
     # Each pass runs the rules in order; a rule fills b-side atoms from
     # known a-side ones and then a-side from b-side, both judged on what
@@ -462,53 +440,115 @@ def decode_plan(scheme: DescriptionScheme, subset: str) -> DecodePlan:
         if t in need:
             need.remove(t)
             need.add(i)
-            kept.append((t, i, d, o))
-    return DecodePlan(
-        level, offsets, bounds,
-        {i: c for i, c in copies.items() if i in need}, tuple(kept[::-1]),
-    )
+            kept.append((bounds[t], (0, bounds[i]), (d, o),
+                         bounds[t + 1] - bounds[t]))
+    runs = [(bounds[i], c, None, bounds[i + 1] - bounds[i])
+            for i, c in copies.items() if i in need]
+    return DecodePlan(level, offsets, bounds, (*runs, *reversed(kept)))
 
 
 # ---------------------------------------------------------------------------
-# Array replays.
+# Replays.
 # ---------------------------------------------------------------------------
 
-def encode(scheme: DescriptionScheme, bundle: SourceBundle) -> EncodedDescriptions:
-    """Produce the three description bitstreams for a source bundle."""
+def _replay(runs, size: int, inputs: Sequence) -> np.ndarray:
+    """The ``size``-bit output of ``runs`` as a new uint8 array, source
+    k >= 1 read from the 0/1 uint8 array ``inputs[k - 1]``."""
     import numpy as np
 
-    if bundle.lengths != scheme.lengths:
-        raise LengthMismatch(
-            f"bundle lengths {bundle.lengths} do not match scheme "
-            f"lengths {scheme.lengths}"
-        )
-    streams = bundle.streams
-    out = []
-    for nbits, segments in encode_plan(scheme):
-        buf = np.empty(nbits, dtype=np.uint8)
-        for o, (s, a), partner, n in chain.from_iterable(segments):
-            if partner is None:
-                buf[o:o + n] = streams[s - 1][a:a + n]
-            else:
-                sb, b = partner
-                np.bitwise_xor(streams[s - 1][a:a + n],
-                               streams[sb - 1][b:b + n], out=buf[o:o + n])
-        out.append(buf)
-    # Each buffer is a 1-D uint8 array that the runs tile with copies and
-    # XORs of 0/1 stream bits, so it needs no second scan for values > 1.
-    return EncodedDescriptions._make((tuple(out),))
+    out = np.empty(size, dtype=np.uint8)
+    sources = (out, *inputs)
+    for o, (s, a), partner, n in runs:
+        if partner is None:
+            out[o:o + n] = sources[s][a:a + n]
+        else:
+            sb, b = partner
+            np.bitwise_xor(sources[s][a:a + n], sources[sb][b:b + n],
+                           out=out[o:o + n])
+    return out
 
 
-def _check_members(subset: str, given: Mapping) -> None:
-    """Raise unless ``given`` holds exactly the descriptions of ``subset``."""
+def _replay_packed(runs, ends: Sequence[int], inputs: Sequence) -> tuple:
+    """Output bits ``[ends[j], ends[j + 1])`` of ``runs``, packed, for each
+    j.  Source k >= 1 is read as an int by ``inputs[k - 1](start, n)``, and
+    source 0 from the bits kept for the run that wrote that offset."""
+    pieces = {}
+    sources = (lambda a, n: pieces[a][1], *inputs)
+    for o, (s, a), partner, n in runs:
+        x = sources[s](a, n)
+        if partner is not None:
+            x ^= sources[partner[0]](partner[1], n)
+        pieces[o] = n, x
+    order, j, out = sorted(pieces), 0, []
+    for lo, hi in zip(ends, ends[1:]):
+        value = 0
+        while j < len(order) and order[j] < hi:
+            n, x = pieces[order[j]]
+            value = (value << n) | x
+            j += 1
+        out.append(_int_to_packed(value, hi - lo))
+    return tuple(out)
+
+
+def _slicer(data: bytes, base: int = 0):
+    """``take(start, n)``: bits ``[base + start, base + start + n)`` of the
+    packed blob ``data`` as an int, first bit highest."""
+    def take(start: int, n: int) -> int:
+        start += base
+        lo, hi = start >> 3, (start + n + 7) >> 3
+        value = int.from_bytes(data[lo:hi], "big")
+        return (value >> (8 * hi - start - n)) & ((1 << n) - 1)
+    return take
+
+
+def _descriptions(scheme: DescriptionScheme, subset: str, available,
+                  read) -> list:
+    """Descriptions 1..3 of ``available`` as ``read(i, value, nbits)``
+    returns them, None where absent.  Raises KeyError for an unknown subset,
+    and ValueError unless the keys are whole numbers, not bools, that name
+    the descriptions of ``subset``, each once."""
     if subset not in SUBSET_MASKS:
         raise KeyError(f"unknown decoder subset {subset!r}")
+    if isinstance(available, EncodedDescriptions):
+        available = {i: b for i, b in enumerate(available.bits, 1)
+                     if b is not None}
+    given = {}
+    for key, value in available.items():
+        try:
+            i = int(key)
+            whole = i == key and not isinstance(key, bool)
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"description keys must be whole numbers, "
+                             f"got {key!r}")
+        if i in given:
+            raise ValueError(f"two keys name description {i}")
+        given[i] = value
     members = set(subset_members(subset))
     if set(given) != members:
         raise ValueError(
             f"decoder {subset} expects exactly descriptions {members}, "
             f"got {set(given)}"
         )
+    dlen = scheme.description_lengths
+    return [read(i, given[i], dlen[i - 1]) if i in given else None
+            for i in (1, 2, 3)]
+
+
+def encode(scheme: DescriptionScheme, bundle: SourceBundle) -> EncodedDescriptions:
+    """Produce the three description bitstreams for a source bundle."""
+    if bundle.lengths != scheme.lengths:
+        raise LengthMismatch(
+            f"bundle lengths {bundle.lengths} do not match scheme "
+            f"lengths {scheme.lengths}"
+        )
+    # Each buffer is a 1-D uint8 array that the runs tile with copies and
+    # XORs of 0/1 stream bits, so it needs no second scan for values > 1.
+    return EncodedDescriptions._make((tuple(
+        _replay(chain.from_iterable(runs), nbits, bundle.streams)
+        for nbits, runs in encode_plan(scheme)
+    ),))
 
 
 def decode(
@@ -525,54 +565,20 @@ def decode(
     schemes.  The streams returned are views of one new buffer; the
     descriptions are only read.
     """
-    import numpy as np
+    checked = isinstance(available, EncodedDescriptions)
 
-    if isinstance(available, EncodedDescriptions):
-        given = {
-            i: available.bits[i - 1]
-            for i in (1, 2, 3)
-            if available.bits[i - 1] is not None
-        }
-    else:
-        given = {int(i): as_bit_array(b) for i, b in available.items()}
-    _check_members(subset, given)
-    dlen = scheme.description_lengths
-    for i, arr in given.items():
-        if arr.size != dlen[i - 1]:
+    def read(i, bits, n):
+        bits = bits if checked else as_bit_array(bits)
+        if bits.size != n:
             raise LengthMismatch(
-                f"description {i} has {arr.size} bits, scheme produces "
-                f"{dlen[i - 1]}"
+                f"description {i} has {bits.size} bits, scheme produces {n}"
             )
+        return bits
 
+    given = _descriptions(scheme, subset, available, read)
     plan = decode_plan(scheme, subset)
-    bounds, offsets = plan.bounds, plan.offsets
-    buf = np.empty(offsets[-1], dtype=np.uint8)
-    for i, (d, o) in plan.copies.items():
-        lo, hi = bounds[i], bounds[i + 1]
-        buf[lo:hi] = given[d][o:o + hi - lo]
-    for t, i, d, o in plan.steps:
-        lo, hi, src = bounds[t], bounds[t + 1], bounds[i]
-        np.bitwise_xor(
-            buf[src:src + hi - lo], given[d][o:o + hi - lo], out=buf[lo:hi]
-        )
-    return tuple(buf[offsets[k]:offsets[k + 1]] for k in range(plan.level))
-
-
-# ---------------------------------------------------------------------------
-# Packed replays.
-# ---------------------------------------------------------------------------
-
-def _slicer(data: bytes, nbits: int):
-    """``take(start, n)``: bits ``[start, start + n)`` of the ``nbits``-bit
-    packed blob ``data`` as an int, first bit highest.  Raises
-    :class:`LengthMismatch` unless ``data`` has ceil(nbits/8) bytes."""
-    check_packed(data, nbits)
-
-    def take(start: int, n: int) -> int:
-        lo, hi = start >> 3, (start + n + 7) >> 3
-        value = int.from_bytes(data[lo:hi], "big")
-        return (value >> (8 * hi - start - n)) & ((1 << n) - 1)
-    return take
+    out, offsets = _replay(plan.runs, plan.offsets[-1], given), plan.offsets
+    return tuple(out[offsets[k]:offsets[k + 1]] for k in range(plan.level))
 
 
 def encode_packed(
@@ -586,18 +592,13 @@ def encode_packed(
     otherwise), and its padding bits are ignored.  The result equals
     :func:`pack_bits` of each description :func:`encode` produces.
     """
-    take = _slicer(data, sum(scheme.lengths))
-    offsets = (0, *accumulate(scheme.lengths))
-    out = []
-    for nbits, segments in encode_plan(scheme):
-        value = 0
-        for _, (s, a), partner, n in chain.from_iterable(segments):
-            x = take(offsets[s - 1] + a, n)
-            if partner is not None:
-                x ^= take(offsets[partner[0] - 1] + partner[1], n)
-            value = (value << n) | x
-        out.append(_int_to_packed(value, nbits))
-    return tuple(out)
+    check_packed(data, sum(scheme.lengths))
+    streams = [_slicer(data, o) for o in accumulate(scheme.lengths[:6],
+                                                    initial=0)]
+    return tuple(
+        _replay_packed(chain.from_iterable(runs), (0, nbits), streams)[0]
+        for nbits, runs in encode_plan(scheme)
+    )
 
 
 def decode_packed(
@@ -610,26 +611,13 @@ def decode_packed(
     (:class:`LengthMismatch` otherwise); padding bits are ignored.  The
     result equals :func:`pack_bits` of each stream :func:`decode` returns.
     """
-    given = {int(i): data for i, data in available.items()}
-    _check_members(subset, given)
-    dlen = scheme.description_lengths
-    take = {i: _slicer(data, dlen[i - 1]) for i, data in given.items()}
+    def read(i, data, n):
+        check_packed(data, n)
+        return _slicer(data)
+
+    given = _descriptions(scheme, subset, available, read)
     plan = decode_plan(scheme, subset)
-    bounds = plan.bounds
-    atoms = {
-        i: take[d](o, bounds[i + 1] - bounds[i])
-        for i, (d, o) in plan.copies.items()
-    }
-    for t, i, d, o in plan.steps:
-        atoms[t] = atoms[i] ^ take[d](o, bounds[t + 1] - bounds[t])
-    out, i = [], 0
-    for end, n in zip(plan.offsets[1:plan.level + 1], scheme.lengths):
-        value = 0
-        while bounds[i] < end:
-            value = (value << (bounds[i + 1] - bounds[i])) | atoms[i]
-            i += 1
-        out.append(_int_to_packed(value, n))
-    return tuple(out)
+    return _replay_packed(plan.runs, plan.offsets[:plan.level + 1], given)
 
 
 # ---------------------------------------------------------------------------

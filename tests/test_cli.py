@@ -880,6 +880,35 @@ def test_no_break_space_at_either_end_is_refused(capsys, argv):
     assert out == "" and "is not an ASCII number literal" in err
 
 
+D_JSON = json.dumps({"D": dict(zip(SUBSETS, map(float, DYADIC.split(","))))})
+
+
+@pytest.mark.parametrize("argv", [
+    ("gap", "--D", D_JSON + "{}"),
+    ("corners", "--h", H1, "--ordering", '{}{"ordering": 2}'),
+    ("gap", "--D", "{path}{}"),
+], ids=["D-json-after", "ordering-json-before", "D-path-after"])
+def test_no_break_space_around_inline_json_or_a_path_is_refused(
+        capsys, tmp_path, argv):
+    # A value read as inline JSON or a path was stripped of Unicode
+    # whitespace, so the CLI took a no-break space that json.loads refuses
+    # and a path that does not exist, and exited 0.
+    from amld3 import cli
+
+    path = tmp_path / "t.json"
+    path.write_text(D_JSON)
+
+    def run(space):
+        return cli.main([a.replace("{path}", str(path)).replace("{}", space)
+                         for a in argv])
+
+    assert run(" ") == 0
+    capsys.readouterr()
+    assert run("\u00a0") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["abc", "0_1", "1/2"])
 @pytest.mark.parametrize("command", [
     ("md-bounds",), ("gap",), ("check", "--rates", "1,1,1"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -358,13 +359,10 @@ def test_every_catalog_plan_recovers_every_required_atom(regime):
             scheme = _scheme(label, lengths)
             for subset in SUBSETS:
                 plan = decode_plan(scheme, subset)
-                known = set(plan.copies) | {t for t, _, _, _ in plan.steps}
+                written = {o for o, _, _, _ in plan.runs}
                 need = sum(lengths[:L1.level_of(subset)])
-                required = [
-                    i for i in range(len(plan.bounds) - 1)
-                    if plan.bounds[i] < need
-                ]
-                assert known.issuperset(required), (label, lengths, subset)
+                required = [x for x in plan.bounds[:-1] if x < need]
+                assert written.issuperset(required), (label, lengths, subset)
 
 
 @pytest.mark.parametrize("label", ALL_SCHEME_LABELS)
@@ -539,6 +537,61 @@ def test_decode_accepts_plain_mapping():
         np.testing.assert_array_equal(got[k], bundle.streams[k])
 
 
+class _Pairs(Mapping):
+    """A mapping that keeps its (key, value) pairs as given, even two keys
+    that compare equal."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return next(v for k, v in self.pairs if k is key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+def _x1_descriptions(packed: bool):
+    """X1 at unit lengths, its descriptions, and the decode of that form."""
+    scheme = _scheme("X1", (1,) * 7)
+    enc = encode(scheme, random_bundle((1,) * 7, np.random.default_rng(6)))
+    if packed:
+        return scheme, [pack_bits(b) for b in enc.bits], decode_packed
+    return scheme, list(enc.bits), decode
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["arrays", "packed"])
+@pytest.mark.parametrize("keys, error", [
+    ((1.5,), "whole"), ((1.9,), "whole"), ((True,), "whole"),
+    (("1",), "whole"), ((math.nan,), "whole"), ((math.inf,), "whole"),
+    ((None,), "whole"), ((1, 1.5), "whole"),
+    ((1, 1.0), "two keys"), ((np.int64(1), Fraction(1)), "two keys"),
+], ids=["1.5", "1.9", "True", "str", "nan", "inf", "None", "1-and-1.5",
+        "1-and-1.0", "int64-and-Fraction"])
+def test_decode_refuses_keys_that_are_not_whole_or_name_one_description(
+        packed, keys, error):
+    # int() read 1.5, 1.9 and True as description 1, so they decoded, and
+    # {1: d1, 1.5: d2} decoded d2 as description 1 and failed with a
+    # LengthMismatch about its length.
+    scheme, bits, fn = _x1_descriptions(packed)
+    given = _Pairs([(key, bits[i]) for i, key in enumerate(keys)])
+    with pytest.raises(ValueError, match=error) as info:
+        fn(scheme, "G1", given)
+    assert not isinstance(info.value, LengthMismatch)
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["arrays", "packed"])
+@pytest.mark.parametrize("key", [1.0, np.int64(1), Fraction(1)],
+                         ids=["1.0", "int64", "Fraction"])
+def test_decode_reads_any_whole_description_key(packed, key):
+    scheme, bits, fn = _x1_descriptions(packed)
+    got, want = (fn(scheme, "G1", {k: bits[0]}) for k in (key, 1))
+    assert list(map(bytes, got)) == list(map(bytes, want))
+
+
 def test_unresolvable_when_a_copy_is_missing():
     # A scheme that simply never transmits V1.
     scheme = DescriptionScheme("BAD", (1, 0, 0, 0, 0, 0, 0), ((), (), ()))
@@ -666,10 +719,10 @@ def test_time_share_places_split_parts_past_bit_0(parts, lengths):
     assert mix.segments == tuple(map(tuple, want))
     for subset in SUBSETS:
         plan = decode_plan(mix, subset)
-        known = set(plan.copies) | {t for t, _, _, _ in plan.steps}
+        written = {o for o, _, _, _ in plan.runs}
         need = sum(lengths[:L1.level_of(subset)])
-        assert known.issuperset(
-            i for i in range(len(plan.bounds) - 1) if plan.bounds[i] < need
+        assert written.issuperset(
+            x for x in plan.bounds[:-1] if x < need
         ), subset
     bundle = random_bundle(lengths, np.random.default_rng(33))
     _roundtrip_all_subsets(mix, bundle)

@@ -607,22 +607,31 @@ def test_pruned_plan_touches_only_the_reverse_closure(scheme):
         except Unresolvable:
             continue
         bounds = plan.bounds
+        atom = {x: i for i, x in enumerate(bounds)}
         required = {i for i in range(len(bounds) - 1)
                     if bounds[i] < plan.offsets[plan.level]}
-        # Atoms the required ones are computed from, through any step.
+        # Each run writes one whole atom, and reads the output (source 0)
+        # only as a whole atom that an earlier run wrote.
+        targets, reads = [], []
+        for o, first, second, n in plan.runs:
+            assert o in atom and bounds[atom[o] + 1] - o == n, subset
+            for s, a in filter(None, (first, second)):
+                if s == 0:
+                    assert a in atom and atom[a] in targets, subset
+                    assert bounds[atom[a] + 1] - a == n, subset
+                    reads.append((atom[o], atom[a]))
+            targets.append(atom[o])
+        # Atoms the required ones are computed from, through any fill.
         closure, grew = set(required), True
         while grew:
-            sources = {i for t, i, _, _ in plan.steps if t in closure}
+            sources = {i for t, i in reads if t in closure}
             grew = not sources <= closure
             closure |= sources
-        targets = [t for t, _, _, _ in plan.steps]
-        touched = {*plan.copies, *targets, *(i for _, i, _, _ in plan.steps)}
-        assert touched <= closure, subset
+        assert {*targets, *(i for _, i in reads)} <= closure, subset
         # Every atom the plan writes is written once, and every required
         # atom is written.
         assert len(set(targets)) == len(targets), subset
-        assert not set(targets) & set(plan.copies), subset
-        assert required <= {*plan.copies, *targets}, subset
+        assert required <= set(targets), subset
 
 
 # ---------------------------------------------------------------------------

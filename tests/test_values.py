@@ -81,8 +81,8 @@ CASES = [
     (EncodedDescriptions, {"bits": (BIT, None, ZERO)},
      ("bits", (BIT, None, None)), False, ()),
     (DecodePlan, {"level": 1, "offsets": (0, 1), "bounds": (0, 1),
-                  "copies": {0: (1, 0)}, "steps": ()},
-     ("level", 2), False, ()),
+                  "runs": ((0, (1, 0), None, 1),)},
+     ("level", 2), True, ()),
     (SchemeTemplate, {"name": "T", "splits": (), "layout": (("V1",), (), ())},
      ("name", "U"), True, ()),
 ]
