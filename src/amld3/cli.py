@@ -22,12 +22,14 @@ overflow a bound offset: a target below about 5.6e-309, noise of about
 ``--D``, an empty or blank ``--D``, a number literal in ``--h``,
 ``--rates``, a comma ``--D``, ``--d`` or an ``--ordering`` id, or exiting 2
 in ``--tol``, with a ``_`` or a character that is not ASCII, a comma ``--D``
-with a bad literal that is neither inline JSON nor an existing path, JSON
-nested too deeply to parse, a JSON ``--D`` target that is not a number,
-``"0.5"``, ``true`` and ``null`` among them, and an exact number whose
-numerator or denominator, as written, has more digits than
-``sys.get_int_max_str_digits()``).  ``check`` reads ``--d`` whenever it is
-given, as ``md-bounds`` does.
+with a bad literal that is neither inline JSON nor an existing path, an
+``--ordering`` or ``--D`` read as inline JSON or a path with whitespace at
+either end other than the space, tab, LF and CR that ``json.loads`` skips,
+a no-break space among them, JSON nested too deeply to parse, a JSON
+``--D`` target that is not a number, ``"0.5"``, ``true`` and ``null`` among
+them, and an exact number whose numerator or denominator, as written, has
+more digits than ``sys.get_int_max_str_digits()``).  ``check`` reads
+``--d`` whenever it is given, as ``md-bounds`` does.
 
 Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
 order and floats are quantized to 12 significant digits.

@@ -11,11 +11,11 @@ Encoding and decoding are each compiled, on each call, into *runs* of one
 format (:data:`Run`): n output bits written as a copy of one slice or as
 the XOR of two.  :func:`encode_plan` reads the streams, :func:`decode_plan`
 the descriptions and the stream bits it has already recovered.  Each bit
-form has one replay, which serves both plans: :func:`encode` and
-:func:`decode` replay runs on 0/1 uint8 arrays, and are the only code here
-that imports numpy; :func:`encode_packed` and :func:`decode_packed` read
-packed ``.bits`` blobs into Python ints, replay the same runs with shifts,
-masks and ``^``, and return packed bytes.
+form has one replay, which serves both plans: :func:`_replay` writes runs
+into 0/1 uint8 arrays for :func:`encode` and :func:`decode`, and
+:func:`_replay_packed` replays them with shifts, masks and ``^`` on Python
+ints read from packed ``.bits`` blobs for :func:`encode_packed` and
+:func:`decode_packed`, which never import numpy.
 """
 
 from __future__ import annotations

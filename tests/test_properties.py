@@ -18,7 +18,8 @@ bit-level decoder on random hand-built schemes and random description bits,
 and every catalog template either round-trips a random bundle or refuses its
 lengths with a documented error.  The packed replays are checked against the
 array replays and the bit-level decoder on every catalog label, with the
-padding bits of their inputs set.  Gaussian targets are normalized and
+padding bits of their inputs set, and ``encode_packed`` against ``encode``
+on random hand-built schemes too.  Gaussian targets are normalized and
 ranked as the oracle's normalizer and ranker do, and the matched-noise
 parametric bound dominates the fixed-slack outer bound on all of them.  On
 tie-heavy dyadic targets the induced ordering of every bound is the sorting
