@@ -56,7 +56,6 @@ from .rate_region import (
     corner_json_dict,
     enumerate_corners,
     region_json_dict,
-    tight_constraints,
 )
 from .gaussian_md import (
     SUM_RATE_GAP_BOUND,
@@ -86,7 +85,7 @@ __version__ = "0.1.0"
 _LAZY = {
     "catalog": (
         "ALL_SCHEME_LABELS", "CATALOG_LABELS", "SchemeTemplate", "TEMPLATES",
-        "corner_scheme_catalog_L1", "label_corners", "template_name_for_label",
+        "label_corners", "template_name_for_label",
     ),
     "codec": (
         "DescriptionScheme", "EncodedDescriptions", "LengthMismatch",

@@ -9,8 +9,7 @@ template applies only where all piece lengths are non-negative integers
 The module is also the L1 corner catalog, one label set per regime
 (:data:`CATALOG_LABELS`).  Each corner is the rate triple of its scheme:
 :data:`RATE_FORMS`, the description lengths as doubled integer forms over
-``l1..l7``, from which :func:`label_corners` and
-:func:`corner_scheme_catalog_L1` read the corners.
+``l1..l7``, from which :func:`label_corners` reads the corners.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from itertools import chain
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .ordering import L1
-from .rate_region import (CornerPoint, EntropyProfile, build_mld_region,
-                          classify_regime, tight_constraints)
+from .rate_region import CornerPoint, EntropyProfile, classify_regime
 
 
 def _lin(**kw) -> tuple[Fraction, ...]:
@@ -209,26 +206,6 @@ def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple[int, ...]]:
         for label in CATALOG_LABELS[classify_regime(profile)]
         for a, b, c in [RATE_FORMS[label]]
     }
-
-
-def corner_scheme_catalog_L1(profile: EntropyProfile) -> list[tuple]:
-    """Corner points of the L1 region paired with their coding schemes.
-
-    Returns one ``(CornerPoint, SchemeTemplate)`` entry per catalog label of
-    the active regime (10, 12, or 10 entries).  At boundary profiles two
-    labels may share the same coordinates; each keeps its own entry (the
-    schemes differ), and :func:`label_corners` is where coinciding corners
-    get a merged label.  Tight sets are recomputed from the coordinates.
-    """
-    region = build_mld_region(L1, profile)
-    d = 2 * profile._L
-    out = []
-    for label, scaled in _catalog_rates(profile).items():
-        rates = tuple(Fraction(n, d) for n in scaled)
-        corner = CornerPoint(rates, tight_constraints(region, rates), label)
-        template = TEMPLATES[template_name_for_label(label)]
-        out.append((corner, template))
-    return out
 
 
 def label_corners(

@@ -7,15 +7,10 @@ concatenation of segments, each a verbatim copy of a piece or the bitwise
 XOR of two equal-length operand concatenations — the network-coding
 segments that let a corner point beat every concatenation-only layout.
 
-Encoding and decoding are each compiled, on each call, into *runs* of one
-format (:data:`Run`): n output bits written as a copy of one slice or as
-the XOR of two.  :func:`encode_plan` reads the streams, :func:`decode_plan`
-the descriptions and the stream bits it has already recovered.  Each bit
-form has one replay, which serves both plans: :func:`_replay` writes runs
-into 0/1 uint8 arrays for :func:`encode` and :func:`decode`, and
-:func:`_replay_packed` replays them with shifts, masks and ``^`` on Python
-ints read from packed ``.bits`` blobs for :func:`encode_packed` and
-:func:`decode_packed`, which never import numpy.
+Each call compiles its scheme into *runs* (:data:`Run`), with
+:func:`encode_plan` or :func:`decode_plan`, and replays them: with
+:func:`_replay` on 0/1 uint8 arrays, or with :func:`_replay_packed` on
+packed bytes, which never loads numpy.
 """
 
 from __future__ import annotations
@@ -126,11 +121,6 @@ class SourceBundle(namedtuple("SourceBundle", "streams")):
     @property
     def lengths(self) -> tuple[int, ...]:
         return tuple(int(s.size) for s in self.streams)
-
-    def to_packed(self) -> bytes:
-        import numpy as np
-
-        return pack_bits(np.concatenate(self.streams))
 
 
 def random_bundle(
@@ -265,11 +255,12 @@ class EncodedDescriptions(namedtuple("EncodedDescriptions", "bits")):
 
 
 def restrict(enc: EncodedDescriptions, subset: str) -> EncodedDescriptions:
-    """Keep only the descriptions a decoder subset receives."""
+    """Keep only the descriptions a decoder subset receives: the input's
+    own arrays, which were checked when it was built, and None elsewhere."""
     members = subset_members(subset)
-    return EncodedDescriptions(
-        [b if i in members else None for i, b in enumerate(enc.bits, 1)]
-    )
+    return EncodedDescriptions._make((tuple(
+        b if i in members else None for i, b in enumerate(enc.bits, 1)
+    ),))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +553,8 @@ def decode(
     (an :class:`EncodedDescriptions` with None elsewhere, or a mapping from
     description index to bit array).  Raises :class:`Unresolvable` if some
     required stream cannot be determined — which never happens for catalog
-    schemes.  The streams returned are views of one new buffer; the
-    descriptions are only read.
+    schemes.  The streams returned are views of one new buffer, which ends
+    at the last bit the plan writes; the descriptions are only read.
     """
     checked = isinstance(available, EncodedDescriptions)
 
@@ -577,7 +568,8 @@ def decode(
 
     given = _descriptions(scheme, subset, available, read)
     plan = decode_plan(scheme, subset)
-    out, offsets = _replay(plan.runs, plan.offsets[-1], given), plan.offsets
+    size = max((o + n for o, _, _, n in plan.runs), default=0)
+    out, offsets = _replay(plan.runs, size, given), plan.offsets
     return tuple(out[offsets[k]:offsets[k + 1]] for k in range(plan.level))
 
 
@@ -586,11 +578,11 @@ def encode_packed(
 ) -> tuple[bytes, bytes, bytes]:
     """Encode a packed bundle into the three packed descriptions.
 
-    ``data`` holds the streams V1..V7 back to back, as
-    :meth:`SourceBundle.to_packed` writes them; it must have ceil(n/8)
-    bytes for the n bits of the scheme's streams (:class:`LengthMismatch`
-    otherwise), and its padding bits are ignored.  The result equals
-    :func:`pack_bits` of each description :func:`encode` produces.
+    ``data`` holds the streams V1..V7 back to back, packed as
+    :func:`pack_bits` packs them; it must have ceil(n/8) bytes for the n
+    bits of the scheme's streams (:class:`LengthMismatch` otherwise), and
+    its padding bits are ignored.  The result equals :func:`pack_bits` of
+    each description :func:`encode` produces.
     """
     check_packed(data, sum(scheme.lengths))
     streams = [_slicer(data, o) for o in accumulate(scheme.lengths[:6],

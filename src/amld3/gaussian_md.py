@@ -20,14 +20,9 @@ with free noise parameters ``d_1 >= ... >= d_6 >= d_7 = 0`` is exposed as
 well; choosing ``d_i = D~`` of the level-i decoder makes it at least as
 tight as the fixed-slack bound everywhere.
 
-Each :class:`DistortionVector` normalizes its targets, ranks them and works
-out its inner offsets at most once, on the first call that needs each, and
-keeps them; the facts are tuples indexed by canonical subset position, the
-induced ordering is looked up among the eight admissible ones, and the
-eleven rows get the region's normals and tags fixed at import.  So does
-the plan of noise ranks that the parametric bound reads per ordering.  All
-arithmetic here is float64 with logs base 2; membership tests use an
-absolute tolerance of 1e-9.
+What a vector works out once and keeps is listed at
+:meth:`DistortionVector.__getattr__`.  All arithmetic here is float64 with
+logs base 2; membership tests use an absolute tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -305,12 +300,6 @@ class NoiseParams(namedtuple("NoiseParams", "d")):
     def matched(cls, Dn: DistortionVector, ordering: Ordering) -> NoiseParams:
         """d_i = normalized distortion of the level-i decoder (d_7 = 0)."""
         return cls([Dn.values[_POSITION[s]] for s in ordering.by_level[:6]])
-
-    def at_level(self, level: int) -> float:
-        """d_level, for a level in 1..7."""
-        if not 1 <= level <= 7:
-            raise IndexError(f"level must be in 1..7, got {level}")
-        return self.d[level - 1]
 
 
 def parametric_outer_bound(

@@ -149,17 +149,6 @@ class Ordering(namedtuple("Ordering", "by_level")):
             raise KeyError(f"unknown decoder subset {subset!r}")
         return self.by_level.index(subset) + 1
 
-    def inverse_level(self, level: int) -> str:
-        """Decoder subset at a given level (1..7)."""
-        if not 1 <= level <= 7:
-            raise IndexError(f"level must be in 1..7, got {level}")
-        return self.by_level[level - 1]
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready form: {"levels": {"G1": 1, ...}} in canonical order."""
-        lv = self.levels
-        return {"levels": {s: lv[s] for s in SUBSETS}}
-
     def __str__(self) -> str:
         return "<" + ", ".join(self.by_level) + ">"
 

@@ -419,11 +419,6 @@ def classify_slacks(
     return tight, violated
 
 
-def tight_constraints(region: RateRegion, rates: Sequence) -> tuple[str, ...]:
-    """Tags of the constraints met with equality at ``rates``, read exactly."""
-    return tuple(classify_slacks(region.constraints, rates)[0])
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization.
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def _random_distortions_for(ordering, rng: random.Random) -> DistortionVector:
     vals, v = {}, 1.0
     for level in range(1, 8):
         v *= rng.uniform(0.4, 0.95)
-        vals[ordering.inverse_level(level)] = v
+        vals[ordering.by_level[level - 1]] = v
     return DistortionVector(vals)
 
 

@@ -162,7 +162,7 @@ def test_bundle_packed_roundtrip():
     lengths = (3, 0, 5, 2, 7, 1, 4)
     bundle = random_bundle(lengths, rng)
     assert bundle.lengths == lengths
-    flat = unpack_bits(bundle.to_packed(), sum(lengths))
+    flat = unpack_bits(pack_bits(np.concatenate(bundle.streams)), sum(lengths))
     again = np.split(flat, np.cumsum(lengths)[:-1])
     for a, b in zip(again, bundle.streams):
         np.testing.assert_array_equal(a, b)
@@ -176,7 +176,8 @@ def test_bundle_requires_seven_streams():
 def test_random_bundle_is_seed_deterministic():
     a = random_bundle((4, 4, 4, 4, 4, 4, 4), np.random.default_rng(5))
     b = random_bundle((4, 4, 4, 4, 4, 4, 4), np.random.default_rng(5))
-    assert a.to_packed() == b.to_packed()
+    assert pack_bits(np.concatenate(a.streams)) == pack_bits(
+        np.concatenate(b.streams))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +381,22 @@ def test_decode_neither_writes_nor_aliases_its_inputs(label):
                 assert not any(np.shares_memory(arr, b) for b in enc.bits)
     for b, b0 in zip(enc.bits, before):
         np.testing.assert_array_equal(b, b0)
+
+
+@pytest.mark.parametrize("regime", ["I", "II", "III"])
+def test_decode_buffer_ends_at_the_last_bit_the_plan_writes(regime):
+    # A G1 decode returns V1 alone, so its buffer must not span V1..V7; an
+    # XOR fill may write past V1..V_level, and the buffer must hold it.
+    rng = np.random.default_rng(9)
+    for lengths in PLAN_LENGTHS[regime]:
+        for label in LABELS_BY_REGIME[regime]:
+            scheme = _scheme(label, lengths)
+            enc = encode(scheme, random_bundle(lengths, rng))
+            for subset in SUBSETS:
+                runs = decode_plan(scheme, subset).runs
+                end = max((o + n for o, _, _, n in runs), default=0)
+                out = decode(scheme, subset, restrict(enc, subset))
+                assert out[0].base.size == end, (label, lengths, subset)
 
 
 @pytest.mark.parametrize("label,lengths", [
@@ -633,6 +650,21 @@ def test_restrict_masks_descriptions():
     assert only.bits[1] is None
 
 
+def test_restrict_keeps_the_input_arrays_without_a_second_scan(
+        monkeypatch):
+    enc = EncodedDescriptions([[1, 0], [1], [0, 0, 1]])
+
+    def scan(bits):
+        raise AssertionError("restrict read its input's bits again")
+
+    monkeypatch.setattr("amld3.codec.as_bit_array", scan)
+    for subset in SUBSETS:
+        members = subset_members(subset)
+        for i, (got, b) in enumerate(zip(restrict(enc, subset).bits,
+                                         enc.bits), 1):
+            assert got is (b if i in members else None), (subset, i)
+
+
 def test_encoded_descriptions_validation():
     with pytest.raises(ValueError):
         EncodedDescriptions([[1], [0]])
@@ -726,7 +758,7 @@ def test_time_share_places_split_parts_past_bit_0(parts, lengths):
         ), subset
     bundle = random_bundle(lengths, np.random.default_rng(33))
     _roundtrip_all_subsets(mix, bundle)
-    packed = encode_packed(mix, bundle.to_packed())
+    packed = encode_packed(mix, pack_bits(np.concatenate(bundle.streams)))
     assert packed == tuple(map(pack_bits, encode(mix, bundle).bits))
     for subset in SUBSETS:
         got = decode_packed(

@@ -311,7 +311,7 @@ def _digest_targets(count: int, seed: int):
                 v *= 10.0 ** -rng.uniform(0.0, 12.0)
             elif kind == 2:
                 v *= rng.uniform(0.4, 0.95)
-            vals[o.inverse_level(level)] = v
+            vals[o.by_level[level - 1]] = v
         if rng.random() < 0.5:
             for s in SUBSETS[3:]:
                 if rng.random() < 0.5:
@@ -388,7 +388,6 @@ def test_bound_structure_matches_golden_digest():
 def test_noise_params_validation():
     n = NoiseParams([0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
     assert n.d[6] == 0.0
-    assert n.at_level(1) == 0.6
     assert NoiseParams([0.5, 0.4, 0.3, 0.2, 0.1, 0.0]).d[5] == 0.0
     with pytest.raises(NonMonotoneNoise):
         NoiseParams([0.5, 0.6, 0.4, 0.3, 0.2, 0.1])
@@ -401,11 +400,6 @@ def test_noise_params_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(NonMonotoneNoise):
             NoiseParams([bad, 0.0, 0.0, 0.0, 0.0, 0.0])
-    # Levels outside 1..7 raise; 0 and -1 used to wrap to d_7 and d_6.
-    assert [n.at_level(k) for k in range(1, 8)] == list(n.d)
-    for bad in (0, -1, 8):
-        with pytest.raises(IndexError, match=f"got {bad}"):
-            n.at_level(bad)
 
 
 def test_matched_noise_reads_levels_off_the_ordering():
@@ -658,7 +652,7 @@ def kept_fact_targets(draw):
     for level in range(1, 8):
         v *= draw(st.sampled_from((1.0, 0.5, 0.9, 1e-6, 1e-160)))
         v = max(v, 5e-324)
-        vals[o.inverse_level(level)] = v
+        vals[o.by_level[level - 1]] = v
     for s in SUBSETS[3:]:
         if draw(st.booleans()):
             vals[s] = draw(st.floats(vals[s], 1.0))

@@ -133,8 +133,7 @@ def test_catalog_names_load_the_catalog_not_the_codec():
 def test_the_l1_catalog_lives_in_catalog_only():
     from amld3 import catalog, rate_region
 
-    for name in ("CATALOG_LABELS", "label_corners",
-                 "corner_scheme_catalog_L1"):
+    for name in ("CATALOG_LABELS", "label_corners"):
         assert getattr(amld3, name) is getattr(catalog, name), name
         assert not hasattr(rate_region, name), name
 

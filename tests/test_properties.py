@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles
 from amld3 import (
     ALL_SCHEME_LABELS,
+    CATALOG_LABELS,
     L1,
     TEMPLATES,
     DescriptionScheme,
@@ -55,9 +57,9 @@ from amld3 import (
     Unresolvable,
     Xor,
     build_mld_region,
+    classify_regime,
     classify_slacks,
     contains,
-    corner_scheme_catalog_L1,
     decode,
     decode_packed,
     encode,
@@ -74,10 +76,10 @@ from amld3 import (
     random_bundle,
     restrict,
     template_name_for_label,
-    tight_constraints,
     unpack_bits,
     validate_ordering,
 )
+from amld3.catalog import RATE_FORMS
 from amld3.codec import decode_plan
 from amld3.ordering import SUBSETS, subset_members
 from amld3.rate_region import AXES, _vertex_solvers
@@ -191,9 +193,9 @@ def test_exact_slack_and_membership_match_the_oracle_slack(index, h, data):
         got = [c.evaluate(point) for c in region.constraints]
         assert got == want
         assert all(type(s) is Fraction for s in got)
-        assert tight_constraints(region, point) == tuple(
+        assert classify_slacks(region.constraints, point)[0] == [
             tag for tag, s in zip(table, want) if s == 0
-        )
+        ]
         assert contains(region, point) == (
             all(s >= 0 for s in want) and all(r >= 0 for r in point)
         )
@@ -275,9 +277,16 @@ def test_l1_corners_are_the_closed_form_catalog(h):
         _oracles.expected_corners(h).items(),
         key=lambda item: _catalog_order(item[0]),
     )
-    assert [
-        (c.label, c.rates, c.tight) for c, _ in corner_scheme_catalog_L1(profile)
-    ] == [(label, rates, tight(rates)) for label, rates in expected]
+    # Each label's rates are its RATE_FORMS at L * h, over 2L.
+    L = math.lcm(*(x.denominator for x in h))
+    Lh = [int(L * x) for x in h]
+    catalog = [
+        (label, rates, tuple(classify_slacks(region.constraints, rates)[0]))
+        for label in CATALOG_LABELS[classify_regime(profile)]
+        for rates in [tuple(F(sum(map(mul, form, Lh)), 2 * L)
+                            for form in RATE_FORMS[label])]
+    ]
+    assert catalog == [(label, rates, tight(rates)) for label, rates in expected]
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,7 +487,6 @@ def test_one_exactness_rule_for_every_reader_of_the_rows(case, data):
     tight, violated = classify_slacks(region.constraints, rates)
     assert tight == [t for t, s in zip(tags, slacks) if s == 0]
     assert violated == [t for t, s in zip(tags, slacks) if s < 0]
-    assert tight_constraints(region, rates) == tuple(tight)
     assert contains(region, rates) == (
         not classify_slacks((*region.constraints, *AXIS_ROWS), rates)[1]
     )
@@ -487,7 +495,6 @@ def test_one_exactness_rule_for_every_reader_of_the_rows(case, data):
         point[data.draw(st.integers(0, 2))] = bad
         raised = {
             _raised(contains, region, point),
-            _raised(tight_constraints, region, point),
             _raised(classify_slacks, region.constraints, point),
             *(_raised(c.evaluate, point) for c in region.constraints),
         }
@@ -591,7 +598,7 @@ def test_decode_equals_bit_level_oracle(scheme, data):
 def test_encode_packed_equals_packed_encode_on_hand_built_schemes(
         scheme, seed, padding):
     bundle = random_bundle(scheme.lengths, np.random.default_rng(seed))
-    blob = bytearray(bundle.to_packed())
+    blob = bytearray(pack_bits(np.concatenate(bundle.streams)))
     pad = -sum(scheme.lengths) % 8
     if padding and pad:  # set the padding bits, which are to be ignored
         blob[-1] |= (1 << pad) - 1

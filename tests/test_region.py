@@ -26,15 +26,14 @@ from amld3 import (
     classify_slacks,
     contains,
     corner_json_dict,
-    corner_scheme_catalog_L1,
     enumerate_corners,
     enumerate_orderings,
     label_corners,
     md_contains,
     outer_bound,
     region_json_dict,
-    tight_constraints,
 )
+from amld3.catalog import RATE_FORMS
 from amld3.ordering import L1
 from amld3.rate_region import _vertex_solvers
 
@@ -187,8 +186,6 @@ def test_rates_of_the_wrong_length_are_refused(n, kind):
             rows[0].evaluate(rates)
         with pytest.raises(ValueError, match="expected 3 rates"):
             classify_slacks(rows, rates)
-    with pytest.raises(ValueError, match="expected 3 rates"):
-        tight_constraints(region, rates)
     for seq in (rates, list(rates)):
         with pytest.raises(ValueError, match="expected 3 rates"):
             contains(region, seq)
@@ -397,14 +394,12 @@ def test_float_rates_and_offsets_are_read_exactly():
     rates = (0.3, 100, 100)
     assert not contains(region, rates)
     assert classify_slacks(region.constraints, rates) == ([], ["Q1"])
-    assert tight_constraints(region, rates) == ()
     region = RateRegion((LinearInequality((1, 0, 0), 0.1, "A"),))
     assert region.constraints[0].b == F(0.1)
     assert type(region.constraints[0].b) is Fraction
     point = (F(1, 10), 0, 0)
     assert not contains(region, point)
     assert classify_slacks(region.constraints, point) == ([], ["A"])
-    assert tight_constraints(region, point) == ()
 
 
 def test_region_refuses_unhashable_normal_entries():
@@ -526,37 +521,51 @@ def test_contains_parses_mixed_inputs():
         contains(region, (1, 2))
 
 
+def _tight(region, rates):
+    return tuple(classify_slacks(region.constraints, rates)[0])
+
+
 def test_tight_constraints_recomputed():
     region = build_mld_region(L1, ALL_ONES)
-    assert tight_constraints(region, (1, 4, 7)) == ("Q1", "Q4", "Q7")
-    assert tight_constraints(region, (100, 100, 100)) == ()
+    assert _tight(region, (1, 4, 7)) == ("Q1", "Q4", "Q7")
+    assert _tight(region, (100, 100, 100)) == ()
 
 
 # ---------------------------------------------------------------------------
 # Catalog and serialization.
 # ---------------------------------------------------------------------------
 
+def _catalog(h):
+    """Label -> rates of the L1 catalog at profile ``h``, in catalog order:
+    each label's RATE_FORMS at L * h, over 2L."""
+    h = [F(x) for x in h]
+    L = math.lcm(*(x.denominator for x in h))
+    Lh = [int(L * x) for x in h]
+    return {
+        label: tuple(F(sum(map(mul, form, Lh)), 2 * L)
+                     for form in RATE_FORMS[label])
+        for label in CATALOG_LABELS[classify_regime(EntropyProfile(h))]
+    }
+
+
 @pytest.mark.parametrize("regime", ["I", "II", "III"])
 def test_catalog_entries_are_true_corners(regime):
-    profile = EntropyProfile(_oracles.REP_PROFILES[regime])
-    region = build_mld_region(L1, profile)
-    corner_rates = {tuple(c.rates) for c in enumerate_corners(region)}
-    catalog = corner_scheme_catalog_L1(profile)
-    assert [c.label for c, _ in catalog] == list(CATALOG_LABELS[regime])
-    from amld3 import template_name_for_label
-
-    for corner, template in catalog:
-        assert tuple(corner.rates) in corner_rates
-        assert corner.tight == tight_constraints(region, corner.rates)
-        assert template.name == template_name_for_label(corner.label)
+    h = _oracles.REP_PROFILES[regime]
+    region = build_mld_region(L1, EntropyProfile(h))
+    corners = {tuple(c.rates): c.tight for c in enumerate_corners(region)}
+    catalog = _catalog(h)
+    assert list(catalog) == list(CATALOG_LABELS[regime])
+    for rates in catalog.values():
+        assert rates in corners
+        assert corners[rates] == _tight(region, rates)
 
 
 def test_catalog_at_boundary_keeps_one_entry_per_label():
-    catalog = corner_scheme_catalog_L1(ALL_ONES)
-    labels = [c.label for c, _ in catalog]
-    assert labels == list(CATALOG_LABELS["II"])
-    rates = [tuple(c.rates) for c, _ in catalog]
+    catalog = _catalog([1] * 7)
+    assert list(catalog) == list(CATALOG_LABELS["II"])
+    rates = list(catalog.values())
     assert rates.count((2, 3, 6)) == 2  # Y7 and Y8 coincide here
+    assert catalog["Y7"] == catalog["Y8"]
 
 
 def test_label_corners_leaves_off_catalog_denominators_unlabeled():
