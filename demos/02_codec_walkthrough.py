@@ -61,7 +61,10 @@ def main():
     lengths = (2,) * 7
     x1 = instantiate_scheme(TEMPLATES["X1"], lengths)
     x2 = instantiate_scheme(TEMPLATES["X2"], lengths)
-    mix = compose_time_share([(x1, Fraction(1, 2)), (x2, Fraction(1, 2))])
+    mix = compose_time_share(
+        [(TEMPLATES["X1"], Fraction(1, 2)), (TEMPLATES["X2"], Fraction(1, 2))],
+        lengths,
+    )
     print(f"X1 rates: {x1.description_lengths}")
     print(f"X2 rates: {x2.description_lengths}")
     print(f"'{mix.label}' rates: {mix.description_lengths}  (the midpoint)")

@@ -22,7 +22,8 @@ are loaded on first use.  So ``import amld3``, the three analysis layers and
 the analysis commands of the CLI (``region``, ``corners``, ``check``,
 ``md-bounds``, ``gap``) do not load the codec module; ``encode`` and
 ``decode`` load it, but replay its plans on packed bytes, so no CLI command
-loads numpy.  The catalog loads only to label L1 corners, or with the codec.
+loads numpy.  The catalog loads only to label L1 corners, or where a scheme
+is looked up by label.
 """
 
 import importlib

@@ -222,14 +222,14 @@ def cmd_corners(args) -> None:
 
 
 def _template_for(label: str):
-    from . import codec
+    from . import catalog
 
     try:
-        return codec.TEMPLATES[codec.template_name_for_label(label)]
+        return catalog.TEMPLATES[catalog.template_name_for_label(label)]
     except KeyError:
         raise ValueError(
             f"unknown scheme label {label!r}; choose one of "
-            f"{', '.join(codec.ALL_SCHEME_LABELS)}"
+            f"{', '.join(catalog.ALL_SCHEME_LABELS)}"
         ) from None
 
 

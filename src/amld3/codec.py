@@ -1,7 +1,7 @@
 """Bit-exact corner-point coding schemes for the L1 ordering.
 
-A scheme template (:mod:`.catalog`, re-exported here) carves the streams
-``V1..V7`` into *pieces* laid out into three descriptions, and
+A scheme template (``SchemeTemplate``, from :mod:`.catalog`) carves the
+streams ``V1..V7`` into *pieces* laid out into three descriptions, and
 :func:`instantiate_scheme` binds one to stream lengths.  A description is a
 concatenation of segments, each a verbatim copy of a piece or the bitwise
 XOR of two equal-length operand concatenations — the network-coding
@@ -18,11 +18,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
-from .catalog import (ALL_SCHEME_LABELS, TEMPLATES, SchemeTemplate,
-                      template_name_for_label)
 from .ordering import L1, SUBSET_MASKS, subset_members
+
+if TYPE_CHECKING:
+    from .catalog import SchemeTemplate
 
 
 class RegimeMismatch(ValueError):
@@ -171,7 +172,6 @@ class DescriptionScheme(NamedTuple):
     label: str
     lengths: tuple[int, ...]
     segments: tuple[tuple[Segment, ...], ...]
-    template: SchemeTemplate | None = None
 
     @property
     def description_lengths(self) -> tuple[int, int, int]:
@@ -193,7 +193,7 @@ def instantiate_scheme(
     if len(lengths) != 7:
         raise ValueError(f"need 7 stream lengths, got {lengths}")
     return DescriptionScheme(
-        template.name, lengths, _place(template, lengths, (0,) * 7), template
+        template.name, lengths, _place(template, lengths, (0,) * 7)
     )
 
 
@@ -616,53 +616,45 @@ def decode_packed(
 # Time sharing.
 # ---------------------------------------------------------------------------
 
-def compose_time_share(parts: Sequence[tuple]) -> DescriptionScheme:
-    """Time-share catalog schemes over blocks of the same source.
+def compose_time_share(
+    parts: Sequence[tuple[SchemeTemplate, Fraction]], lengths: Sequence[int]
+) -> DescriptionScheme:
+    """Time-share scheme templates over blocks of the same source.
 
-    Each part is ``(scheme, weight)``; weights are positive rationals that
+    Each part is ``(template, weight)``; weights are positive rationals that
     sum to 1.  Part p operates on its own slice of every stream, of size
     ``weight * l_k`` — every such product must be an integer, otherwise
-    :class:`NonIntegralSplit` is raised.  A single part of weight 1 returns
-    the scheme unchanged.
+    :class:`NonIntegralSplit` is raised — and its template is placed at
+    that slice alone, raising as :func:`instantiate_scheme` does there.  A
+    single part of weight 1 is :func:`instantiate_scheme` itself.
     """
     if not parts:
-        raise ValueError("need at least one (scheme, weight) part")
-    pairs = [(s, Fraction(w)) for s, w in parts]
+        raise ValueError("need at least one (template, weight) part")
+    pairs = [(t, Fraction(w)) for t, w in parts]
     for _, w in pairs:
         if w <= 0:
             raise ValueError(f"weights must be positive, got {w}")
     if sum(w for _, w in pairs) != 1:
         raise ValueError("weights must sum to 1")
-    base = pairs[0][0].lengths
-    for s, _ in pairs:
-        if s.lengths != base:
-            raise LengthMismatch(
-                "all time-shared schemes must target the same stream lengths"
-            )
     if len(pairs) == 1:
-        return pairs[0][0]
-    for s, _ in pairs:
-        if s.template is None:
-            raise ValueError(
-                "time sharing requires catalog schemes (with a template)"
-            )
-    slice_lengths = []
+        return instantiate_scheme(pairs[0][0], lengths)
+    lengths = tuple(map(_bit_count, lengths))
+    if len(lengths) != 7:
+        raise ValueError(f"need 7 stream lengths, got {lengths}")
     for _, w in pairs:
-        sl = [w * l for l in base]
-        for k, v in enumerate(sl):
-            if v.denominator != 1:
+        for k, n in enumerate(lengths):
+            if (w * n).denominator != 1:
                 raise NonIntegralSplit(
                     f"weight {w} splits stream V{k + 1} of length "
-                    f"{base[k]} into a non-integer number of bits"
+                    f"{n} into a non-integer number of bits"
                 )
-        slice_lengths.append([int(v) for v in sl])
 
     segments: list[tuple[Segment, ...]] = [(), (), ()]
-    offsets = [0] * 7
-    for (scheme, _), sl in zip(pairs, slice_lengths):
-        for d, segs in enumerate(_place(scheme.template, sl, offsets)):
+    offsets = (0,) * 7
+    for template, w in pairs:
+        sl = tuple(int(w * n) for n in lengths)
+        for d, segs in enumerate(_place(template, sl, offsets)):
             segments[d] += segs
-        offsets = [o + n for o, n in zip(offsets, sl)]
-    assert tuple(offsets) == base
-    label = " + ".join(f"{w}*{s.label}" for s, w in pairs)
-    return DescriptionScheme(label, base, tuple(segments), None)
+        offsets = tuple(o + n for o, n in zip(offsets, sl))
+    label = " + ".join(f"{w}*{t.name}" for t, w in pairs)
+    return DescriptionScheme(label, lengths, tuple(segments))

@@ -593,11 +593,10 @@ def bit_decode(scheme, subset: str, available):
     from amld3.codec import (
         EncodedDescriptions, LengthMismatch, Piece, Unresolvable, as_bit_array,
     )
-    from amld3.ordering import L1, SUBSET_MASKS, subset_members
 
-    if subset not in SUBSET_MASKS:
+    if subset not in MASKS:
         raise KeyError(f"unknown decoder subset {subset!r}")
-    members = subset_members(subset)
+    members = [d for d in (1, 2, 3) if MASKS[subset] >> (d - 1) & 1]
     if isinstance(available, EncodedDescriptions):
         given = {
             i: available.bits[i - 1]
@@ -618,7 +617,7 @@ def bit_decode(scheme, subset: str, available):
                 f"description {i} has {arr.size} bits, scheme produces "
                 f"{dlen[i - 1]}"
             )
-    level = L1.level_of(subset)
+    level = ORDERING_ROWS[0].index(subset) + 1
 
     offsets = [0] * 7
     pos = 0

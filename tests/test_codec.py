@@ -221,15 +221,35 @@ def test_label_aliases():
             template_name_for_label(bad)
 
 
-def test_codec_and_package_reexport_the_catalog_names():
+def test_package_not_codec_serves_the_catalog_names():
     import amld3.catalog
 
-    assert amld3.codec.TEMPLATES is amld3.catalog.TEMPLATES
-    assert TEMPLATES is amld3.catalog.TEMPLATES
-    assert amld3.SchemeTemplate is amld3.catalog.SchemeTemplate
-    assert amld3.ALL_SCHEME_LABELS is amld3.catalog.ALL_SCHEME_LABELS
+    for name in ("TEMPLATES", "ALL_SCHEME_LABELS", "SchemeTemplate",
+                 "template_name_for_label"):
+        assert not hasattr(amld3.codec, name), name
+        assert getattr(amld3, name) is getattr(amld3.catalog, name), name
     assert tuple(amld3.catalog.RATE_FORMS) == ALL_SCHEME_LABELS
     assert amld3.catalog.RATE_FORMS["Y1"] is amld3.catalog.RATE_FORMS["X1"]
+
+
+def test_codec_annotations_name_the_catalog_template(monkeypatch):
+    # The codec imports the catalog only for type checkers.  Run that
+    # import in a second copy of the module, and check that the template
+    # annotations resolve to the catalog's class.
+    import importlib.util
+    import typing
+
+    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+    spec = importlib.util.spec_from_file_location("amld3._typed_codec",
+                                                  amld3.codec.__file__)
+    typed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(typed)
+    template = amld3.catalog.SchemeTemplate
+    assert typed.SchemeTemplate is template
+    assert typing.get_type_hints(typed.instantiate_scheme)["template"] is (
+        template)
+    assert typing.get_type_hints(typed.compose_time_share)["parts"] == (
+        typing.Sequence[tuple[template, Fraction]])
 
 
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
@@ -684,30 +704,35 @@ def test_encode_is_deterministic():
 # Time sharing.
 # ---------------------------------------------------------------------------
 
+def _mix(parts, lengths) -> DescriptionScheme:
+    """``compose_time_share`` of ``(label, weight)`` parts."""
+    return compose_time_share(
+        [(TEMPLATES[template_name_for_label(label)], w) for label, w in parts],
+        lengths,
+    )
+
+
 def test_time_share_single_part_is_identity():
-    scheme = _scheme("X1", (2,) * 7)
-    assert compose_time_share([(scheme, 1)]) is scheme
+    lengths = (2,) * 7
+    assert _mix([("X1", 1)], lengths) == _scheme("X1", lengths)
 
 
 def test_time_share_midpoint_rates():
     lengths = (2,) * 7
     x1 = _scheme("X1", lengths)
     x2 = _scheme("X2", lengths)
-    mix = compose_time_share([(x1, Fraction(1, 2)), (x2, Fraction(1, 2))])
+    mix = _mix([("X1", Fraction(1, 2)), ("X2", Fraction(1, 2))], lengths)
     assert x1.description_lengths == (2, 8, 14)
     assert x2.description_lengths == (2, 12, 10)
     assert mix.description_lengths == (2, 10, 12)
     assert mix.label == "1/2*X1 + 1/2*X2"
-    assert mix.template is None
     rng = np.random.default_rng(31)
     _roundtrip_all_subsets(mix, random_bundle(lengths, rng))
 
 
 def test_time_share_uneven_weights_with_xor_part():
     lengths = (4, 4, 8, 4, 4, 4, 4)
-    x1 = _scheme("X1", lengths)
-    x5 = _scheme("X5", lengths)
-    mix = compose_time_share([(x1, Fraction(1, 4)), (x5, Fraction(3, 4))])
+    mix = _mix([("X1", Fraction(1, 4)), ("X5", Fraction(3, 4))], lengths)
     # quarter of X1 at (1,1,2,1,1,1,1) plus three quarters of X5 at
     # (3,3,6,3,3,3,3): (1,5,8) + (9,18,12).
     assert mix.description_lengths == (10, 23, 20)
@@ -726,7 +751,7 @@ def _shifted(seg, offsets):
     return move(seg)
 
 
-QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
+QUARTER, HALF, THIRD = Fraction(1, 4), Fraction(1, 2), Fraction(1, 3)
 
 
 @pytest.mark.parametrize("parts, lengths", [
@@ -734,13 +759,14 @@ QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
                  (4, 4, 12, 4, 4, 4, 4), id="X5+X6+X9"),
     pytest.param((("Z7", HALF), ("Z8", HALF)),
                  (4, 4, 4, 12, 4, 4, 4), id="Z7+Z8"),
+    # Z7 alone splits V4 - V3 = 3 into halves of 3/2 bits here.
+    pytest.param((("Z7", 2 * THIRD), ("Z5", THIRD)),
+                 (3, 3, 3, 6, 3, 3, 3), id="Z7+Z5"),
 ])
 def test_time_share_places_split_parts_past_bit_0(parts, lengths):
     # Each part's split pieces (V3.1/V3.2, or Z's half-splits of V4) start
     # where the parts before it end on their stream.
-    mix = compose_time_share(
-        [(_scheme(label, lengths), w) for label, w in parts]
-    )
+    mix = _mix(parts, lengths)
     want, offsets = [[], [], []], [0] * 7
     for label, w in parts:
         sl = [int(w * n) for n in lengths]
@@ -768,44 +794,37 @@ def test_time_share_places_split_parts_past_bit_0(parts, lengths):
         assert len(got) == L1.level_of(subset)
 
 
+def test_z7_alone_splits_oddly_where_it_time_shares():
+    with pytest.raises(OddSplit, match="V4.2 length 3/2"):
+        _scheme("Z7", (3, 3, 3, 6, 3, 3, 3))
+
+
 def test_time_share_weight_validation():
-    scheme = _scheme("X1", (2,) * 7)
+    lengths = (2,) * 7
     with pytest.raises(ValueError):
-        compose_time_share([])
+        _mix([], lengths)
     with pytest.raises(ValueError):
-        compose_time_share([(scheme, Fraction(-1, 2)), (scheme, Fraction(3, 2))])
+        _mix([("X1", Fraction(-1, 2)), ("X1", Fraction(3, 2))], lengths)
     with pytest.raises(ValueError):
-        compose_time_share([(scheme, Fraction(1, 2)), (scheme, Fraction(1, 3))])
+        _mix([("X1", Fraction(1, 2)), ("X1", Fraction(1, 3))], lengths)
 
 
-def test_time_share_requires_matching_lengths():
-    a = _scheme("X1", (2,) * 7)
-    b = _scheme("X2", (4,) * 7)
-    with pytest.raises(LengthMismatch):
-        compose_time_share([(a, Fraction(1, 2)), (b, Fraction(1, 2))])
+def test_time_share_reads_seven_whole_lengths():
+    parts = [("X1", HALF), ("X2", HALF)]
+    with pytest.raises(ValueError, match="need 7 stream lengths"):
+        _mix(parts, (2,) * 6)
+    with pytest.raises(ValueError, match="whole and non-negative"):
+        _mix(parts, (2, 2, 2, 2, 2, 2, 2.5))
 
 
 def test_time_share_non_integral_slices():
-    a = _scheme("X1", (1,) * 7)
-    b = _scheme("X2", (1,) * 7)
     with pytest.raises(NonIntegralSplit):
-        compose_time_share([(a, Fraction(1, 2)), (b, Fraction(1, 2))])
-
-
-def test_time_share_rejects_composite_parts():
-    lengths = (4,) * 7
-    a = _scheme("X1", lengths)
-    b = _scheme("X2", lengths)
-    mix = compose_time_share([(a, Fraction(1, 2)), (b, Fraction(1, 2))])
-    with pytest.raises(ValueError):
-        compose_time_share([(mix, Fraction(1, 2)), (a, Fraction(1, 2))])
+        _mix([("X1", Fraction(1, 2)), ("X2", Fraction(1, 2))], (1,) * 7)
 
 
 def test_time_share_segments_are_disjoint_shifted_copies():
     lengths = (2,) * 7
-    a = _scheme("X1", lengths)
-    b = _scheme("X2", lengths)
-    mix = compose_time_share([(a, Fraction(1, 2)), (b, Fraction(1, 2))])
+    mix = _mix([("X1", Fraction(1, 2)), ("X2", Fraction(1, 2))], lengths)
     # Each stream's bits are covered exactly once across the two slices of
     # description 3 (which carries V1..V5/V1..V7 in both templates).
     seen = {}

@@ -1,8 +1,9 @@
 """numpy loads with the codec's array API only: ``import amld3``, the
 analysis layers and every CLI call leave it unloaded, and the analysis
 commands leave the codec module unloaded too.  The template table,
-``amld3.catalog``, loads only where L1 corners are labelled (and with the
-codec).  No CLI call loads ``dataclasses`` or ``inspect``.
+``amld3.catalog``, loads only where L1 corners are labelled (and where a
+scheme is looked up by label).  No CLI call loads ``dataclasses`` or
+``inspect``.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported numpy.
@@ -118,6 +119,14 @@ def test_codec_module_resolves_after_bare_import():
         "assert amld3.codec is sys.modules['amld3.codec']\n"
         "assert amld3.encode is amld3.codec.encode\n"
         "assert amld3.TEMPLATES is sys.modules['amld3.catalog'].TEMPLATES\n"
+    )
+
+
+def test_the_codec_alone_leaves_the_catalog_unloaded():
+    run_python(
+        "import sys, amld3.codec\n"
+        "assert amld3.encode is amld3.codec.encode\n"
+        "assert 'amld3.catalog' not in sys.modules\n"
     )
 
 

@@ -59,6 +59,7 @@ from amld3 import (
     build_mld_region,
     classify_regime,
     classify_slacks,
+    compose_time_share,
     contains,
     decode,
     decode_packed,
@@ -664,6 +665,57 @@ def test_catalog_roundtrips_or_refuses_the_lengths(lengths, seed):
             assert len(got) == L1.level_of(subset), (name, subset)
             for want, arr in zip(bundle.streams, got):
                 np.testing.assert_array_equal(arr, want, err_msg=name)
+
+
+@st.composite
+def interior_profiles(draw, regime: str):
+    """Seven small whole entropies strictly inside an L1 regime: h3 > h4 +
+    h5 (I), h4 < h3 < h4 + h5 (II) or h3 < h4 (III)."""
+    h = draw(st.lists(st.integers(0, 5), min_size=7, max_size=7))
+    if regime == "I":
+        h[2] = h[3] + h[4] + draw(st.integers(1, 3))
+    elif regime == "II":
+        h[4] = max(h[4], 2)
+        h[2] = h[3] + draw(st.integers(1, h[4] - 1))
+    else:
+        h[3] = h[2] + draw(st.integers(1, 3))
+    return h
+
+
+@settings(max_examples=150, deadline=None)
+@given(regime=st.sampled_from(sorted(CATALOG_LABELS)), data=st.data())
+def test_time_share_rates_are_the_weighted_corner_rates(regime, data):
+    # Part p has weight a_p / m and slice a_p * h of lengths m * h; each
+    # template is placed at its own slice, so it is that slice's parity,
+    # not the full lengths', that decides OddSplit.
+    labels = data.draw(st.lists(st.sampled_from(CATALOG_LABELS[regime]),
+                                min_size=1, max_size=3))
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=len(labels),
+                                max_size=len(labels)))
+    h = data.draw(interior_profiles(regime))
+    m = sum(counts)
+    lengths = [m * x for x in h]
+    slices = [[a * x for x in h] for a in counts]
+    parts = [(TEMPLATES[template_name_for_label(label)], F(a, m))
+             for label, a in zip(labels, counts)]
+    try:
+        for (template, _), sl in zip(parts, slices):
+            instantiate_scheme(template, sl)
+    except OddSplit:
+        with pytest.raises(OddSplit):
+            compose_time_share(parts, lengths)
+        return
+    mix = compose_time_share(parts, lengths)
+    assert [2 * n for n in mix.description_lengths] == [
+        sum(sum(c * x for c, x in zip(RATE_FORMS[label][d], sl))
+            for label, sl in zip(labels, slices))
+        for d in range(3)
+    ]
+    for subset in SUBSETS:
+        plan = decode_plan(mix, subset)
+        need = sum(lengths[:L1.level_of(subset)])
+        written = {o for o, _, _, _ in plan.runs}
+        assert written.issuperset(x for x in plan.bounds[:-1] if x < need)
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,7 @@ CASES = [
     (Xor, {"group_a": (Piece(3, 0, 1),), "group_b": (Piece(4, 0, 1),)},
      ("group_b", (Piece(5, 0, 1),)), True, ()),
     (DescriptionScheme, {"label": "X1", "lengths": (1,) * 7,
-                         "segments": ((Piece(1, 0, 1),), (), ()),
-                         "template": None},
+                         "segments": ((Piece(1, 0, 1),), (), ())},
      ("label", "X2"), True, ()),
     (EncodedDescriptions, {"bits": (BIT, None, ZERO)},
      ("bits", (BIT, None, None)), False, ()),
