@@ -1,20 +1,20 @@
 """The corner-point coding schemes of the L1 ordering, as symbolic templates.
 
 Templates carve the streams ``V1..V7`` (lengths ``l1..l7``) into pieces with
-*splits*, ``(stream, names, lengths)`` triples: ``V3 -> V3.1, V3.2`` cuts a
-stream into consecutive pieces whose lengths are linear in ``l1..l7``.  A
-template applies only where all piece lengths are non-negative integers
-(else :class:`~.codec.RegimeMismatch` or :class:`~.codec.OddSplit`).
+*splits*, ``(stream, names, forms)`` triples: ``V3 -> V3.1, V3.2`` cuts a
+stream into consecutive pieces, each form seven ints over ``l1..l7`` that
+give twice the piece's length.  A template applies only where all piece
+lengths are non-negative integers (else :class:`~.codec.RegimeMismatch` or
+:class:`~.codec.OddSplit`).
 
 The module is also the L1 corner catalog, one label set per regime
 (:data:`CATALOG_LABELS`).  Each corner is the rate triple of its scheme:
-:data:`RATE_FORMS`, the description lengths as doubled integer forms over
-``l1..l7``, from which :func:`label_corners` reads the corners.
+:data:`RATE_FORMS`, the description lengths as sums of the same doubled
+forms, from which :func:`label_corners` reads the corners.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
@@ -22,17 +22,18 @@ from typing import Mapping, NamedTuple, Sequence
 from .rate_region import CornerPoint, EntropyProfile, classify_regime
 
 
-def _lin(**kw) -> tuple[Fraction, ...]:
-    """Linear length expression over l1..l7, e.g. _lin(l3=1, l4=-1)."""
-    v = [Fraction(0)] * 7
+def _lin(**kw) -> tuple[int, ...]:
+    """Linear form over l1..l7, e.g. _lin(l3=2, l4=-2) for 2 * (l3 - l4)."""
+    v = [0] * 7
     for key, coef in kw.items():
-        v[int(key[1:]) - 1] = Fraction(coef)
+        v[int(key[1:]) - 1] = coef
     return tuple(v)
 
 
 class SchemeTemplate(NamedTuple):
-    """One scheme: its splits, and per description, piece names, copied
-    verbatim, and pairs of piece-name tuples, XORed."""
+    """One scheme: its splits, ``(stream, piece names, forms)`` with each
+    form twice a piece's length over l1..l7, and per description, piece
+    names, copied verbatim, and pairs of piece-name tuples, XORed."""
 
     name: str
     splits: tuple[tuple, ...]
@@ -47,20 +48,20 @@ def _t(name, splits, *layout) -> SchemeTemplate:
     return SchemeTemplate(name, tuple(splits), tuple(map(tuple, layout)))
 
 
-HALF = Fraction(1, 2)
-
+# Each split's forms are twice its pieces' lengths, so that the halves of
+# V4 - V3 in Z7-Z10 stay integers, as in RATE_FORMS.
 _SPLIT3_45 = (
-    3, ("V3.1", "V3.2"), (_lin(l3=1, l4=-1, l5=-1), _lin(l4=1, l5=1))
+    3, ("V3.1", "V3.2"), (_lin(l3=2, l4=-2, l5=-2), _lin(l4=2, l5=2))
 )
-_SPLIT3_4 = (3, ("V3.1", "V3.2"), (_lin(l3=1, l4=-1), _lin(l4=1)))
+_SPLIT3_4 = (3, ("V3.1", "V3.2"), (_lin(l3=2, l4=-2), _lin(l4=2)))
 _SPLIT5_Y = (
-    5, ("V5.1", "V5.2"), (_lin(l3=1, l4=-1), _lin(l4=1, l5=1, l3=-1))
+    5, ("V5.1", "V5.2"), (_lin(l3=2, l4=-2), _lin(l4=2, l5=2, l3=-2))
 )
-_SPLIT4_Z = (4, ("V4.1", "V4.2"), (_lin(l3=1), _lin(l4=1, l3=-1)))
+_SPLIT4_Z = (4, ("V4.1", "V4.2"), (_lin(l3=2), _lin(l4=2, l3=-2)))
 _SPLIT4_ZH = (
     4,
     ("V4.1", "V4.2", "V4.3"),
-    (_lin(l3=1), _lin(l4=HALF, l3=-HALF), _lin(l4=HALF, l3=-HALF)),
+    (_lin(l3=2), _lin(l4=1, l3=-1), _lin(l4=1, l3=-1)),
 )
 
 TEMPLATES: Mapping[str, SchemeTemplate] = {
@@ -179,9 +180,8 @@ def _rate_forms(t: SchemeTemplate) -> tuple[tuple[int, ...], ...]:
     """Twice each description length: copies add, an XOR its first group."""
     form = {f"V{k}": (0,) * (k - 1) + (2,) + (0,) * (7 - k)
             for k in range(1, 8)}
-    for _, names, lengths in t.splits:
-        for name, expr in zip(names, lengths):
-            form[name] = tuple(2 * c.numerator // c.denominator for c in expr)
+    for _, names, forms in t.splits:
+        form.update(zip(names, forms))
     return tuple(
         tuple(map(sum, zip(*(
             form[n] for item in desc
@@ -198,16 +198,6 @@ RATE_FORMS: Mapping[str, tuple[tuple[int, ...], ...]] = {
 """Catalog label -> twice its scheme's description lengths over l1..l7."""
 
 
-def _catalog_rates(profile: EntropyProfile) -> dict[str, tuple[int, ...]]:
-    """Label -> corner rates times 2L: the regime's RATE_FORMS at L * h."""
-    h = profile._hn
-    return {
-        label: (sum(map(mul, a, h)), sum(map(mul, b, h)), sum(map(mul, c, h)))
-        for label in CATALOG_LABELS[classify_regime(profile)]
-        for a, b, c in [RATE_FORMS[label]]
-    }
-
-
 def label_corners(
     corners: Sequence[CornerPoint], profile: EntropyProfile
 ) -> tuple[CornerPoint, ...]:
@@ -216,13 +206,16 @@ def label_corners(
     Corners whose coordinates match several catalog entries (boundary
     profiles) get the merged label, e.g. ``"Y7+Y8"``.  Corners not in the
     catalog keep label None.  A corner is looked up by its rates times 2L,
-    the integer key of :func:`_catalog_rates`; a rate whose denominator
-    does not divide 2L is in no catalog entry.
+    the integer key that each :data:`RATE_FORMS` entry of the regime takes
+    at ``L * h``; a rate whose denominator does not divide 2L is in no
+    catalog entry.
     """
-    d = 2 * profile._L
+    d, h = 2 * profile._L, profile._hn
     table: dict[tuple[int, ...], list[str]] = {}
-    for lbl, scaled in _catalog_rates(profile).items():
-        table.setdefault(scaled, []).append(lbl)
+    for label in CATALOG_LABELS[classify_regime(profile)]:
+        a, b, c = RATE_FORMS[label]
+        key = sum(map(mul, a, h)), sum(map(mul, b, h)), sum(map(mul, c, h))
+        table.setdefault(key, []).append(label)
     out = []
     for c in corners:
         key = tuple(

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import mul
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence, Union
 
 from .ordering import L1, SUBSET_MASKS, subset_members
@@ -68,9 +69,12 @@ def as_bit_array(bits) -> np.ndarray:
 
 def _bit_count(n) -> int:
     """``n`` as an int; ``ValueError`` unless it is a whole number >= 0."""
-    k = int(n)
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError):
+        k = -1  # inf, nan, None, a list: refused below
     if k != n or k < 0:
-        raise ValueError(f"bit counts must be whole and non-negative, got {n}")
+        raise ValueError(f"bit counts must be whole and non-negative, got {n!r}")
     return k
 
 
@@ -198,31 +202,33 @@ def instantiate_scheme(
 
 
 def _place(template: SchemeTemplate, lengths, starts) -> tuple:
-    """The segments of ``template``, stream k's slice from ``starts[k-1]``."""
+    """The segments of ``template``, stream k's slice from ``starts[k-1]``:
+    each split form, at ``lengths``, is twice its piece's size."""
     pieces: dict[str, Piece] = {
         f"V{k}": Piece(k, a, a + n)
         for k, (a, n) in enumerate(zip(starts, lengths), start=1)
     }
-    for stream, names, exprs in template.splits:
-        sizes = [sum(c * l for c, l in zip(expr, lengths)) for expr in exprs]
-        for name, size in zip(names, sizes):
-            if size < 0:
+    for stream, names, forms in template.splits:
+        twice = [sum(map(mul, form, lengths)) for form in forms]
+        for name, t in zip(names, twice):
+            if t < 0:
                 raise RegimeMismatch(
                     f"template {template.name}: piece {name} would have "
-                    f"length {size} at stream lengths {lengths}"
+                    f"length {Fraction(t, 2)} at stream lengths {lengths}"
                 )
-        for name, size in zip(names, sizes):
-            if Fraction(size).denominator != 1:
+        for name, t in zip(names, twice):
+            if t % 2:
                 raise OddSplit(
-                    f"template {template.name}: piece {name} length {size} "
-                    f"is not an integer at stream lengths {lengths}"
+                    f"template {template.name}: piece {name} length "
+                    f"{Fraction(t, 2)} is not an integer at stream lengths "
+                    f"{lengths}"
                 )
-        assert sum(sizes) == lengths[stream - 1]
+        assert sum(twice) == 2 * lengths[stream - 1]
         del pieces[f"V{stream}"]
         pos = starts[stream - 1]
-        for name, size in zip(names, sizes):
-            pieces[name] = Piece(stream, pos, pos + int(size))
-            pos += int(size)
+        for name, t in zip(names, twice):
+            pieces[name] = Piece(stream, pos, pos + t // 2)
+            pos += t // 2
 
     def segment(item) -> Segment:
         if isinstance(item, str):

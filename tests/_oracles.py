@@ -683,22 +683,26 @@ def _total(forms):
     return tuple(sum(col, F(0)) for col in zip(*forms))
 
 
+def _halved(form):
+    return tuple(F(c, 2) for c in form)
+
+
 def piece_forms(template) -> dict:
     """Piece name -> its length as a linear form over l1..l7 (seven
-    Fractions): ``Vk`` for a stream left whole, the split's expression for
-    a piece cut from one."""
+    Fractions): ``Vk`` for a stream left whole, half the split's form (the
+    template stores twice each piece length) for a piece cut from one."""
     forms = {f"V{k}": _unit(k) for k in range(1, 8)}
-    for stream, names, lengths in template.splits:
+    for stream, names, doubled in template.splits:
         del forms[f"V{stream}"]
-        forms.update(zip(names, (tuple(map(F, e)) for e in lengths)))
+        forms.update(zip(names, map(_halved, doubled)))
     return forms
 
 
 def splits_sum_to_streams(template) -> bool:
     """Each split's piece lengths add up to its stream's, as forms."""
     return all(
-        _total(tuple(map(F, e)) for e in lengths) == _unit(stream)
-        for stream, _, lengths in template.splits
+        _total(map(_halved, doubled)) == _unit(stream)
+        for stream, _, doubled in template.splits
     )
 
 

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from amld3 import SUBSETS, OrderingError, pack_bits, unpack_bits
+from amld3 import (
+    ALL_SCHEME_LABELS, SUBSETS, OrderingError, pack_bits, unpack_bits,
+)
 
 DYADIC = "0.5,0.25,0.125,0.0625,0.03125,0.015625,0.0078125"
 MATCHED = "0.5,0.25,0.125,0.0625,0.03125,0.015625"
@@ -944,6 +946,86 @@ def test_check_parametric_without_noise_exits_1():
                              "--which", "parametric")
     assert (code, out) == (1, "")
     assert err == "error: --which parametric requires --d\n"
+
+
+# ---------------------------------------------------------------------------
+# Error exits, in process
+# ---------------------------------------------------------------------------
+
+def _main(capsys, *argv):
+    """``cli.main(argv)`` in this process: (exit code, stdout, stderr)."""
+    from amld3 import cli
+
+    capsys.readouterr()
+    code = cli.main([str(a) for a in argv])
+    return (code, *capsys.readouterr())
+
+
+def test_unknown_scheme_label_lists_the_labels(capsys, bundle_dir):
+    code, out, err = _main(capsys, "encode", "--scheme", "Q9",
+                           "--manifest", bundle_dir / "manifest.json",
+                           "--out", bundle_dir / "enc")
+    assert (code, out) == (1, "")
+    labels = err.split("choose one of ")[1].strip().split(", ")
+    assert labels == list(ALL_SCHEME_LABELS)
+    assert not (bundle_dir / "enc").exists()
+
+
+def test_unknown_decoder_subset_reads_no_description_file(capsys, bundle_dir):
+    encdir = bundle_dir / "enc"
+    assert _main(capsys, "encode", "--scheme", "X5",
+                 "--manifest", bundle_dir / "manifest.json",
+                 "--out", encdir)[0] == 0
+    for name in ("G1.bits", "G2.bits", "G3.bits"):
+        (encdir / name).unlink()  # reading one would fail with OSError
+    code, out, err = _main(capsys, "decode",
+                           "--sidecar", encdir / "sidecar.json",
+                           "--subset", "G4", "--out", bundle_dir / "dec")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unknown decoder subset 'G4'")
+    assert not (bundle_dir / "dec").exists()
+
+
+def test_manifest_or_sidecar_array_exits_1(capsys, bundle_dir):
+    (bundle_dir / "array.json").write_text("[]")
+    for argv in (("encode", "--scheme", "X5", "--manifest"),
+                 ("decode", "--subset", "G1", "--sidecar")):
+        code, out, err = _main(capsys, *argv, bundle_dir / "array.json",
+                               "--out", bundle_dir / "out")
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {argv[-1][2:]} must be a JSON object\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(("check", "--rates", "1,2,3", "--D", DYADIC,
+                  "--which", "parametric"), 1, id="parametric-without-d"),
+    pytest.param(("check", "--rates", "inf,1,1", "--D", DYADIC), 6,
+                 id="inf-rates"),
+    pytest.param(("region", "--ordering", "{deep}", "--h", "1,1,1,1,1,1,1"),
+                 1, id="deep-ordering"),
+    pytest.param(("encode", "--scheme", "X5", "--manifest", "{deep}",
+                  "--out", "{out}"), 1, id="deep-manifest"),
+])
+def test_error_exits_in_process(capsys, tmp_path, argv, want):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = _main(
+        capsys, *(a.format(deep=deep, out=tmp_path / "out") for a in argv)
+    )
+    assert (code, out) == (want, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_ordering_from_stdin_in_process(capsys, monkeypatch):
+    levels = {s: i + 1 for i, s in enumerate(
+        ("G1", "G2", "G12", "G3", "G13", "G23", "G123")
+    )}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+        {"levels": levels})))
+    code, out, err = _main(capsys, "region", "--ordering", "-",
+                           "--h", "1,1,1,1,1,1,1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ordering"] == 7
 
 
 def test_output_is_byte_deterministic():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -141,12 +142,15 @@ def test_bit_arrays_are_flattened_and_uint8_kept():
 
 def test_bit_counts_must_be_whole_and_non_negative():
     rng = np.random.default_rng(0)
-    for lengths in ((1.5, 1, 1, 1, 1, 1, 1), (1, -1, 1, 1, 1, 1, 1)):
+    for bad in (1.5, -1, float("inf"), None):
+        lengths = (1, bad, 1, 1, 1, 1, 1)
         with pytest.raises(ValueError, match="whole and non-negative"):
             instantiate_scheme(TEMPLATES["X1"], lengths)
         with pytest.raises(ValueError, match="whole and non-negative"):
             random_bundle(lengths, rng)
-    for nbits in (-5, 1.5):
+        with pytest.raises(ValueError, match="whole and non-negative"):
+            _mix([("X1", HALF), ("X2", HALF)], lengths)
+    for nbits in (-5, 1.5, float("inf"), None):
         with pytest.raises(ValueError, match="whole and non-negative"):
             check_packed(b"", nbits)
         with pytest.raises(ValueError, match="whole and non-negative"):
@@ -518,6 +522,34 @@ def test_regime_mismatch_wins_over_odd_split():
     # and non-integral; the sign complaint is the meaningful one.
     with pytest.raises(RegimeMismatch):
         _scheme("Z7", (1, 1, 3, 2, 1, 1, 1))
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_instantiation_boundary_matches_the_piece_forms(name):
+    # Over a grid of l3, l4, l5: a negative piece of some split is a regime
+    # mismatch, else a fractional one an odd split, else every segment has
+    # the length the oracle's forms give it.
+    template = TEMPLATES[name]
+    forms = _oracles.piece_forms(template)
+    split_pieces = [n for _, names, _ in template.splits for n in names]
+    for l3, l4, l5 in itertools.product(range(6), repeat=3):
+        lengths = (1, 2, l3, l4, l5, 1, 3)
+        size = {n: sum(map(Fraction.__mul__, f, lengths))
+                for n, f in forms.items()}
+        if any(size[n] < 0 for n in split_pieces):
+            with pytest.raises(RegimeMismatch):
+                instantiate_scheme(template, lengths)
+        elif any(size[n].denominator != 1 for n in split_pieces):
+            with pytest.raises(OddSplit):
+                instantiate_scheme(template, lengths)
+        else:
+            segments = instantiate_scheme(template, lengths).segments
+            for desc, segs in zip(template.layout, segments):
+                assert [s.size for s in segs] == [
+                    size[item] if isinstance(item, str)
+                    else sum(size[n] for n in item[0])
+                    for item in desc
+                ], lengths
 
 
 def test_z_boundary_degenerate_is_fine():

@@ -16,25 +16,26 @@ bound to that side's package, and called with a ``spans.Tracer`` that does
 not record, as untraced perfbench runs do; ``contains`` is the direct
 ``contains(region, q)`` call that perfbench times.  ``--ops`` fresh inputs
 per op kind come from ``gen.AnalysisInputs(seed)``, drawn as the
-``analysis`` workload draws them.  The codec kinds are ``encode`` and one
-``decode.<subset>`` per decoder subset, each called once per bundle of
-``gen.bulk_bundles(seed)``, the four 9 Mbit bundles of the ``codec-bulk``
-workload; each side decodes the same descriptions, encoded once.  Both
-sides must return equal outputs on every input (regions, corners, region
-documents, bound sets, gap reports and verdicts, compared with ``==``;
-descriptions and streams with ``numpy.array_equal``); any difference is
-printed and the exit code is 1.  Then each op kind is timed for
-``--rounds`` rounds (at least 2).  Inside a round the two sides run each
-input back to back, call by call, the side that goes first alternating
-from one input to the next and from one round to the next; the round
-gives each side its median call time, and the change/base ratio of the
-two.  A codec kind runs its bundles twice in a round, each side going
-first on each bundle once, and takes each side's total time: the first
-call on a 9 Mbit bundle reads it from memory and the second from cache,
-so a side that went first on more bundles would read ~15% slower.
-Reported per op kind: the median of each side's per-round medians (or
-totals), and the median and interquartile range of the per-round ratios,
-as a change in percent.
+``analysis`` workload draws them.  The codec kinds are ``instantiate``
+(``instantiate_scheme`` of the bundle's template at its lengths),
+``encode`` and one ``decode.<subset>`` per decoder subset, each called once
+per bundle of ``gen.bulk_bundles(seed)``, the four 9 Mbit bundles of the
+``codec-bulk`` workload; each side decodes the same descriptions, encoded
+once.  Both sides must return equal outputs on every input (regions,
+corners, region documents, bound sets, gap reports, verdicts and schemes,
+compared with ``==``, a scheme of either package as a tuple; descriptions
+and streams with ``numpy.array_equal``); any difference is printed and the
+exit code is 1.  Then each op kind is timed for ``--rounds`` rounds (at
+least 2).  Inside a round the two sides run each input back to back, call
+by call, the side that goes first alternating from one input to the next
+and from one round to the next; the round gives each side its median call
+time, and the change/base ratio of the two.  A codec kind runs its
+bundles twice in a round, each side going first on each bundle once, and
+takes each side's total time: the first call on a 9 Mbit bundle reads it
+from memory and the second from cache, so a side that went first on more
+bundles would read ~15% slower.  Reported per op kind: the median of each
+side's per-round medians (or totals), and the median and interquartile
+range of the per-round ratios, as a change in percent.
 
 Separate processes of one checkout can differ on the same op by more than
 a change does, and other load on the machine drifts over seconds; pairing
@@ -56,6 +57,7 @@ from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[2]
 KINDS = ("check", "corners", "contains", "bounds")
+EQUAL_KINDS = (*KINDS, "instantiate")  # outputs compared with ==
 
 
 def load(checkout: Path, name: str):
@@ -140,13 +142,17 @@ def codec_inputs(seed: int, m) -> list:
 
 def codec_calls(m, bundles: list) -> dict:
     """``(function, args)`` per bundle of each codec kind, over package
-    ``m``: ``encode``, and ``decode.<subset>`` of the bundle's descriptions
-    at each decoder subset."""
+    ``m``: ``instantiate``, ``encode``, and ``decode.<subset>`` of the
+    bundle's descriptions at each decoder subset."""
     from gen import SUBSETS
 
-    calls = {"encode": [], **{f"decode.{s}": [] for s in SUBSETS}}
+    calls = {"instantiate": [], "encode": [],
+             **{f"decode.{s}": [] for s in SUBSETS}}
     for label, lengths, streams, bits in bundles:
-        scheme = m.instantiate_scheme(m.TEMPLATES[label], lengths)
+        template = m.TEMPLATES[label]
+        calls["instantiate"].append((m.instantiate_scheme,
+                                     (template, lengths)))
+        scheme = m.instantiate_scheme(template, lengths)
         calls["encode"].append((m.encode, (scheme, m.SourceBundle(streams))))
         enc = m.EncodedDescriptions(bits)
         for s in SUBSETS:
@@ -206,7 +212,7 @@ def main(argv: list[str]) -> int:
                                                  calls["change"][kind])):
             want, got = f(*x), g(*y)
             total += 1
-            if not (want == got if kind in KINDS
+            if not (want == got if kind in EQUAL_KINDS
                     else same_arrays(want, got)):
                 bad += 1
                 print(f"{kind} input {i}: base {want!r} != change {got!r}")
