@@ -31,8 +31,10 @@ them, and an exact number whose numerator or denominator, as written, has
 more digits than ``sys.get_int_max_str_digits()``).  ``check`` reads
 ``--d`` whenever it is given, as ``md-bounds`` does.
 
-Outputs are deterministic byte-for-byte: dict keys are emitted in a fixed
-order and floats are quantized to 12 significant digits.
+Each command returns its output, a dict printed as JSON or a list of CSV
+rows, and :func:`main` writes it.  Outputs are deterministic byte-for-byte:
+dict keys are emitted in a fixed order and floats are quantized to 12
+significant digits.
 
 Input files are trusted like the command line that names them.  A sidecar's
 ``files`` entries are read relative to the sidecar's directory unless they
@@ -69,14 +71,22 @@ def _quantize(obj):
     return obj
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(_quantize(obj), indent=2))
+def _text(doc) -> str:
+    """A command's output as text: JSON for a dict, else comma-joined rows.
+    It is built whole, so that a value that cannot be printed leaves stdout
+    empty."""
+    doc = _quantize(doc)
+    if isinstance(doc, dict):
+        return json.dumps(doc, indent=2)
+    return "\n".join(",".join(map(str, row)) for row in doc)
 
 
-def _emit_csv(rows) -> None:
-    # Built whole first, so that a value that cannot be printed leaves
-    # stdout empty.
-    print("\n".join(",".join(map(str, row)) for row in _quantize(rows)))
+def _write(outdir: str, files: dict) -> None:
+    """Create ``outdir`` and write each file name -> bytes of ``files`` in it."""
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, blob in files.items():
+        (out / name).write_bytes(blob)
 
 
 def _loads(text: str):
@@ -195,30 +205,21 @@ def _labeled_corners(region):
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def cmd_region(args) -> None:
+def cmd_region(args) -> dict | list:
     region = _region(args)
     if args.emit == "csv":
-        rows = [("tag", "a1", "a2", "a3", "b")]
-        for c in region.constraints:
-            rows.append((c.tag, *c.a, c.b))
-        _emit_csv(rows)
-        return
-    _emit_json(rate_region.region_json_dict(region, _labeled_corners(region)))
+        return [("tag", "a1", "a2", "a3", "b"),
+                *((c.tag, *c.a, c.b) for c in region.constraints)]
+    return rate_region.region_json_dict(region, _labeled_corners(region))
 
 
-def cmd_corners(args) -> None:
+def cmd_corners(args) -> dict | list:
     corners = _labeled_corners(_region(args))
     if args.emit == "csv":
-        rows = [("label", "r1", "r2", "r3", "tight")]
-        for c in corners:
-            rows.append(
-                (c.label or "", *c.rates, "|".join(c.tight))
-            )
-        _emit_csv(rows)
-        return
-    _emit_json(
-        {"corners": [rate_region.corner_json_dict(c) for c in corners]}
-    )
+        return [("label", "r1", "r2", "r3", "tight"),
+                *((c.label or "", *c.rates, "|".join(c.tight))
+                  for c in corners)]
+    return {"corners": [rate_region.corner_json_dict(c) for c in corners]}
 
 
 def _template_for(label: str):
@@ -264,7 +265,7 @@ def _field(doc: dict, key: str, what: str, kind: type, count: int = 0):
     return val
 
 
-def cmd_encode(args) -> None:
+def cmd_encode(args) -> dict:
     from . import codec
 
     template = _template_for(args.scheme)
@@ -276,30 +277,21 @@ def cmd_encode(args) -> None:
     # template's regime (4).
     codec.check_packed(data, sum(lengths))
     scheme = codec.instantiate_scheme(template, lengths)
-    descriptions = codec.encode_packed(scheme, data)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, blob in zip(DESCRIPTION_FILES, descriptions):
-        (outdir / name).write_bytes(blob)
-    sidecar = {
-        "scheme": args.scheme,
-        "lengths": lengths,
-        "bits": list(scheme.description_lengths),
-        "files": list(DESCRIPTION_FILES),
-    }
-    text = json.dumps(sidecar, indent=2)
-    (outdir / "sidecar.json").write_text(text + "\n")
-    print(text)
+    files = dict(zip(DESCRIPTION_FILES, codec.encode_packed(scheme, data)))
+    sidecar = {"scheme": args.scheme, "lengths": lengths,
+               "bits": list(scheme.description_lengths), "files": list(files)}
+    _write(args.out, {**files, "sidecar.json": f"{_text(sidecar)}\n".encode()})
+    return sidecar
 
 
-def cmd_decode(args) -> None:
+def cmd_decode(args) -> dict:
     from . import codec
 
     sidecar = _read_object(args.sidecar, "sidecar")
     label = _field(sidecar, "scheme", "sidecar", str)
     lengths = _field(sidecar, "lengths", "sidecar", int, 7)
     bits = _field(sidecar, "bits", "sidecar", int, 3)
-    files = _field(sidecar, "files", "sidecar", str, 3)
+    names = _field(sidecar, "files", "sidecar", str, 3)
     scheme = codec.instantiate_scheme(_template_for(label), lengths)
     if list(scheme.description_lengths) != bits:
         raise codec.LengthMismatch(
@@ -314,28 +306,17 @@ def cmd_decode(args) -> None:
         )
     available = {}
     for i in ordering.subset_members(subset):
-        available[i] = _read_beside(args.sidecar, files[i - 1])
+        available[i] = _read_beside(args.sidecar, names[i - 1])
         # Checked before the next file is read, which may not exist.
         codec.check_packed(available[i], bits[i - 1])
     streams = codec.decode_packed(scheme, subset, available)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for k, blob in enumerate(streams, start=1):
-        name = f"V{k}.bits"
-        (outdir / name).write_bytes(blob)
-        files.append(name)
-    _emit_json(
-        {
-            "subset": subset,
-            "level": len(streams),
-            "lengths": list(lengths[:len(streams)]),
-            "files": files,
-        }
-    )
+    files = {f"V{k}.bits": blob for k, blob in enumerate(streams, start=1)}
+    _write(args.out, files)
+    return {"subset": subset, "level": len(streams),
+            "lengths": lengths[:len(streams)], "files": list(files)}
 
 
-def cmd_md_bounds(args) -> None:
+def cmd_md_bounds(args) -> dict | list:
     D = _parse_distortions(args.D)
     bounds = {"inner": gaussian_md.inner_bound(D),
               "outer": gaussian_md.outer_bound(D), "parametric": None}
@@ -343,31 +324,28 @@ def cmd_md_bounds(args) -> None:
         noise = gaussian_md.NoiseParams(_numbers(args.d))
         bounds["parametric"] = gaussian_md.parametric_outer_bound(D, noise)
     if args.emit == "csv":
-        _emit_csv([("set", "tag", "a1", "a2", "a3", "b"),
-                   *((name, c.tag, *map(float, c.a), float(c.b))
-                     for name, bound in bounds.items() if bound is not None
-                     for c in bound.constraints)])
-        return
-    _emit_json({
+        return [("set", "tag", "a1", "a2", "a3", "b"),
+                *((name, c.tag, *map(float, c.a), float(c.b))
+                  for name, bound in bounds.items() if bound is not None
+                  for c in bound.constraints)]
+    return {
         "normalized": {"D": bounds["inner"].distortions.as_dict()},
         "ordering": bounds["inner"].ordering.index,
         **{name: None if bound is None else gaussian_md.bound_json_dict(bound)
            for name, bound in bounds.items()},
-    })
+    }
 
 
-def cmd_gap(args) -> None:
-    report = gaussian_md.facet_gap(_parse_distortions(args.D))
+def cmd_gap(args) -> dict | list:
+    gaps = gaussian_md.facet_gap(_parse_distortions(args.D)).as_dict()
     if args.emit == "csv":
-        rows = [("family", "gap")]
-        for key, gap in report.as_dict().items():
-            rows.append((key, *gap) if type(gap) is list else (key, gap))
-        _emit_csv(rows)
-        return
-    _emit_json(report.as_dict())
+        return [("family", "gap"),
+                *((key, *gap) if type(gap) is list else (key, gap)
+                  for key, gap in gaps.items())]
+    return gaps
 
 
-def cmd_check(args) -> None:
+def cmd_check(args) -> dict:
     # A flag of the other mode is a usage error (the defaults are None).
     for flag, mode in (("ordering", "D"), ("which", "h"), ("d", "h"),
                        ("tol", "h")):
@@ -404,7 +382,7 @@ def cmd_check(args) -> None:
             raise gaussian_md.InvalidFloatInput(
                 f"rates must be finite, got {rates}")
     tight, violated = rate_region.classify_slacks(rows, rates, tol)
-    _emit_json({"inside": not violated, "tight": tight, "violated": violated})
+    return {"inside": not violated, "tight": tight, "violated": violated}
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +483,7 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        print(_text(args.func(args)))
         return 0
     except (ValueError, KeyError, OSError) as err:
         table = _EXIT_CODES

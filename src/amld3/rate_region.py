@@ -103,6 +103,8 @@ class LinearInequality(namedtuple("LinearInequality", "a b tag")):
         if len(rates) != 3:
             raise ValueError("expected 3 rates")
         a, b = self.a, self.b
+        # The first test is implied by the second, and is there for speed:
+        # it sends a float row past the slower tuple test.
         if type(b) is not float and type(b) in (int, Fraction):
             (a1, a2, a3), (r1, r2, r3) = a, rates
             n1, d1 = _rational(r1).as_integer_ratio()

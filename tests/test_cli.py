@@ -478,12 +478,14 @@ def test_literal_digit_limit_follows_python(capsys):
 
 
 def test_csv_that_cannot_be_printed_leaves_stdout_empty():
-    # Each literal fits Python's 4300-digit limit but H_2 does not; the
-    # header and the first rows used to be printed before the failure.
+    # Each literal fits Python's 4300-digit limit, but H_2 (a row's offset)
+    # and a corner rate do not; the header and the first rows used to be
+    # printed before the failure.
     h = ",".join(["9e4299"] * 7)
-    code, out, err = run_cli("region", "--h", h, "--emit", "csv")
-    assert (code, out) == (1, "")
-    assert err.startswith("error:")
+    for command in ("region", "corners"):
+        code, out, err = run_cli(command, "--h", h, "--emit", "csv")
+        assert (code, out) == (1, ""), command
+        assert err.startswith("error:"), command
 
 
 def test_malformed_manifests_and_sidecars_exit_1(bundle_dir):
@@ -1005,6 +1007,10 @@ def test_manifest_or_sidecar_array_exits_1(capsys, bundle_dir):
                  1, id="deep-ordering"),
     pytest.param(("encode", "--scheme", "X5", "--manifest", "{deep}",
                   "--out", "{out}"), 1, id="deep-manifest"),
+    pytest.param(("check", "--rates", "1,2,3", "--D", DYADIC, "--tol", "-1"),
+                 6, id="negative-tol"),
+    pytest.param(("check", "--rates", "1,2,3", "--D", DYADIC, "--tol", "nan"),
+                 6, id="nan-tol"),
 ])
 def test_error_exits_in_process(capsys, tmp_path, argv, want):
     deep = tmp_path / "deep.json"
@@ -1014,6 +1020,18 @@ def test_error_exits_in_process(capsys, tmp_path, argv, want):
     )
     assert (code, out) == (want, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--rates", "1,4,7", "--h", H1, "--tol", "1e-9"),
+    ("check", "--rates", "1,2.5,3", "--D", DYADIC, "--ordering", "1"),
+], ids=["tol-with-h", "ordering-with-D"])
+def test_flag_of_the_other_check_mode_exits_2_in_process(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _main(capsys, *argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "not allowed with" in err
 
 
 def test_ordering_from_stdin_in_process(capsys, monkeypatch):
@@ -1131,6 +1149,73 @@ def test_gaussian_cli_output_matches_golden_digest(capsys):
                 assert json.loads(out)["ordering"] == n
             digest.update(json.dumps([argv, code, out]).encode())
     assert digest.hexdigest() == GAUSSIAN_GOLDEN_DIGEST
+
+
+# One bundle per scheme of the codec workload, every description length off a
+# byte boundary; Z7 at the odd lengths would split V4 - V3 = 5 bits in halves.
+CODEC_BUNDLES = (
+    ("X1", (5, 3, 17, 6, 4, 9, 11)),
+    ("X5", (5, 3, 17, 6, 4, 9, 11)),
+    ("Y5", (5, 3, 9, 6, 7, 2, 11)),
+    ("Z7", (5, 3, 7, 13, 4, 9, 11)),
+)
+ODD_Z7 = (5, 3, 7, 12, 4, 9, 11)
+
+
+def _write_manifest(name, lengths, rng):
+    Path(f"{name}.bin").write_bytes(rng.randbytes(-(-sum(lengths) // 8)))
+    Path(f"{name}.json").write_text(json.dumps(
+        {"lengths": list(lengths), "streams": f"{name}.bin"}))
+    return f"{name}.json"
+
+
+def _codec_argvs():
+    """The codec calls, run in a fresh working directory: each encode of
+    CODEC_BUNDLES with all seven decodes, then an unknown subset (exit 1),
+    an odd Z7 split (exit 4) and a ``.bits`` file one byte short (exit 5).
+    It writes the manifests and shortens the file as it goes, so each call
+    must run before the next one is drawn."""
+    rng = random.Random(34)
+    for label, lengths in CODEC_BUNDLES:
+        manifest = _write_manifest(label, lengths, rng)
+        yield ["encode", "--scheme", label, "--manifest", manifest,
+               "--out", f"enc/{label}"]
+        for subset in SUBSETS:
+            yield ["decode", "--sidecar", f"enc/{label}/sidecar.json",
+                   "--subset", subset, "--out", f"dec/{label}/{subset}"]
+    yield ["decode", "--sidecar", "enc/X5/sidecar.json", "--subset", "G4",
+           "--out", "dec/G4"]
+    yield ["encode", "--scheme", "Z7", "--manifest",
+           _write_manifest("odd", ODD_Z7, rng), "--out", "enc/odd"]
+    short = Path("enc/Y5/G2.bits")
+    short.write_bytes(short.read_bytes()[:-1])
+    yield ["decode", "--sidecar", "enc/Y5/sidecar.json", "--subset", "G123",
+           "--out", "dec/short"]
+
+
+# sha256 over (argv, exit code, stdout, [name, hex bytes] of each file under
+# --out) of each call of _codec_argvs: it pins the codec's CLI output and
+# files byte for byte.
+CODEC_GOLDEN_DIGEST = (
+    "c1d9e80c3e1460781df7da69f975d97606ab3380248fe4d663868da96da42960"
+)
+
+
+def test_codec_cli_output_matches_golden_digest(capsys, tmp_path,
+                                                 monkeypatch):
+    from amld3 import cli
+
+    monkeypatch.chdir(tmp_path)
+    digest, codes = hashlib.sha256(), []
+    for argv in _codec_argvs():
+        codes.append(cli.main(argv))
+        out = capsys.readouterr().out
+        outdir = Path(argv[-1])
+        files = [[p.name, p.read_bytes().hex()]
+                 for p in sorted(outdir.iterdir())] if outdir.exists() else []
+        digest.update(json.dumps([argv, codes[-1], out, files]).encode())
+    assert codes == [0] * 32 + [1, 4, 5]
+    assert digest.hexdigest() == CODEC_GOLDEN_DIGEST
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
