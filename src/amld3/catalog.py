@@ -10,16 +10,24 @@ lengths are non-negative integers (else :class:`~.codec.RegimeMismatch` or
 The module is also the L1 corner catalog, one label set per regime
 (:data:`CATALOG_LABELS`).  Each corner is the rate triple of its scheme:
 :data:`RATE_FORMS`, the description lengths as sums of the same doubled
-forms, from which :func:`label_corners` reads the corners.
+forms.  Each label's forms fix the rows tight at its corner for every
+profile, and one nonsingular triple of them, derived once per regime,
+names the corner: :func:`label_corners` reads labels off the corners'
+tight tags.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import cache
+from itertools import accumulate, chain, combinations, permutations
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .rate_region import CornerPoint, EntropyProfile, classify_regime
+from .ordering import L1
+from .rate_region import (
+    CONSTRAINT_ROWS, Q_TAGS, CornerPoint, EntropyProfile, _cross,
+    classify_regime, constraint_offsets,
+)
 
 
 def _lin(**kw) -> tuple[int, ...]:
@@ -198,33 +206,62 @@ RATE_FORMS: Mapping[str, tuple[tuple[int, ...], ...]] = {
 """Catalog label -> twice its scheme's description lengths over l1..l7."""
 
 
+@cache
+def _label_triples(regime: str) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """Each label of ``regime``'s tight triple, in all six orders -> labels,
+    derived on the regime's first use.
+
+    A row is tight at a label's corner for every profile when its slack, an
+    integer form over h, is zero.  Its coefficients are at most 4 in
+    absolute value, below B / 2 = 2^15, so the form is zero exactly when it
+    is zero at h = (1, B, ..., B^6).  Of those rows the first triple, in
+    row order, whose normals are independent is kept: three such planes
+    meet in one point, so a corner tight on them is the label's corner.
+    """
+    h = [1 << 16 * k for k in range(7)]
+    b = constraint_offsets(dict(zip(L1.by_level, accumulate(h))))
+    normal = {tag: a for tag, (_, a) in zip(Q_TAGS, CONSTRAINT_ROWS)}
+    table = {}
+    for label in CATALOG_LABELS[regime]:
+        rates = [sum(map(mul, form, h)) for form in RATE_FORMS[label]]
+        rows = [tag for tag, bt in zip(Q_TAGS, b)
+                if sum(map(mul, normal[tag], rates)) == bt]
+        triple = next(
+            t for t in combinations(rows, 3)
+            if sum(map(mul, normal[t[0]], _cross(normal[t[1]], normal[t[2]])))
+        )
+        for key in permutations(triple):
+            table[key] = (*table.get(key, ()), label)
+    return table
+
+
 def label_corners(
     corners: Sequence[CornerPoint], profile: EntropyProfile
 ) -> tuple[CornerPoint, ...]:
     """Attach catalog labels to enumerated corners of an L1 region.
 
-    Corners whose coordinates match several catalog entries (boundary
-    profiles) get the merged label, e.g. ``"Y7+Y8"``.  Corners not in the
-    catalog keep label None.  A corner is looked up by its rates times 2L,
-    the integer key that each :data:`RATE_FORMS` entry of the regime takes
-    at ``L * h``; a rate whose denominator does not divide 2L is in no
-    catalog entry.
+    Labels are read from each corner's ``tight`` tags, not from its rates,
+    so a hand-built corner is labelled by its tags.  Each label of the
+    profile's regime has a triple of rows, tight at its corner for every
+    profile, whose normals are independent: a corner tight on all three is
+    that label's corner, and a corner equal to it is tight on them, as
+    :func:`~.rate_region.enumerate_corners` computes tags exactly.  A corner
+    whose tags hold several labels' triples (boundary profiles) gets the
+    merged label in catalog order, e.g. ``"Y7+Y8"``; one that holds none
+    keeps label None.
     """
-    d, h = 2 * profile._L, profile._hn
-    table: dict[tuple[int, ...], list[str]] = {}
-    for label in CATALOG_LABELS[classify_regime(profile)]:
-        a, b, c = RATE_FORMS[label]
-        key = sum(map(mul, a, h)), sum(map(mul, b, h)), sum(map(mul, c, h))
-        table.setdefault(key, []).append(label)
+    regime = classify_regime(profile)
+    table, order = _label_triples(regime), CATALOG_LABELS[regime]
     out = []
     for c in corners:
-        key = tuple(
-            r.numerator * (d // r.denominator) if d % r.denominator == 0
-            else None
-            for r in c.rates
-        )
-        labels = table.get(key)
-        out.append(
-            CornerPoint(c.rates, c.tight, "+".join(labels)) if labels else c
-        )
+        tight = tuple(c.tight)  # a hand-built corner may list its tags
+        if len(tight) == 3:
+            labels = table.get(tight)
+        else:
+            # A set, so that a tag listed twice names its label once.
+            labels = sorted({label for t in combinations(tight, 3)
+                             for label in table.get(t, ())}, key=order.index)
+        out.append(tuple.__new__(CornerPoint,
+                                 (c.rates, c.tight, "+".join(labels)))
+                   if labels else c)
     return tuple(out)

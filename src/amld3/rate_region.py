@@ -122,6 +122,8 @@ class CornerPoint(NamedTuple):
 
     ``tight`` holds the tags of the constraints satisfied with equality,
     always recomputed from the coordinates (never trusted from a table).
+    :func:`~.catalog.label_corners` reads ``label`` off these tags alone, not
+    off ``rates``, so a hand-built corner is labelled by its tags.
     """
 
     rates: tuple[Fraction, Fraction, Fraction]
@@ -265,7 +267,8 @@ def _vertex_solvers(planes) -> tuple[int, object, tuple, tuple, tuple, list]:
     other normal t has ``(t, *(a_t . c for c in cols))`` in ``slacks``,
     ``a_t . n`` as a form on the offsets.  ``types`` lists the vertex types
     that :func:`enumerate_corners` has found for these planes, most
-    recently used first; all callers share it.
+    recently used first, each a list of ``(solver, need)`` entries; all
+    callers share it.
     """
     normals = tuple(dict.fromkeys(planes))
     owner = tuple(map(normals.index, planes))
@@ -328,7 +331,9 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
 
     A region's type lists, for each of its vertices, one triple meeting
     there and the normals tight there.  The types kept for these planes
-    are tried first, most recently used first.  A type is taken when each
+    are tried first, most recently used first, and a type that fails moves
+    the entry that cut it off to its own front, so the order of the entries
+    within a type changes from call to call.  A type is taken when each
     of its triples meets in a point of the region at which its recorded
     normals are tight again, and the points taken, merged where they
     coincide, are then exactly the vertices.  Each is a vertex: three
@@ -341,8 +346,9 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
     of the cone, so it minimises c there, and v is the one point that does.
     When no type is taken, every triple is searched, and a region with a
     vertex leaves its type for later calls (an empty type would be taken
-    for any region).  The types only order the work: the check above
-    decides every result.
+    for any region).  The types and their entries only order the work:
+    the argument above holds for any order, and the check decides every
+    result.
     """
     planes, bs, q = region.planes, region.scaled_b, region.q
     D, heads, rest, owner, solvers, types = _vertex_solvers(planes)
@@ -353,8 +359,9 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
     lb = [D * b for b in kb]
     for u, kept in enumerate(types):
         found = {}
-        for solver, need in kept:
+        for i, (solver, need) in enumerate(kept):
             if not (v := _vertex(solver, kb, lb, need)):
+                kept.insert(0, kept.pop(i))
                 break
             found[v[0]] = solver, v[1]
         else:
@@ -367,18 +374,19 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
             if v := _vertex(solver, kb, lb, ()):
                 found.setdefault(v[0], (solver, v[1]))
         if found:
-            types.insert(0, tuple(
+            types.insert(0, [
                 (solver, frozenset(tight[3:])) for solver, tight in found.values()
-            ))
+            ])
             del types[_KEPT_TYPES:]
     rows = [(c.tag, u) for c, u, b in zip(region.constraints, owner, bs)
             if b == kb[u]]
     d = q * D
     return tuple([
-        CornerPoint(
+        tuple.__new__(CornerPoint, (
             (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d)),
             tuple([tag for tag, u in rows if u in tight]),
-        )
+            None,
+        ))
         for (n0, n1, n2), (_, tight) in sorted(found.items())
     ])
 

@@ -34,7 +34,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles
 from amld3 import (
@@ -253,6 +253,11 @@ def _catalog_order(label):
 
 @settings(max_examples=300, deadline=None)
 @given(h=profiles())
+@example(h=[F(0)] * 7)
+@example(h=[F(1), F(2), F(5, 2), F(1), F(3, 2), F(1), F(1, 3)])  # h3 = h4 + h5
+@example(h=[F(1), F(1), F(2), F(2), F(1), F(1), F(1)])  # h3 = h4
+@example(h=[F(2**65 + 1, 3), F(7), F(2**70), F(2**66, 5), F(2**64 + 3),
+            F(0), F(2**80 - 1, 7)])
 def test_l1_corners_are_the_closed_form_catalog(h):
     _vertex_solvers.cache_clear()
     profile = EntropyProfile(h)
@@ -428,6 +433,33 @@ def test_vertex_types_never_decide_a_result(groups, data):
             got = [(c.rates, c.tight) for c in enumerate_corners(regions[t])]
             assert got == want[t]
         _vertex_solvers.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=profiles(), warm=st.lists(st.tuples(st.integers(1, 8), profiles()),
+                                   max_size=4))
+def test_the_order_of_kept_types_never_changes_the_result(h, warm):
+    # Kept types and their entries only order the work: with every kept
+    # type's entries and the list of types rotated by each shift in turn,
+    # the corners of all eight orderings are the reference's.
+    _vertex_solvers.cache_clear()
+    regions = [_built_region(index, h) for index in range(1, 9)]
+    for index, g in warm:
+        enumerate_corners(_built_region(index, g))
+    first = [(c.rates, c.tight) for r in regions for c in enumerate_corners(r)]
+    types = _vertex_solvers(regions[0].planes)[-1]
+    want = [
+        _oracles.reference_corners((c.a, c.b, c.tag) for c in r.constraints)
+        for r in regions
+    ]
+    assert first == [corner for w in want for corner in w]
+    for shift in range(1, 1 + max(len(types), *map(len, types))):
+        for region, expected in zip(regions, want):
+            for kept in types:
+                kept[:] = kept[shift % len(kept):] + kept[:shift % len(kept)]
+            types[:] = types[shift % len(types):] + types[:shift % len(types)]
+            got = [(c.rates, c.tight) for c in enumerate_corners(region)]
+            assert got == expected
 
 
 FORMS = st.sampled_from(("int", "fraction", "float", "string"))

@@ -33,7 +33,8 @@ from amld3 import (
     outer_bound,
     region_json_dict,
 )
-from amld3.catalog import RATE_FORMS
+from amld3.catalog import RATE_FORMS, TEMPLATES, _label_triples
+from amld3.catalog import template_name_for_label
 from amld3.ordering import L1
 from amld3.rate_region import _vertex_solvers
 
@@ -569,11 +570,70 @@ def test_catalog_at_boundary_keeps_one_entry_per_label():
 
 
 def test_label_corners_leaves_off_catalog_denominators_unlabeled():
-    # A rate over 3 is not a multiple of 1/(2L) = 1/2 here, so no catalog
-    # entry can match it.
+    # Labels are read from the tags: a corner tight on no catalog triple
+    # (here on nothing, at a rate over 3) stays unlabelled.
     off = CornerPoint((F(1, 3), F(4), F(7)), ())
     on = CornerPoint((F(1), F(4), F(7)), ("Q1", "Q4", "Q7"))
     assert label_corners([off, on], ALL_ONES) == (off, on._replace(label="Y1"))
+
+
+def test_a_hand_built_corner_is_labelled_by_its_tags():
+    # The rates are not read: Y1's triple in any order gives Y1, tags
+    # holding Y7's and Y8's triples give the merged label in catalog order,
+    # and a tag listed twice names its label once.
+    zero = (F(0),) * 3
+    got = label_corners([
+        CornerPoint(zero, ("Q7", "Q1", "Q4")),
+        CornerPoint(zero, ("Q4", "Q7", "Q8", "Q10")),
+        CornerPoint(zero, ("Q1", "Q2", "Q3", "Q11")),
+        CornerPoint(zero, ("P1.1", "P2.12", "P3.1")),
+        CornerPoint(zero, ("Q1", "Q4", "Q1", "Q7")),
+        CornerPoint(zero, ["Q1", "Q4", "Q7"]),
+    ], ALL_ONES)
+    assert [c.label for c in got] == ["Y1", "Y7+Y8", None, None, "Y1", "Y1"]
+    assert got[-1].tight == ["Q1", "Q4", "Q7"]
+
+
+def _description_forms(template):
+    """A template's three description lengths as 7-vectors over h, from the
+    oracle's piece forms: copies add, an XOR counts its first group."""
+    pieces = _oracles.piece_forms(template)
+    return [
+        tuple(sum(col, F(0)) for col in zip(*(
+            pieces[n] for item in desc
+            for n in ((item,) if isinstance(item, str) else item[0])
+        )))
+        for desc in template.layout
+    ]
+
+
+def _always_tight(label):
+    """The Q rows tight at the label's corner for every profile: those whose
+    normal times the description forms is the row's offset form."""
+    rates = _description_forms(TEMPLATES[template_name_for_label(label)])
+    return {
+        tag for tag, (a, offset) in _oracles.Q_TABLE.items()
+        if tuple(sum((x * r[k] for x, r in zip(a, rates)), F(0))
+                 for k in range(7)) == tuple(map(F, offset))
+    }
+
+
+def test_each_label_keeps_its_own_nonsingular_always_tight_triple():
+    for regime, labels in CATALOG_LABELS.items():
+        table = _label_triples(regime)
+        # Every key names one label, so no triple is shared in a regime.
+        assert all(len(names) == 1 for names in table.values()), regime
+        keys = {}
+        for key, (label,) in table.items():
+            keys.setdefault(label, set()).add(key)
+        assert set(keys) == set(labels)
+        for label in labels:
+            triple = min(keys[label])
+            assert len(set(triple)) == 3
+            assert keys[label] == set(itertools.permutations(triple)), label
+            normals = [_oracles.Q_TABLE[t][0] for t in triple]
+            assert _oracles._det3(*normals) != 0, label
+            assert set(triple) <= _always_tight(label), label
 
 
 def test_region_json_shape():

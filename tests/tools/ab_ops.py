@@ -14,19 +14,22 @@ own ``work_analysis.op_check``, ``op_corners`` and ``op_bounds``, rebuilt for
 each side with every name they read from ``amld3`` (``amld3`` itself too)
 bound to that side's package, and called with a ``spans.Tracer`` that does
 not record, as untraced perfbench runs do; ``contains`` is the direct
-``contains(region, q)`` call that perfbench times.  ``--ops`` fresh inputs
-per op kind come from ``gen.AnalysisInputs(seed)``, drawn as the
-``analysis`` workload draws them.  The codec kinds are ``instantiate``
+``contains(region, q)`` call that perfbench times.  ``label`` times
+``label_corners`` alone, the one stage of ``op_corners`` that runs only on
+L1: it labels the corners of those ``corners`` inputs whose ordering is L1,
+each side its own corners, found untimed.  ``--ops`` fresh inputs per op
+kind come from ``gen.AnalysisInputs(seed)``, drawn as the ``analysis``
+workload draws them.  The codec kinds are ``instantiate``
 (``instantiate_scheme`` of the bundle's template at its lengths),
 ``encode`` and one ``decode.<subset>`` per decoder subset, each called once
 per bundle of ``gen.bulk_bundles(seed)``, the four 9 Mbit bundles of the
 ``codec-bulk`` workload; each side decodes the same descriptions, encoded
 once.  Both sides must return equal outputs on every input (regions,
-corners, region documents, bound sets, gap reports, verdicts and schemes,
-compared with ``==``, a scheme of either package as a tuple; descriptions
-and streams with ``numpy.array_equal``); any difference is printed and the
-exit code is 1.  Then each op kind is timed for ``--rounds`` rounds (at
-least 2).  Inside a round the two sides run each input back to back, call
+corners, labelled corners, region documents, bound sets, gap reports,
+verdicts and schemes, compared with ``==``, a scheme of either package as a
+tuple; descriptions and streams with ``numpy.array_equal``); any difference
+is printed and the exit code is 1.  Then each op kind is timed for
+``--rounds`` rounds (at least 2).  Inside a round the two sides run each input back to back, call
 by call, the side that goes first alternating from one input to the next
 and from one round to the next; the round gives each side its median call
 time, and the change/base ratio of the two.  A codec kind runs its
@@ -56,8 +59,9 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[2]
-KINDS = ("check", "corners", "contains", "bounds")
-EQUAL_KINDS = (*KINDS, "instantiate")  # outputs compared with ==
+KINDS = ("check", "corners", "contains", "bounds")  # drawn by make_inputs
+ANALYSIS_KINDS = (*KINDS, "label")
+EQUAL_KINDS = (*ANALYSIS_KINDS, "instantiate")  # outputs compared with ==
 
 
 def load(checkout: Path, name: str):
@@ -118,6 +122,10 @@ def op_calls(m, inputs: dict) -> dict:
     def region(index, h):
         return m.build_mld_region(orderings[index - 1], m.EntropyProfile(h))
 
+    def l1_corners(h):
+        profile = m.EntropyProfile(h)
+        return m.enumerate_corners(m.build_mld_region(m.L1, profile)), profile
+
     return {
         "check": [(ops["op_check"], (T, *x)) for x in inputs["check"]],
         "corners": [(ops["op_corners"], (T, orderings[i - 1], h))
@@ -126,6 +134,8 @@ def op_calls(m, inputs: dict) -> dict:
                      for i, h, q in inputs["contains"]],
         "bounds": [(ops["op_bounds"], (T, v, r))
                    for _, v, r in inputs["bounds"]],
+        "label": [(m.label_corners, l1_corners(h))
+                  for i, h in inputs["corners"] if i == 1],
     }
 
 
@@ -222,13 +232,14 @@ def main(argv: list[str]) -> int:
     for r in range(args.rounds):
         for kind in kinds:
             pairs = calls["base"][kind], calls["change"][kind]
-            if kind in KINDS:
+            if kind in ANALYSIS_KINDS:
                 rounds[kind].append(tuple(map(median, timed_pairs(*pairs, r))))
             else:
                 (a, b), (c, d) = (timed_pairs(*pairs, r + k) for k in (0, 1))
                 rounds[kind].append((sum(a + c), sum(b + d)))
     print(f"{args.rounds} rounds of {args.ops} paired ops per analysis kind "
-          f"and 2 x {len(bundles)} per codec kind, seed {args.seed}: median "
+          f"({len(calls['change']['label'])} L1 ones for label) and "
+          f"2 x {len(bundles)} per codec kind, seed {args.seed}: median "
           "per-round medians (analysis) or totals (codec) in us, and the "
           "median [IQR] of the per-round change/base ratios")
     for kind in kinds:
