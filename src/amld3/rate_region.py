@@ -267,8 +267,7 @@ def _vertex_solvers(planes) -> tuple[int, object, tuple, tuple, tuple, list]:
     other normal t has ``(t, *(a_t . c for c in cols))`` in ``slacks``,
     ``a_t . n`` as a form on the offsets.  ``types`` lists the vertex types
     that :func:`enumerate_corners` has found for these planes, most
-    recently used first, each a list of ``(solver, need)`` entries; all
-    callers share it.
+    recently used first; all callers share it.
     """
     normals = tuple(dict.fromkeys(planes))
     owner = tuple(map(normals.index, planes))
@@ -361,7 +360,9 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
         found = {}
         for i, (solver, need) in enumerate(kept):
             if not (v := _vertex(solver, kb, lb, need)):
-                kept.insert(0, kept.pop(i))
+                # Rebound, not reordered in place: another caller may be
+                # iterating this type.
+                types[u] = (kept[i], *kept[:i], *kept[i + 1:])
                 break
             found[v[0]] = solver, v[1]
         else:
@@ -374,9 +375,9 @@ def enumerate_corners(region: RateRegion) -> tuple[CornerPoint, ...]:
             if v := _vertex(solver, kb, lb, ()):
                 found.setdefault(v[0], (solver, v[1]))
         if found:
-            types.insert(0, [
+            types.insert(0, tuple(
                 (solver, frozenset(tight[3:])) for solver, tight in found.values()
-            ])
+            ))
             del types[_KEPT_TYPES:]
     rows = [(c.tag, u) for c, u, b in zip(region.constraints, owner, bs)
             if b == kb[u]]

@@ -455,8 +455,8 @@ def test_the_order_of_kept_types_never_changes_the_result(h, warm):
     assert first == [corner for w in want for corner in w]
     for shift in range(1, 1 + max(len(types), *map(len, types))):
         for region, expected in zip(regions, want):
-            for kept in types:
-                kept[:] = kept[shift % len(kept):] + kept[:shift % len(kept)]
+            types[:] = [kept[shift % len(kept):] + kept[:shift % len(kept)]
+                        for kept in types]
             types[:] = types[shift % len(types):] + types[:shift % len(types)]
             got = [(c.rates, c.tight) for c in enumerate_corners(region)]
             assert got == expected
