@@ -435,29 +435,23 @@ def classify_slacks(
 # ---------------------------------------------------------------------------
 
 def corner_json_dict(corner: CornerPoint) -> dict:
+    """JSON-ready form of a corner, each rate printed with ``str`` as it
+    is: :func:`enumerate_corners` gives exact ``Fraction``s."""
     return {
-        "rates": [str(_rational(r)) for r in corner.rates],
+        "rates": [str(r) for r in corner.rates],
         "tight": list(corner.tight),
         "label": corner.label,
     }
 
 
-def region_json_dict(
-    region: RateRegion, corners: Sequence[CornerPoint] | None = None
-) -> dict:
-    """JSON-ready form of a region (and optionally its corners)."""
-    out: dict = {}
-    if region.ordering is not None:
-        out["ordering"] = region.ordering.index
-        out["regime"] = (
-            classify_regime(region.profile)
-            if region.ordering == L1 and region.profile is not None
-            else None
-        )
-    out["constraints"] = [
-        {"a": list(c.a), "b": str(c.b), "tag": c.tag}
-        for c in region.constraints
-    ]
-    if corners is not None:
-        out["corners"] = [corner_json_dict(c) for c in corners]
-    return out
+def region_json_dict(region: RateRegion, corners: Sequence[CornerPoint]) -> dict:
+    """JSON-ready form of a region of :func:`build_mld_region` and its
+    corners; ``regime`` is None for every ordering but L1."""
+    return {
+        "ordering": region.ordering.index,
+        "regime": (classify_regime(region.profile)
+                   if region.ordering == L1 else None),
+        "constraints": [{"a": list(c.a), "b": str(c.b), "tag": c.tag}
+                        for c in region.constraints],
+        "corners": [corner_json_dict(c) for c in corners],
+    }

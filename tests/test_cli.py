@@ -8,9 +8,11 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1044,6 +1046,22 @@ def test_ordering_from_stdin_in_process(capsys, monkeypatch):
                            "--h", "1,1,1,1,1,1,1")
     assert (code, err) == (0, "")
     assert json.loads(out)["ordering"] == 7
+
+
+@pytest.mark.parametrize("module", ["amld3", "amld3.cli"])
+def test_module_entry_points_in_process(capsys, monkeypatch, module):
+    # ``python -m amld3`` and ``python -m amld3.cli`` exit with main's code
+    # and print what main prints.  runpy warns that amld3.cli is already
+    # imported when it runs it afresh as __main__.
+    argv = ["corners", "--h", "1,1,1,1,1,1,1"]
+    code, want, _ = _main(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(sys, "argv", [module, *argv])
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (want, "")
 
 
 def test_output_is_byte_deterministic():

@@ -8,10 +8,12 @@ import hashlib
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracles
 from amld3 import (
     BoundSet,
     DistortionRangeError,
@@ -585,6 +587,55 @@ def test_outer_contains_inner_corner_like_points():
         # point meeting the inner bound meets the outer bound too.
         if md_contains(inner, probe):
             assert md_contains(outer, probe)
+
+
+def _level_targets(rng: random.Random, o, lo: float) -> DistortionVector:
+    """Targets that induce ``o``: each level's target is the one below it
+    times a factor drawn from (lo, 0.95)."""
+    vals, v = {}, 1.0
+    for s in o.by_level:
+        v *= rng.uniform(lo, 0.95)
+        vals[s] = v
+    return DistortionVector(vals)
+
+
+def _inner_corners(D):
+    """Every corner of the inner bound, exact over its offsets' Fractions."""
+    rows = [(c.a, Fraction(c.b), c.tag) for c in inner_bound(D).constraints]
+    return [tuple(map(float, rates))
+            for rates, _ in _oracles.reference_corners(rows)]
+
+
+def test_outer_rows_contain_the_inner_bound():
+    # An outer bound must hold every achievable point, so every corner of
+    # the inner bound.  Every O row, and every PO row at matched noise
+    # but PO-5, does so over all 8 orderings and level factors down to
+    # 1e-6.  PO-5 cuts off inner corners for orderings 1-6 (ROADMAP item
+    # 14, reproduced below) and is checked for orderings 7 and 8 alone.
+    rng = random.Random(14)
+    for o in enumerate_orderings():
+        for lo in (0.4, 0.05, 1e-3, 1e-6):
+            for _ in range(10):
+                D = _level_targets(rng, o, lo)
+                assert induced_ordering(D) == o
+                rows = [*outer_bound(D).constraints,
+                        *parametric_outer_bound(D, _matched(D)).constraints]
+                if o.index <= 6:
+                    rows = [c for c in rows if c.tag != "PO-5"]
+                for rates in _inner_corners(D):
+                    for c in rows:
+                        assert c.evaluate(rates) >= -TOL, (o.index, D, c.tag)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: PO-5 at matched "
+                   "noise cuts off points of the inner bound")
+def test_parametric_bound_contains_an_inner_point():
+    D = DistortionVector([0.74372, 0.398031, 0.217024, 0.000644, 0.000163,
+                          6.3e-05, 4e-06])
+    rates = (2.54, 2.99, 6.66)
+    assert md_contains(inner_bound(D), rates)
+    assert md_contains(outer_bound(D), rates)
+    assert md_contains(parametric_outer_bound(D, _matched(D)), rates)
 
 
 def test_bound_json_shape():

@@ -659,10 +659,9 @@ def test_region_json_shape():
 def test_region_json_for_other_orderings_has_null_regime():
     o = enumerate_orderings()[3]
     region = build_mld_region(o, ALL_ONES)
-    doc = region_json_dict(region)
+    doc = region_json_dict(region, enumerate_corners(region))
     assert doc["ordering"] == 4
     assert doc["regime"] is None
-    assert "corners" not in doc
 
 
 def test_corner_json_null_label():
